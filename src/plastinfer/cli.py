@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,10 @@ def _run_identification(
     kind = ModelKind.parse(str(_require(config, "model", "config")))
     prior = _parse_prior(_require(config, "prior", "config"), kind.dimension)
     sampler_config, adaptive = _parse_sampler(_require(config, "sampler", "config"), seed)
+    if sampler_config.seed is None:
+        # Draw the seed here rather than let the sampler read OS entropy,
+        # so summary.json and the chain sidecar record a replayable value.
+        sampler_config = replace(sampler_config, seed=np.random.SeedSequence().entropy)
     quadrature = _parse_quadrature(config)
     target = LogPosterior(kind, prior, data, quadrature)
 

@@ -19,7 +19,11 @@ stress times the mass a truncated Gaussian in the true strain assigns to
 the branch interval. These closed forms were re-derived from the
 marginalization integral and are checked against adaptive quadrature in
 the test suite. For the implicit model the plastic branch is integrated
-numerically with composite Simpson panels.
+numerically with composite Simpson panels, not in the true strain but in
+a plastic coordinate in which both the stress and the total strain are
+explicit: the plastic strain u for n >= 1 (or H = 0), the stress excess
+v = stress - sigma_y0 for n < 1. The Jacobian d(strain)/d(coordinate)
+enters the quadrature weights, so no node needs an implicit stress solve.
 
 Everything is computed and composed in log space; with ten or more
 measurements the raw products underflow double precision.
@@ -27,6 +31,7 @@ measurements the raw products underflow double precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +40,7 @@ from scipy.special import log_ndtr, logsumexp, ndtr
 
 from .data import MeasurementSet
 from .errors import ConfigurationError, DomainError, NumericalError
-from .models import ModelKind, ParameterVector, stress, stress_lenh, yield_strain
+from .models import ModelKind, ParameterVector, stress, yield_strain
 
 __all__ = [
     "QuadratureSpec",
@@ -208,8 +213,13 @@ def _cluster_map(u: np.ndarray) -> np.ndarray:
     return u**5 * (6.0 - 5.0 * u)
 
 
+@functools.lru_cache(maxsize=8)
 def _simpson_nodes(panels: int, clustered: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0, 1] for ``panels`` Simpson subintervals."""
+    """Nodes and weights on [0, 1] for ``panels`` Simpson subintervals.
+
+    Cached per ``(panels, clustered)``; the arrays are shared between
+    callers and therefore read-only.
+    """
     bounds = np.linspace(0.0, 1.0, panels // 2 + 1)
     if clustered:
         bounds = _cluster_map(bounds)
@@ -222,7 +232,62 @@ def _simpson_nodes(panels: int, clustered: bool) -> tuple[np.ndarray, np.ndarray
     weights[0:-1:2] += seg / 6.0
     weights[2::2] += seg / 6.0
     weights[1::2] = 4.0 * seg / 6.0
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights
+
+
+def _plastic_path(t, x: ParameterVector):
+    """Stress, total strain and d(strain)/dt at plastic coordinates ``t >= 0``.
+
+    Both stress and strain are explicit in ``t``, and ``t = 0`` is the
+    yield point. For ``n >= 1`` (or ``H = 0``) ``t`` is the plastic strain
+    u, so stress = sigma_y0 + H u**n; for ``n < 1`` it is the stress excess
+    v = stress - sigma_y0, so u = (v / H)**(1/n). Either way strain =
+    stress / E + u, and the chosen variable keeps d(strain)/dt finite and
+    bounded below by min(1, 1/E).
+    """
+    E, sy, H, n = x.E, x.sigma_y0, x.H, x.n
+    if H > 0.0 and n < 1.0:
+        sigma = sy + t
+        slope = 1.0 / E + (t / H) ** (1.0 / n - 1.0) / (n * H)
+        return sigma, sigma / E + (t / H) ** (1.0 / n), slope
+    if H == 0.0:
+        n = 1.0  # the hardening term vanishes; keep 0 * t**(n - 1) finite at t = 0
+    sigma = sy + H * t**n
+    return sigma, sigma / E + t, 1.0 + (H * n / E) * t ** (n - 1.0)
+
+
+def _plastic_coordinate(strain: np.ndarray, x: ParameterVector) -> np.ndarray:
+    """Invert ``_plastic_path``: the coordinate t at which strain is reached.
+
+    Strain exceeds yield by a convex increasing function of t (a linear
+    term plus a power >= 1), so Newton started at or above the root
+    decreases monotonically onto it. The start is the smaller of the two
+    values at which either term alone reaches the excess, which brackets
+    the root within a factor of two; the yield strain itself starts, and
+    stays, at t = 0 exactly. Convergence is judged on the strain residual
+    relative to the strain.
+    """
+    E, H, n = x.E, x.H, x.n
+    excess = np.maximum(strain - x.sigma_y0 / E, 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if H > 0.0 and n < 1.0:
+            t = np.fmin(E * excess, H * excess**n)
+        else:
+            t = np.fmin(excess, (excess * E / H) ** (1.0 / n))
+    tol = 4.0 * np.finfo(float).eps * strain
+    for _ in range(60):  # a handful suffice; the cap only turns a stall into an error
+        _, reached, slope = _plastic_path(t, x)
+        resid = reached - strain
+        if np.all(np.abs(resid) <= tol):
+            return t
+        t = np.maximum(t - resid / slope, 0.0)
+    i = int(np.argmax(np.abs(resid) - tol))
+    raise NumericalError(
+        f"plastic window end not reached: strain={strain[i]!r}, residual {resid[i]:.3e}, "
+        f"x={x.to_array()!r}"
+    )
 
 
 def log_likelihood_double_lenh(
@@ -230,12 +295,15 @@ def log_likelihood_double_lenh(
 ) -> float:
     """Stress-and-strain log-likelihood for the nonlinear hardening model.
 
-    The elastic branch has the usual closed form; the plastic branch is
-    integrated per point with composite Simpson over a window of
-    ``width`` strain-noise standard deviations around the measured strain,
-    clipped to the plastic range and the tester limit. Each node requires
-    one implicit stress solve; the solves for all points and nodes are
-    batched into a single vectorized call.
+    The elastic branch has the usual closed form. The plastic branch is
+    integrated per point with composite Simpson over a window of ``width``
+    strain-noise standard deviations around the measured strain, clipped
+    to the plastic range and the tester limit. The integral runs in a
+    plastic coordinate in which stress and strain are both explicit (see
+    ``_plastic_path``), with d(strain)/dt in the weights, so no node needs
+    an implicit stress solve; only each window's upper end, and a lower
+    end above yield, are mapped into the coordinate by a short Newton
+    iteration.
     """
     quadrature = quadrature or QuadratureSpec()
     s_sig, s_eps, a = _require_double(data)
@@ -243,6 +311,8 @@ def log_likelihood_double_lenh(
         raise DomainError("LE-NH requires sigma_y0, H and n")
     if x.E <= 0.0:
         raise DomainError("LE-NH requires E > 0")
+    if x.n <= 0.0:
+        raise DomainError("LE-NH requires n > 0")
     ey = x.sigma_y0 / x.E
 
     elastic = _log_affine_branch(
@@ -254,30 +324,28 @@ def log_likelihood_double_lenh(
     active = hi > lo
     plastic = np.full(len(data), -np.inf)
     if np.any(active):
-        # The clustered mesh is only needed when a window starts exactly at
-        # the yield corner; with n = 1 or H = 0 the integrand is smooth.
-        corner = active & (lo == ey) & (x.H > 0.0) & (x.n != 1.0)
-        plain = active & ~corner
-        nodes = np.zeros((len(data), quadrature.panels + 1))
-        weights = np.zeros_like(nodes)
-        for mask, clustered in ((plain, False), (corner, True)):
-            if not np.any(mask):
-                continue
-            unit_nodes, unit_weights = _simpson_nodes(quadrature.panels, clustered)
-            span = (hi[mask] - lo[mask])[:, None]
-            nodes[mask] = lo[mask][:, None] + span * unit_nodes
-            weights[mask] = span * unit_weights
-
-        response = stress_lenh(nodes[active].ravel(), x).reshape(-1, quadrature.panels + 1)
+        # A window starting at yield maps to t = 0 exactly. The clustered
+        # mesh is only needed there; with n = 1 or H = 0 the integrand is
+        # smooth.
+        lo, hi = lo[active], hi[active]
+        t_lo, t_hi = np.split(_plastic_coordinate(np.concatenate([lo, hi]), x), 2)
+        clustered = (lo == ey) & (x.H > 0.0) & (x.n != 1.0)
+        plain_nodes, plain_weights = _simpson_nodes(quadrature.panels, False)
+        corner_nodes, corner_weights = _simpson_nodes(quadrature.panels, True)
+        unit_nodes = np.where(clustered[:, None], corner_nodes, plain_nodes)
+        unit_weights = np.where(clustered[:, None], corner_weights, plain_weights)
+        span = (t_hi - t_lo)[:, None]
+        t = t_lo[:, None] + span * unit_nodes
+        sigma, strain, slope = _plastic_path(t, x)
         log_f = (
-            -0.5 * ((data.strains[active][:, None] - nodes[active]) / s_eps) ** 2
-            - 0.5 * ((data.stresses[active][:, None] - response) / s_sig) ** 2
+            -0.5 * ((data.strains[active][:, None] - strain) / s_eps) ** 2
+            - 0.5 * ((data.stresses[active][:, None] - sigma) / s_sig) ** 2
             - _LOG_2PI
             - math.log(s_sig)
             - math.log(s_eps)
         )
         with np.errstate(divide="ignore"):
-            plastic[active] = logsumexp(log_f + np.log(weights[active]), axis=1)
+            plastic[active] = logsumexp(log_f + np.log(span * unit_weights * slope), axis=1)
 
     per_point = np.logaddexp(elastic, plastic)
     if not np.all(np.isfinite(per_point) | (per_point == -np.inf)):

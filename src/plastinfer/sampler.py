@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -444,7 +445,10 @@ def save_chain(chain: Chain, path: str | Path, parameter_names: list[str] | None
 def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     """Read back a chain written by ``save_chain``.
 
-    Returns the chain and the parameter names from the sidecar.
+    Returns the chain and the parameter names from the sidecar. A table
+    whose row count differs from the sidecar's ``n_samples`` is loaded as
+    it stands, with ``burn_in`` reset to 0, and a ``UserWarning`` names
+    both counts.
     """
     path = Path(path)
     sidecar_path = path.with_suffix(".json")
@@ -463,6 +467,12 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
         seed=sidecar["seed"],
     )
     if table.shape[0] != config.n_samples:
+        warnings.warn(
+            f"{path} holds {table.shape[0]} rows but its sidecar records "
+            f"n_samples={config.n_samples}; loading {table.shape[0]} samples with burn_in reset to 0",
+            UserWarning,
+            stacklevel=2,
+        )
         config = replace(config, n_samples=table.shape[0], burn_in=0)
     return (
         Chain(

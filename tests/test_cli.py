@@ -251,6 +251,18 @@ class TestIdentify:
         assert code == 0
         assert "drifting" in captured.err
 
+    def test_seedless_run_records_a_replayable_seed(self, tmp_path):
+        data_path = _make_dataset(tmp_path, model="LE", parameters={"E": 210.0})
+        config = _identify_config(tmp_path, sampler={"n_samples": 500, "burn_in": 100})
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        argv = ["identify", "--config", config, "--data", str(data_path), "--output-dir"]
+        assert cli.main([*argv, str(first)]) == 0
+        seed = json.loads((first / "summary.json").read_text())["seed"]
+        assert isinstance(seed, int)
+        assert json.loads((first / "chain.json").read_text())["seed"] == seed
+        assert cli.main([*argv, str(replay), "--seed", str(seed)]) == 0
+        assert (replay / "chain.csv").read_bytes() == (first / "chain.csv").read_bytes()
+
 
 class TestAnalytic:
     """Closed-form route."""

@@ -21,8 +21,10 @@ from plastinfer import (
     MeasurementSet,
     ModelKind,
     NoiseSpec,
+    NumericalError,
     ParameterVector,
     QuadratureSpec,
+    generate_double_noise,
     log_likelihood,
     log_likelihood_double_le,
     log_likelihood_double_lelh,
@@ -34,6 +36,8 @@ from plastinfer import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+GRID_12 = np.linspace(2.4e-4, 12 * 2.4e-4, 12)
 
 DOUBLE_FORMS = {
     ModelKind.LINEAR_ELASTIC: log_likelihood_double_le,
@@ -220,6 +224,66 @@ class TestDoubleNoiseOracle:
             oracle = _oracle_double_point(x, ModelKind.NONLINEAR_HARDENING, sm, em, s_sig, s_eps, math.inf)
             got = log_likelihood_double_lenh(x, _double_set([em], [sm], s_sig, s_eps))
             assert abs(math.expm1(got - oracle)) < 1e-7, (x, sm, em)
+
+    @pytest.mark.parametrize(
+        "case, n_kind",
+        [(0, "random"), (1, "below_one"), (2, "above_one"), (3, "random"), (4, "below_one"), (5, "above_one")],
+    )
+    def test_nonlinear_sets_match_quadrature(self, case, n_kind):
+        """Random 12-point sets, n in [0.15, 3] and H in [0, 10] (exactly 0
+        in case 3), point by point against adaptive quadrature, and the
+        whole set against the sum of its points. Each set puts four
+        windows across the yield corner, so some start exactly at yield,
+        and the exponent also sits just below and just above 1, where the
+        integration variable switches."""
+        rng = np.random.default_rng(1000 + case)
+        E = rng.uniform(100.0, 300.0)
+        sy = rng.uniform(0.1, 0.4)
+        H = 0.0 if case == 3 else rng.uniform(0.0, 10.0)
+        n = {
+            "random": rng.uniform(0.15, 3.0),
+            "below_one": 1.0 - 10.0 ** rng.uniform(-6.0, -2.0),
+            "above_one": 1.0 + 10.0 ** rng.uniform(-6.0, -2.0),
+        }[n_kind]
+        x = ParameterVector(E=E, sigma_y0=sy, H=H, n=n)
+        s_sig, s_eps = 0.01, 1e-4
+        ey = yield_strain(x)
+        true_strains = np.abs(
+            np.concatenate(
+                [ey + rng.uniform(-6.0, 6.0, size=4) * s_eps, rng.uniform(0.2, 3.0, size=8) * ey]
+            )
+        )
+        strains = np.abs(true_strains + s_eps * rng.standard_normal(12))
+        stresses = stress(true_strains, x, ModelKind.NONLINEAR_HARDENING) + s_sig * rng.standard_normal(12)
+        order = np.argsort(strains)
+        strains, stresses = strains[order], stresses[order]
+        assert np.any(np.abs(strains - ey) < 8.0 * s_eps)
+
+        whole = log_likelihood_double_lenh(x, _double_set(strains, stresses, s_sig, s_eps))
+        per_point = []
+        for em, sm in zip(strains, stresses):
+            got = log_likelihood_double_lenh(x, _double_set([em], [sm], s_sig, s_eps))
+            oracle = _oracle_double_point(x, ModelKind.NONLINEAR_HARDENING, sm, em, s_sig, s_eps, math.inf)
+            assert abs(math.expm1(got - oracle)) < 1e-7, (x, sm, em)
+            per_point.append(got)
+        assert whole == pytest.approx(sum(per_point), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_small_exponent_fails_loudly_or_converges(self, seed):
+        """n = 0.05 with H = 50: the plastic branch stays within a hair of
+        the elastic line, where an implicit stress solve near yield cannot
+        meet its residual tolerance. The value must either raise
+        NumericalError or be converged: unchanged to 1e-8 when the panels
+        double. A finite value that moves is not accepted."""
+        x = ParameterVector(E=210.0, sigma_y0=0.25, H=50.0, n=0.05)
+        mset = generate_double_noise(x, ModelKind.NONLINEAR_HARDENING, GRID_12, 0.01, 1e-4, seed)
+        try:
+            base = log_likelihood_double_lenh(x, mset, QuadratureSpec(panels=512))
+            fine = log_likelihood_double_lenh(x, mset, QuadratureSpec(panels=1024))
+        except NumericalError:
+            return
+        assert math.isfinite(base)
+        assert abs(math.expm1(base - fine)) < 1e-8
 
 
 class TestDoubleNoiseLimits:

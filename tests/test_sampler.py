@@ -475,13 +475,14 @@ class TestChainStorage:
 
     def test_truncated_table_adjusts_config(self, tmp_path):
         # A hand-edited table no longer matches the sidecar's run length;
-        # the loader keeps the rows it sees and clears the burn-in.
+        # the loader keeps the rows it sees, clears the burn-in and says so.
         chain = self._small_chain()
         path = tmp_path / "chain.csv"
         save_chain(chain, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:11]) + "\n")
-        loaded, _ = load_chain(path)
+        with pytest.warns(UserWarning, match=rf"10 rows .*n_samples={chain.config.n_samples}"):
+            loaded, _ = load_chain(path)
         assert loaded.config.n_samples == 10
         assert loaded.config.burn_in == 0
         assert loaded.samples.shape == (10, 1)
