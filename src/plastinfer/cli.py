@@ -198,6 +198,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     strains = _parse_strains(_require(config, "strains", "config"))
     noise = _parse_noise(_require(config, "noise", "config"))
     seed = args.seed if args.seed is not None else config.get("seed")
+    if seed is None:
+        # Drawn here, not by the generator, so the provenance records it.
+        seed = np.random.SeedSequence().entropy
     if noise.double:
         data = generate_double_noise(
             x, kind, strains, noise.stress_std, noise.strain_std, seed, noise.strain_limit

@@ -27,12 +27,17 @@ enters the quadrature weights, so no node needs an implicit stress solve.
 
 Everything is computed and composed in log space; with ten or more
 measurements the raw products underflow double precision.
+
+Each model and regime is one kernel, a function of the raw parameter
+array with the measurement set bound once (``likelihood_kernel``); the
+``ParameterVector``-taking functions are thin wrappers over the kernels.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,58 +103,74 @@ def _require_double(data: MeasurementSet) -> tuple[float, float, float]:
     return data.noise.stress_std, data.noise.strain_std, data.noise.strain_limit
 
 
+Kernel = Callable[[np.ndarray], float]
+
+
+def _values(x: ParameterVector, kind: ModelKind) -> np.ndarray:
+    """The components of ``x`` that ``kind`` uses, as a raw parameter array."""
+    values = [getattr(x, name) for name in kind.parameter_names]
+    if None in values:
+        raise DomainError(f"{kind.value} requires {', '.join(kind.parameter_names)}")
+    return np.array(values)
+
+
+def _single_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
+    s = _require_single(data)
+    strains, stresses = data.strains, data.stresses
+    offset = len(data) * (0.5 * _LOG_2PI + math.log(s))
+
+    def kernel(values: np.ndarray) -> float:
+        # The response functions take a ParameterVector.
+        x = ParameterVector.from_array(kind, values)
+        theoretical = np.atleast_1d(stress(strains, x, kind))
+        resid = stresses - theoretical
+        value = float(np.sum(-0.5 * (resid / s) ** 2)) - offset
+        if kind is ModelKind.NONLINEAR_HARDENING:
+            plastic = strains > yield_strain(x)
+            if np.any(plastic):
+                t = strains[plastic] - theoretical[plastic] / x.E
+                with np.errstate(divide="ignore", over="ignore"):
+                    jac = 1.0 + (x.H * x.n / x.E) * np.power(t, x.n - 1.0)
+                value -= float(np.sum(np.log(jac)))
+        return value
+
+    return kernel
+
+
 def log_likelihood_single(x: ParameterVector, kind: ModelKind, data: MeasurementSet) -> float:
     """Stress-only log-likelihood of a measurement set, any model."""
-    s = _require_single(data)
-    theoretical = np.atleast_1d(stress(data.strains, x, kind))
-    resid = data.stresses - theoretical
-    value = float(np.sum(-0.5 * (resid / s) ** 2)) - len(data) * (0.5 * _LOG_2PI + math.log(s))
-
-    if kind is ModelKind.NONLINEAR_HARDENING:
-        plastic = data.strains > yield_strain(x)
-        if np.any(plastic):
-            t = data.strains[plastic] - theoretical[plastic] / x.E
-            with np.errstate(divide="ignore", over="ignore"):
-                jac = 1.0 + (x.H * x.n / x.E) * np.power(t, x.n - 1.0)
-            value -= float(np.sum(np.log(jac)))
-    return value
+    return _single_kernel(kind, data)(_values(x, kind))
 
 
 def _log_gauss_mass(lo_z: np.ndarray, hi_z: np.ndarray) -> np.ndarray:
-    """log of the standard-normal mass between z-scores, robust in the tails."""
-    lo_z, hi_z = np.broadcast_arrays(np.asarray(lo_z, float), np.asarray(hi_z, float))
-    out = np.full(lo_z.shape, -np.inf)
-    valid = hi_z > lo_z
-    # Work in the tail with better conditioning; the straddling case is
-    # well-scaled and safe to evaluate directly.
-    upper = valid & (lo_z >= 0.0)
-    lower = valid & (hi_z <= 0.0)
-    middle = valid & ~upper & ~lower
-    if np.any(lower):
-        a, b = lo_z[lower], hi_z[lower]
-        diff = np.minimum(log_ndtr(a) - log_ndtr(b), 0.0)
-        out[lower] = log_ndtr(b) + np.log1p(-np.exp(diff))
-    if np.any(upper):
-        a, b = -hi_z[upper], -lo_z[upper]
-        diff = np.minimum(log_ndtr(a) - log_ndtr(b), 0.0)
-        out[upper] = log_ndtr(b) + np.log1p(-np.exp(diff))
-    if np.any(middle):
-        a, b = lo_z[middle], hi_z[middle]
-        out[middle] = np.log1p(-(ndtr(a) + ndtr(-b)))
-    return out
+    """log of the standard-normal mass between z-scores, robust in the tails.
+
+    Chosen element by element: an interval on one side of zero is measured
+    in the lower tail (an upper one mirrored onto it), where ``log_ndtr``
+    keeps full precision; one straddling zero is well-scaled as it is.
+    """
+    upper = lo_z >= 0.0
+    a = np.where(upper, -hi_z, lo_z)
+    b = np.where(upper, -lo_z, hi_z)
+    # The forms not chosen for an element may take logs of zero there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_b = log_ndtr(b)
+        tail = log_b + np.log1p(-np.exp(np.minimum(log_ndtr(a) - log_b, 0.0)))
+        middle = np.log1p(-(ndtr(lo_z) + ndtr(-hi_z)))
+    out = np.where(upper | (hi_z <= 0.0), tail, middle)
+    return np.where(hi_z > lo_z, out, -np.inf)
 
 
 def _log_affine_branch(sm, em, s_sig, s_eps, intercept, slope, lo, hi) -> np.ndarray:
-    """Per-point log of the marginalization integral over one affine branch.
+    """Per-point log of the marginalization integral over affine branches.
 
     Evaluates log of
         integral_lo^hi N(sm; intercept + slope*e, s_sig^2) N(e; em, s_eps^2) de
     as marginal-times-mass: completing the square in the true strain e
     leaves the Gaussian marginal of sm (variance slope^2 s_eps^2 + s_sig^2)
-    times the mass of the conditional Gaussian in e on [lo, hi].
+    times the mass of the conditional Gaussian in e on [lo, hi]. Branch
+    parameters given as columns give one row of terms per branch.
     """
-    sm = np.asarray(sm, float)
-    em = np.asarray(em, float)
     variance = slope * slope * s_eps * s_eps + s_sig * s_sig
     resid = sm - intercept - slope * em
     log_marginal = -0.5 * resid * resid / variance - 0.5 * (_LOG_2PI + np.log(variance))
@@ -158,49 +179,52 @@ def _log_affine_branch(sm, em, s_sig, s_eps, intercept, slope, lo, hi) -> np.nda
     return log_marginal + _log_gauss_mass((lo - center) / sd, (hi - center) / sd)
 
 
+def _affine_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
+    """Stress-and-strain kernel of LE, LE-PP and LE-LH: the branches, each an
+    (intercept, slope, strain interval), go through one (branches x points)
+    pass and each point's terms are combined with logaddexp. LE-PP is LE-LH
+    with H = 0, except that E = 0 is an error for it."""
+    s_sig, s_eps, a = _require_double(data)
+    sm, em = data.stresses, data.strains
+
+    def kernel(values: np.ndarray) -> float:
+        E, sy, H = (values.tolist() + [0.0, 0.0])[:3]  # absent components read 0
+        if kind is ModelKind.LINEAR_ELASTIC:
+            branches = [(0.0, E, 0.0, a)]
+        elif kind is ModelKind.PERFECT_PLASTICITY and E == 0.0:
+            raise DomainError("LE-PP stress-and-strain likelihood requires E > 0")
+        elif H + E == 0.0:
+            raise DomainError("LE-LH undefined for H + E = 0")
+        elif E == 0.0:
+            # The elastic line is flat at zero stress and yield is never
+            # reached; the whole strain range is one zero-slope branch.
+            branches = [(0.0, 0.0, 0.0, a)]
+        else:
+            ey, hardening = sy / E, H * E / (H + E)
+            branches = [(0.0, E, 0.0, min(ey, a)), (sy - hardening * ey, hardening, ey, a)]
+        intercept, slope, lo, hi = np.array(branches).T[:, :, None]
+        terms = _log_affine_branch(sm, em, s_sig, s_eps, intercept, slope, lo, hi)
+        return float(np.sum(np.logaddexp.reduce(terms, axis=0)))
+
+    return kernel
+
+
 def log_likelihood_double_le(x: ParameterVector, data: MeasurementSet) -> float:
     """Stress-and-strain log-likelihood for the linear elastic model."""
-    s_sig, s_eps, a = _require_double(data)
-    terms = _log_affine_branch(data.stresses, data.strains, s_sig, s_eps, 0.0, x.E, 0.0, a)
-    return float(np.sum(terms))
+    kind = ModelKind.LINEAR_ELASTIC
+    return _affine_kernel(kind, data)(_values(x, kind))
 
 
 def log_likelihood_double_lepp(x: ParameterVector, data: MeasurementSet) -> float:
     """Stress-and-strain log-likelihood for the perfectly plastic model."""
-    s_sig, s_eps, a = _require_double(data)
-    if x.sigma_y0 is None:
-        raise DomainError("LE-PP requires sigma_y0")
-    if x.E == 0.0:
-        raise DomainError("LE-PP stress-and-strain likelihood requires E > 0")
-    ey = x.sigma_y0 / x.E
-    elastic = _log_affine_branch(
-        data.stresses, data.strains, s_sig, s_eps, 0.0, x.E, 0.0, min(ey, a)
-    )
-    plastic = _log_affine_branch(data.stresses, data.strains, s_sig, s_eps, x.sigma_y0, 0.0, ey, a)
-    return float(np.sum(np.logaddexp(elastic, plastic)))
+    kind = ModelKind.PERFECT_PLASTICITY
+    return _affine_kernel(kind, data)(_values(x, kind))
 
 
 def log_likelihood_double_lelh(x: ParameterVector, data: MeasurementSet) -> float:
     """Stress-and-strain log-likelihood for the linear hardening model."""
-    s_sig, s_eps, a = _require_double(data)
-    if x.sigma_y0 is None or x.H is None:
-        raise DomainError("LE-LH requires sigma_y0 and H")
-    if x.H + x.E == 0.0:
-        raise DomainError("LE-LH undefined for H + E = 0")
-    if x.E == 0.0:
-        # The elastic line is flat at zero stress and yield is never
-        # reached; the whole strain range is one zero-slope branch.
-        terms = _log_affine_branch(data.stresses, data.strains, s_sig, s_eps, 0.0, 0.0, 0.0, a)
-        return float(np.sum(terms))
-    ey = x.sigma_y0 / x.E
-    slope = x.H * x.E / (x.H + x.E)
-    elastic = _log_affine_branch(
-        data.stresses, data.strains, s_sig, s_eps, 0.0, x.E, 0.0, min(ey, a)
-    )
-    plastic = _log_affine_branch(
-        data.stresses, data.strains, s_sig, s_eps, x.sigma_y0 - slope * ey, slope, ey, a
-    )
-    return float(np.sum(np.logaddexp(elastic, plastic)))
+    kind = ModelKind.LINEAR_HARDENING
+    return _affine_kernel(kind, data)(_values(x, kind))
 
 
 # Smooth clustering map for Simpson panels when the integration window
@@ -237,7 +261,7 @@ def _simpson_nodes(panels: int, clustered: bool) -> tuple[np.ndarray, np.ndarray
     return nodes, weights
 
 
-def _plastic_path(t, x: ParameterVector):
+def _plastic_path(t, x: list[float]):
     """Stress, total strain and d(strain)/dt at plastic coordinates ``t >= 0``.
 
     Both stress and strain are explicit in ``t``, and ``t = 0`` is the
@@ -245,9 +269,9 @@ def _plastic_path(t, x: ParameterVector):
     u, so stress = sigma_y0 + H u**n; for ``n < 1`` it is the stress excess
     v = stress - sigma_y0, so u = (v / H)**(1/n). Either way strain =
     stress / E + u, and the chosen variable keeps d(strain)/dt finite and
-    bounded below by min(1, 1/E).
+    bounded below by min(1, 1/E). ``x`` holds (E, sigma_y0, H, n).
     """
-    E, sy, H, n = x.E, x.sigma_y0, x.H, x.n
+    E, sy, H, n = x
     if H > 0.0 and n < 1.0:
         sigma = sy + t
         slope = 1.0 / E + (t / H) ** (1.0 / n - 1.0) / (n * H)
@@ -258,7 +282,7 @@ def _plastic_path(t, x: ParameterVector):
     return sigma, sigma / E + t, 1.0 + (H * n / E) * t ** (n - 1.0)
 
 
-def _plastic_coordinate(strain: np.ndarray, x: ParameterVector) -> np.ndarray:
+def _plastic_coordinate(strain: np.ndarray, x: list[float]) -> np.ndarray:
     """Invert ``_plastic_path``: the coordinate t at which strain is reached.
 
     Strain exceeds yield by a convex increasing function of t (a linear
@@ -269,8 +293,8 @@ def _plastic_coordinate(strain: np.ndarray, x: ParameterVector) -> np.ndarray:
     stays, at t = 0 exactly. Convergence is judged on the strain residual
     relative to the strain.
     """
-    E, H, n = x.E, x.H, x.n
-    excess = np.maximum(strain - x.sigma_y0 / E, 0.0)
+    E, sy, H, n = x
+    excess = np.maximum(strain - sy / E, 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if H > 0.0 and n < 1.0:
             t = np.fmin(E * excess, H * excess**n)
@@ -286,86 +310,85 @@ def _plastic_coordinate(strain: np.ndarray, x: ParameterVector) -> np.ndarray:
     i = int(np.argmax(np.abs(resid) - tol))
     raise NumericalError(
         f"plastic window end not reached: strain={strain[i]!r}, residual {resid[i]:.3e}, "
-        f"x={x.to_array()!r}"
+        f"x={np.array(x)!r}"
     )
+
+
+def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
+    """Closed-form elastic branch; the plastic branch by composite Simpson in
+    the plastic coordinate of ``_plastic_path`` over a window of ``width``
+    strain-noise stds around each measured strain, clipped to the plastic
+    range and the tester limit. Only window ends need a (Newton) solve."""
+    s_sig, s_eps, a = _require_double(data)
+    sm, em = data.stresses, data.strains
+    window_lo = em - quadrature.width * s_eps
+    window_hi = em + quadrature.width * s_eps
+
+    def kernel(values: np.ndarray) -> float:
+        x = values.tolist()
+        E, sy, H, n = x
+        if E <= 0.0:
+            raise DomainError("LE-NH requires E > 0")
+        if n <= 0.0:
+            raise DomainError("LE-NH requires n > 0")
+        ey = sy / E
+
+        elastic = _log_affine_branch(sm, em, s_sig, s_eps, 0.0, E, 0.0, min(ey, a))
+
+        lo = np.maximum(ey, window_lo)
+        hi = np.minimum(a, window_hi)
+        active = hi > lo
+        plastic = np.full(len(data), -np.inf)
+        if np.any(active):
+            # A window starting at yield maps to t = 0 exactly. The clustered
+            # mesh is only needed there; with n = 1 or H = 0 the integrand is
+            # smooth.
+            lo, hi = lo[active], hi[active]
+            t_lo, t_hi = np.split(_plastic_coordinate(np.concatenate([lo, hi]), x), 2)
+            clustered = (lo == ey) & (H > 0.0) & (n != 1.0)
+            plain_nodes, plain_weights = _simpson_nodes(quadrature.panels, False)
+            corner_nodes, corner_weights = _simpson_nodes(quadrature.panels, True)
+            unit_nodes = np.where(clustered[:, None], corner_nodes, plain_nodes)
+            unit_weights = np.where(clustered[:, None], corner_weights, plain_weights)
+            span = (t_hi - t_lo)[:, None]
+            t = t_lo[:, None] + span * unit_nodes
+            sigma, strain, slope = _plastic_path(t, x)
+            log_f = (
+                -0.5 * ((em[active][:, None] - strain) / s_eps) ** 2
+                - 0.5 * ((sm[active][:, None] - sigma) / s_sig) ** 2
+                - _LOG_2PI
+                - math.log(s_sig)
+                - math.log(s_eps)
+            )
+            with np.errstate(divide="ignore"):
+                plastic[active] = logsumexp(log_f + np.log(span * unit_weights * slope), axis=1)
+
+        per_point = np.logaddexp(elastic, plastic)
+        if not np.all(np.isfinite(per_point) | (per_point == -np.inf)):
+            i = int(np.argmax(~(np.isfinite(per_point) | (per_point == -np.inf))))
+            raise NumericalError(
+                "non-finite quadrature for measurement "
+                f"(strain={em[i]!r}, stress={sm[i]!r}) at x={values!r}"
+            )
+        return float(np.sum(per_point))
+
+    return kernel
 
 
 def log_likelihood_double_lenh(
     x: ParameterVector, data: MeasurementSet, quadrature: QuadratureSpec | None = None
 ) -> float:
-    """Stress-and-strain log-likelihood for the nonlinear hardening model.
-
-    The elastic branch has the usual closed form. The plastic branch is
-    integrated per point with composite Simpson over a window of ``width``
-    strain-noise standard deviations around the measured strain, clipped
-    to the plastic range and the tester limit. The integral runs in a
-    plastic coordinate in which stress and strain are both explicit (see
-    ``_plastic_path``), with d(strain)/dt in the weights, so no node needs
-    an implicit stress solve; only each window's upper end, and a lower
-    end above yield, are mapped into the coordinate by a short Newton
-    iteration.
-    """
-    quadrature = quadrature or QuadratureSpec()
-    s_sig, s_eps, a = _require_double(data)
-    if x.sigma_y0 is None or x.H is None or x.n is None:
-        raise DomainError("LE-NH requires sigma_y0, H and n")
-    if x.E <= 0.0:
-        raise DomainError("LE-NH requires E > 0")
-    if x.n <= 0.0:
-        raise DomainError("LE-NH requires n > 0")
-    ey = x.sigma_y0 / x.E
-
-    elastic = _log_affine_branch(
-        data.stresses, data.strains, s_sig, s_eps, 0.0, x.E, 0.0, min(ey, a)
-    )
-
-    lo = np.maximum(ey, data.strains - quadrature.width * s_eps)
-    hi = np.minimum(a, data.strains + quadrature.width * s_eps)
-    active = hi > lo
-    plastic = np.full(len(data), -np.inf)
-    if np.any(active):
-        # A window starting at yield maps to t = 0 exactly. The clustered
-        # mesh is only needed there; with n = 1 or H = 0 the integrand is
-        # smooth.
-        lo, hi = lo[active], hi[active]
-        t_lo, t_hi = np.split(_plastic_coordinate(np.concatenate([lo, hi]), x), 2)
-        clustered = (lo == ey) & (x.H > 0.0) & (x.n != 1.0)
-        plain_nodes, plain_weights = _simpson_nodes(quadrature.panels, False)
-        corner_nodes, corner_weights = _simpson_nodes(quadrature.panels, True)
-        unit_nodes = np.where(clustered[:, None], corner_nodes, plain_nodes)
-        unit_weights = np.where(clustered[:, None], corner_weights, plain_weights)
-        span = (t_hi - t_lo)[:, None]
-        t = t_lo[:, None] + span * unit_nodes
-        sigma, strain, slope = _plastic_path(t, x)
-        log_f = (
-            -0.5 * ((data.strains[active][:, None] - strain) / s_eps) ** 2
-            - 0.5 * ((data.stresses[active][:, None] - sigma) / s_sig) ** 2
-            - _LOG_2PI
-            - math.log(s_sig)
-            - math.log(s_eps)
-        )
-        with np.errstate(divide="ignore"):
-            plastic[active] = logsumexp(log_f + np.log(span * unit_weights * slope), axis=1)
-
-    per_point = np.logaddexp(elastic, plastic)
-    if not np.all(np.isfinite(per_point) | (per_point == -np.inf)):
-        i = int(np.argmax(~(np.isfinite(per_point) | (per_point == -np.inf))))
-        raise NumericalError(
-            "non-finite quadrature for measurement "
-            f"(strain={data.strains[i]!r}, stress={data.stresses[i]!r}) at x={x.to_array()!r}"
-        )
-    return float(np.sum(per_point))
+    """Stress-and-strain log-likelihood for the nonlinear hardening model."""
+    values = _values(x, ModelKind.NONLINEAR_HARDENING)
+    return _lenh_kernel(data, quadrature or QuadratureSpec())(values)
 
 
-def log_likelihood(
-    x: ParameterVector,
-    kind: ModelKind,
-    data: MeasurementSet,
-    quadrature: QuadratureSpec | None = None,
-) -> float:
-    """Log-likelihood of ``data`` under ``kind`` with parameters ``x``.
-
-    Dispatches on the data's noise regime. ``quadrature`` is only
+def likelihood_kernel(
+    kind: ModelKind, data: MeasurementSet, quadrature: QuadratureSpec | None = None
+) -> Kernel:
+    """The log-likelihood of ``data`` under ``kind`` as a function of the raw
+    parameter array: finite, nonnegative, in canonical order (E, sigma_y0,
+    H, n). Dispatches on the data's noise regime. ``quadrature`` is only
     meaningful for the nonlinear hardening model in the stress-and-strain
     regime; passing it anywhere else is a configuration error.
     """
@@ -376,11 +399,18 @@ def log_likelihood(
             "with stress-and-strain noise"
         )
     if not data.noise.double:
-        return log_likelihood_single(x, kind, data)
-    if kind is ModelKind.LINEAR_ELASTIC:
-        return log_likelihood_double_le(x, data)
-    if kind is ModelKind.PERFECT_PLASTICITY:
-        return log_likelihood_double_lepp(x, data)
-    if kind is ModelKind.LINEAR_HARDENING:
-        return log_likelihood_double_lelh(x, data)
-    return log_likelihood_double_lenh(x, data, quadrature)
+        return _single_kernel(kind, data)
+    if needs_quadrature:
+        return _lenh_kernel(data, quadrature or QuadratureSpec())
+    return _affine_kernel(kind, data)
+
+
+def log_likelihood(
+    x: ParameterVector,
+    kind: ModelKind,
+    data: MeasurementSet,
+    quadrature: QuadratureSpec | None = None,
+) -> float:
+    """Log-likelihood of ``data`` under ``kind`` with parameters ``x``; see
+    ``likelihood_kernel``."""
+    return likelihood_kernel(kind, data, quadrature)(_values(x, kind))

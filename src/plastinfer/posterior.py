@@ -17,8 +17,8 @@ import numpy as np
 
 from .data import MeasurementSet
 from .errors import ConfigurationError
-from .likelihood import QuadratureSpec, log_likelihood
-from .models import ModelKind, ParameterVector
+from .likelihood import QuadratureSpec, likelihood_kernel
+from .models import ModelKind
 from .priors import TruncatedNormalPrior
 
 __all__ = ["AnalyticLEPosterior", "analytic_le_posterior", "LogPosterior"]
@@ -98,7 +98,8 @@ class LogPosterior:
 
     Callable on a parameter array of the model's dimension. Off the
     nonnegative orthant the value is ``-inf`` and the likelihood is never
-    touched, so the samplers can propose freely.
+    touched, so the samplers can propose freely. Each set's likelihood
+    kernel is resolved once, here; a call then works on the raw array.
 
     ``data`` may be one measurement set, a sequence of sets (independent
     specimens pooled into one identification: their log-likelihoods add),
@@ -140,20 +141,19 @@ class LogPosterior:
         self.prior = prior
         self.data = sets
         self.quadrature = quadrature
+        self._kernels = tuple(
+            likelihood_kernel(kind, s, quadrature if s.noise.double else None) for s in sets
+        )
 
     @property
     def dimension(self) -> int:
         return self.kind.dimension
 
     def __call__(self, values: np.ndarray) -> float:
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(values, dtype=float).reshape(-1)
         lp = self.prior.log_density(values)
         if lp == -np.inf:
-            return -np.inf
-        if not self.data:
             return lp
-        x = ParameterVector.from_array(self.kind, values)
-        for mset in self.data:
-            quadrature = self.quadrature if mset.noise.double else None
-            lp += log_likelihood(x, self.kind, mset, quadrature)
+        for kernel in self._kernels:
+            lp += kernel(values)
         return lp

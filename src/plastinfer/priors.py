@@ -7,6 +7,8 @@ MAP or mean extraction, so it is never computed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -20,8 +22,9 @@ class TruncatedNormalPrior:
 
     The log-density is ``-0.5 * (x - mean)^T C^{-1} (x - mean)`` for x with
     all components >= 0 and ``-inf`` otherwise. The covariance is factorized
-    once at construction; an ill-conditioned or asymmetric covariance is a
-    configuration error raised here, not at call time.
+    once at construction, into the inverse of its Cholesky factor; an
+    ill-conditioned or asymmetric covariance is a configuration error
+    raised here, not at call time.
     """
 
     def __init__(self, mean, covariance) -> None:
@@ -44,7 +47,7 @@ class TruncatedNormalPrior:
             raise ConfigurationError("prior covariance must be positive definite") from None
         self.mean = mean
         self.covariance = cov
-        self._chol = chol
+        self._whiten = solve_triangular(chol, np.eye(mean.size), lower=True)
 
     @property
     def dimension(self) -> int:
@@ -55,7 +58,8 @@ class TruncatedNormalPrior:
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.mean.size:
             raise ConfigurationError(f"expected {self.mean.size} components, got {x.size}")
-        if np.any(x < 0.0) or not np.all(np.isfinite(x)):
-            return -np.inf
-        z = solve_triangular(self._chol, x - self.mean, lower=True)
+        # NaN fails both comparisons, so it is off the support too.
+        if not all(0.0 <= v < math.inf for v in x.tolist()):
+            return -math.inf
+        z = self._whiten @ (x - self.mean)
         return -0.5 * float(z @ z)

@@ -1,11 +1,14 @@
 """Random-walk Metropolis samplers and chain post-processing.
 
-Two drivers share the accept/reject core: ``run_mh`` proposes with a fixed
-isotropic Gaussian step, ``run_adaptive_mh`` periodically reshapes the
-proposal from the chain's own history so correlated posteriors mix without
-hand-tuning. Post-processing lives here too: moment summaries, credible
-regions (Gaussian ellipsoid and highest-density subset), effective sample
-size, convergence traces, response envelopes and CSV persistence.
+``run_mh`` and ``run_adaptive_mh`` enter one Metropolis loop proposing
+``x + z A``, z standard normal. A is the step scale times the identity;
+the adaptive entry point periodically replaces it by the scaled R factor
+of the QR decomposition of the chain's centered history (the Adaptive
+Metropolis of Haario, Saksman and Tamminen, 2001), so correlated
+posteriors mix without hand-tuning at O(dim^2) per step. Post-processing
+lives here too: moment summaries, credible regions (Gaussian ellipsoid and
+highest-density subset), effective sample size, convergence traces,
+response envelopes and CSV persistence.
 """
 
 from __future__ import annotations
@@ -122,47 +125,58 @@ class Chain:
         return self.samples[b:], self.log_densities[b:]
 
 
-def _start_state(target: LogPosterior, config: SamplerConfig) -> tuple[np.ndarray, float]:
-    if config.initial is not None:
-        x0 = config.initial
-        if x0.size != target.dimension:
-            raise ConfigurationError(
-                f"initial state has {x0.size} components, target needs {target.dimension}"
-            )
-    else:
-        x0 = np.array(target.prior.mean, dtype=float)
-    lp0 = target(x0)
-    if not np.isfinite(lp0):
+def _history_factor(history: np.ndarray, scale: float) -> np.ndarray | None:
+    """The adapted proposal factor (see ``run_adaptive_mh``), zero-padded to a
+    square when the history has fewer rows than the dimension; None when
+    every state is identical."""
+    centered = history - history.mean(axis=0)
+    if np.all(centered == 0.0):
+        return None
+    m, dim = history.shape
+    factor = np.zeros((dim, dim))
+    r = np.linalg.qr(centered, mode="r")
+    factor[: r.shape[0]] = scale / math.sqrt(m - 1) * r
+    return factor
+
+
+def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> Chain:
+    """The Metropolis loop behind both entry points.
+
+    Each step draws ``standard_normal(dim)`` for the proposal ``x + z A``,
+    calls the target once, then draws ``u`` from (0, 1] so the comparison
+    ``log ratio >= log u`` is always well-defined; a proposal outside the
+    support has log-density ``-inf`` and can never be accepted. The step
+    scale defaults to 2.38 / sqrt(dim).
+    """
+    x = np.array(target.prior.mean, dtype=float) if config.initial is None else config.initial
+    if x.size != target.dimension:
         raise ConfigurationError(
-            f"starting state {x0!r} has zero posterior density; pass an "
+            f"initial state has {x.size} components, target needs {target.dimension}"
+        )
+    lp = target(x)
+    if not np.isfinite(lp):
+        raise ConfigurationError(
+            f"starting state {x!r} has zero posterior density; pass an "
             "initial point inside the support"
         )
-    return x0, lp0
-
-
-def _default_scale(config: SamplerConfig, dim: int) -> float:
-    if config.step_scale is not None:
-        return config.step_scale
-    return 2.38 / math.sqrt(dim)
-
-
-def run_mh(target: LogPosterior, config: SamplerConfig) -> Chain:
-    """Metropolis sampling with a fixed isotropic Gaussian proposal.
-
-    Acceptance uses ``u`` drawn from (0, 1] so the comparison
-    ``log ratio >= log u`` is always well-defined; a proposal outside the
-    support has log-density ``-inf`` and can never be accepted.
-    """
-    x, lp = _start_state(target, config)
     dim = x.size
-    scale = _default_scale(config, dim)
+    scale = config.step_scale or 2.38 / math.sqrt(dim)
+    fixed = scale * np.eye(dim)
     rng = np.random.default_rng(config.seed)
 
     samples = np.empty((config.n_samples, dim))
     log_densities = np.empty(config.n_samples)
     n_accepted = 0
+    x0 = x
+    factor = fixed
     for i in range(config.n_samples):
-        proposal = x + scale * rng.standard_normal(dim)
+        if adaptive and i > 0 and i % config.adapt_every == 0:
+            history = np.vstack([x0, samples[:i]])
+            if config.history_cap is not None:
+                history = history[-config.history_cap :]
+            adapted = _history_factor(history, scale)
+            factor = fixed if adapted is None else adapted
+        proposal = x + rng.standard_normal(dim) @ factor
         lp_prop = target(proposal)
         u = 1.0 - rng.random()
         if lp_prop - lp >= math.log(u):
@@ -171,55 +185,28 @@ def run_mh(target: LogPosterior, config: SamplerConfig) -> Chain:
         samples[i] = x
         log_densities[i] = lp
     return Chain(samples=samples, log_densities=log_densities, n_accepted=n_accepted, config=config)
+
+
+def run_mh(target: LogPosterior, config: SamplerConfig) -> Chain:
+    """Metropolis sampling with a fixed isotropic Gaussian proposal."""
+    return _metropolis(target, config, adaptive=False)
 
 
 def run_adaptive_mh(target: LogPosterior, config: SamplerConfig) -> Chain:
     """Metropolis sampling with a history-shaped proposal.
 
-    The first adaptation period runs with the fixed isotropic proposal.
-    From then on, every ``adapt_every`` steps the recorded states (starting
-    state included, truncated to the trailing ``history_cap`` rows) are
-    centered into a deviation matrix K; proposals for the next period are
-    ``x + (scale / sqrt(m - 1)) * z K`` with ``z`` standard normal of
-    length m, which gives the proposal the empirical covariance of the
-    history times the squared step scale. A degenerate history, every
-    state identical, falls back to the fixed proposal for that period.
+    The first adaptation period is ``run_mh`` draw for draw. From then on,
+    every ``adapt_every`` steps the recorded states (starting state
+    included, truncated to the trailing ``history_cap`` rows) are centered
+    into a deviation matrix K with m rows, and proposals for the next
+    period are ``x + z A`` with ``A = (scale / sqrt(m - 1)) R``, R the
+    triangular factor of K = QR and z standard normal of the dimension's
+    length. As R^T R = K^T K, that is the law of ``(scale / sqrt(m - 1)) z' K``
+    with z' of length m (the history's covariance times the squared step
+    scale) at O(dim^2) instead of O(m dim) per step. A degenerate history,
+    every state identical, falls back to the fixed proposal for that period.
     """
-    x, lp = _start_state(target, config)
-    dim = x.size
-    scale = _default_scale(config, dim)
-    rng = np.random.default_rng(config.seed)
-
-    samples = np.empty((config.n_samples, dim))
-    log_densities = np.empty(config.n_samples)
-    n_accepted = 0
-    x0 = x.copy()
-    deviations: np.ndarray | None = None
-    deviation_scale = 0.0
-    for i in range(config.n_samples):
-        if i > 0 and i % config.adapt_every == 0:
-            history = np.vstack([x0[None, :], samples[:i]])
-            if config.history_cap is not None:
-                history = history[-config.history_cap :]
-            centered = history - history.mean(axis=0)
-            if np.all(centered == 0.0):
-                deviations = None
-            else:
-                deviations = centered
-                deviation_scale = scale / math.sqrt(history.shape[0] - 1)
-        if deviations is None:
-            proposal = x + scale * rng.standard_normal(dim)
-        else:
-            z = rng.standard_normal(deviations.shape[0])
-            proposal = x + deviation_scale * (z @ deviations)
-        lp_prop = target(proposal)
-        u = 1.0 - rng.random()
-        if lp_prop - lp >= math.log(u):
-            x, lp = proposal, lp_prop
-            n_accepted += 1
-        samples[i] = x
-        log_densities[i] = lp
-    return Chain(samples=samples, log_densities=log_densities, n_accepted=n_accepted, config=config)
+    return _metropolis(target, config, adaptive=True)
 
 
 @dataclass(frozen=True, eq=False)

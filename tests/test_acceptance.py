@@ -333,7 +333,7 @@ def test_criterion_6_credible_ellipsoid_covers_the_truth():
     shape. The step scale is deliberately of elastic-modulus size: the
     few early proposals that barely move the yield stress seed the
     history with the right anisotropy, after which adaptation takes over.
-    With these seeds 46 of 50 runs cover the truth.
+    With these seeds 47 of 50 runs cover the truth.
     """
     truth = ParameterVector(E=210.0, sigma_y0=0.25)
     covered = 0

@@ -83,6 +83,19 @@ class TestGenerate:
         a, b = read_measurements(out_a), read_measurements(out_b)
         assert not np.array_equal(a.stresses, b.stresses)
 
+    def test_seedless_run_records_a_replayable_seed(self, tmp_path):
+        payload = _generate_config(noise={"stress_std": 0.01, "strain_std": 1e-4})
+        del payload["seed"]
+        config = _write_config(tmp_path, payload)
+        first, replay = tmp_path / "first.csv", tmp_path / "replay.csv"
+        assert cli.main(["generate", "--config", config, "--output", str(first)]) == 0
+        provenance = read_measurements(first).provenance
+        seed = int(provenance.rsplit("seed=", 1)[1])
+        argv = ["generate", "--config", config, "--seed", str(seed), "--output", str(replay)]
+        assert cli.main(argv) == 0
+        assert replay.read_bytes() == first.read_bytes()
+        assert replay.with_suffix(".json").read_bytes() == first.with_suffix(".json").read_bytes()
+
     def test_explicit_strain_list(self, tmp_path):
         out = _make_dataset(tmp_path, strains=[1e-4, 5e-4, 1.1e-3])
         data = read_measurements(out)

@@ -3,23 +3,30 @@
 The closed-form posterior is checked against scalar arithmetic, its
 limits (flat prior, no data), its update properties (shift, strict
 narrowing, batch equals sequential), and a grid-search oracle on the
-assembled log-posterior.
+assembled log-posterior. The assembled log-posterior, which calls the
+likelihood kernels on raw arrays, is checked against the sum of the
+prior and the ``ParameterVector``-taking likelihood functions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plastinfer import (
     ConfigurationError,
+    DomainError,
     LogPosterior,
     MeasurementSet,
     ModelKind,
     NoiseSpec,
+    NumericalError,
     ParameterVector,
     QuadratureSpec,
     TruncatedNormalPrior,
@@ -251,3 +258,86 @@ class TestLogPosterior:
         # The prior pulls the mode off the truth, but only slightly.
         assert abs(mode[0] - 210.0) <= 2.0
         assert abs(mode[1] - 0.25) <= 3e-3
+
+
+TRUTHS = {
+    ModelKind.LINEAR_ELASTIC: [210.0],
+    ModelKind.PERFECT_PLASTICITY: [210.0, 0.25],
+    ModelKind.LINEAR_HARDENING: [210.0, 0.25, 50.0],
+    ModelKind.NONLINEAR_HARDENING: [210.0, 0.25, 2.0, 0.57],
+}
+DATA_CASES = ("prior-only", "single", "double", "pooled")
+
+
+@functools.lru_cache(maxsize=None)
+def _case_target(kind: ModelKind, case: str) -> LogPosterior:
+    """A correlated prior plus no data, one set of either regime, or three
+    pooled sets (one stress-only, two stress-and-strain)."""
+    dim = kind.dimension
+    std = np.array([50.0, 0.0166667, 10.0, 0.05])[:dim]
+    cov = np.diag(std**2) + 0.3 * np.outer(std, std) * (1.0 - np.eye(dim))
+    prior = TruncatedNormalPrior([200.0, 0.29, 60.0, 0.57][:dim], cov)
+    x = ParameterVector.from_array(kind, TRUTHS[kind])
+    grid = np.linspace(2.4e-4, 2.88e-3, 12)
+    single = generate_single_noise(x, kind, grid, NOISE_STD, seed=1)
+    double = [generate_double_noise(x, kind, grid, NOISE_STD, 1e-4, seed=s) for s in (2, 3)]
+    data = {"prior-only": None, "single": single, "double": double[0], "pooled": [single, *double]}
+    return LogPosterior(kind, prior, data[case])
+
+
+def _outcome(fn, values):
+    try:
+        return fn(values)
+    except (DomainError, NumericalError) as err:
+        return type(err)
+
+
+def _assert_kernels_agree(kind: ModelKind, case: str, values) -> None:
+    """LogPosterior equals prior.log_density plus the ParameterVector-taking
+    likelihoods, to 1e-12 relative, or gives the same -inf, NaN or
+    exception. (Both sides give NaN at some extreme parameters, e.g. an E
+    so small that sigma_y0 / E overflows; that is a likelihood defect, not
+    a disagreement.)"""
+    target = _case_target(kind, case)
+    values = np.asarray(values, dtype=float)
+
+    def assembled(v):
+        lp = target.prior.log_density(v)
+        if lp == -math.inf:
+            return lp
+        x = ParameterVector.from_array(kind, v)
+        for mset in target.data:
+            lp += log_likelihood(x, kind, mset, target.quadrature if mset.noise.double else None)
+        return lp
+
+    got, want = _outcome(target, values), _outcome(assembled, values)
+    if isinstance(want, float) and math.isfinite(want):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    elif isinstance(want, float) and math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want
+
+
+# Upper ends of the drawn components (E, sigma_y0, H, n).
+COMPONENT_RANGES = (400.0, 1.0, 100.0, 3.0)
+
+
+class TestKernelsAgreeWithWrappers:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(ModelKind)), st.sampled_from(DATA_CASES), st.data())
+    def test_random_points(self, kind, case, data):
+        values = [data.draw(st.floats(0.0, hi)) for hi in COMPONENT_RANGES[: kind.dimension]]
+        _assert_kernels_agree(kind, case, values)
+
+    @pytest.mark.parametrize("case", DATA_CASES)
+    @pytest.mark.parametrize(
+        "kind, component", [(kind, i) for kind in ModelKind for i in range(kind.dimension)]
+    )
+    @pytest.mark.parametrize("edge", [-1e-300, -1.0, math.nan, math.inf, 0.0])
+    def test_support_edges(self, kind, case, component, edge):
+        """A negative or non-finite component (-inf), and any component at
+        zero, E = 0 included (DomainError for LE-PP and LE-NH)."""
+        values = list(TRUTHS[kind])
+        values[component] = edge
+        _assert_kernels_agree(kind, case, values)

@@ -34,6 +34,7 @@ from plastinfer import (
     summarize,
 )
 from plastinfer.models import ParameterVector
+from plastinfer.sampler import _history_factor
 
 
 def _half_normal_target() -> LogPosterior:
@@ -198,6 +199,57 @@ class TestRunAdaptiveMh:
         b = adaptive.retained()[0][::25, 0]
         result = stats.ks_2samp(a, b)
         assert result.pvalue > 0.01
+
+    def test_before_first_adaptation_equals_run_mh(self):
+        # Both entry points run one loop with the same draw order, so an
+        # adaptive run that never adapts is run_mh draw for draw.
+        prior = TruncatedNormalPrior(mean=[60.0, 30.0], covariance=[[4.0, 1.0], [1.0, 2.0]])
+        target = LogPosterior(ModelKind.PERFECT_PLASTICITY, prior)
+        for adapt_every in (1_500, 4_000):
+            config = SamplerConfig(n_samples=1_500, adapt_every=adapt_every, seed=13)
+            a = run_mh(target, config)
+            b = run_adaptive_mh(target, config)
+            assert np.array_equal(a.samples, b.samples)
+            assert np.array_equal(a.log_densities, b.log_densities)
+            assert a.n_accepted == b.n_accepted
+
+    def test_history_factor_reproduces_the_history_covariance(self):
+        rng = np.random.default_rng(4)
+        history = rng.standard_normal((700, 3)) @ np.array(
+            [[3.0, 0.0, 0.0], [1.0, 0.2, 0.0], [-2.0, 0.1, 0.05]]
+        ) + [200.0, 0.3, 60.0]
+        scale = 0.7
+        factor = _history_factor(history, scale)
+        centered = history - history.mean(axis=0)
+        want = scale**2 / (history.shape[0] - 1) * centered.T @ centered
+        np.testing.assert_allclose(factor.T @ factor, want, rtol=1e-12, atol=0.0)
+        # Fewer states than dimensions: zero-padded to a square factor.
+        short = _history_factor(history[:2], scale)
+        assert short.shape == (3, 3)
+        d = history[1] - history[0]
+        np.testing.assert_allclose(short.T @ short, 0.5 * scale**2 * np.outer(d, d), rtol=1e-12)
+
+    def test_rank_deficient_history_keeps_proposals_on_its_line(self):
+        direction = np.array([0.6, 0.8])
+        history = np.array([5.0, 7.0]) + np.linspace(-2.0, 3.0, 40)[:, None] * direction
+        factor = _history_factor(history, 1.0)
+        steps = np.random.default_rng(8).standard_normal((1_000, 2)) @ factor
+        across = steps @ np.array([-direction[1], direction[0]])
+        assert np.max(np.abs(across)) <= 1e-12 * np.max(np.abs(steps))
+        assert _history_factor(np.ones((5, 2)), 1.0) is None
+
+    @pytest.mark.parametrize("sampler", [run_mh, run_adaptive_mh])
+    def test_one_target_call_per_step_plus_the_start(self, sampler):
+        target = _gaussian_target(50.0, 4.0)
+        calls = []
+
+        def counting(values):
+            calls.append(values)
+            return target(values)
+
+        counting.dimension, counting.prior = target.dimension, target.prior
+        sampler(counting, SamplerConfig(n_samples=2_500, adapt_every=500, seed=6))
+        assert len(calls) == 2_501
 
     def test_recovers_elastoplastic_parameters(self):
         # Two-parameter identification from a small synthetic dataset; the
