@@ -28,9 +28,11 @@ enters the quadrature weights, so no node needs an implicit stress solve.
 Everything is computed and composed in log space; with ten or more
 measurements the raw products underflow double precision.
 
-Each model and regime is one kernel, a function of the raw parameter
-array with the measurement set bound once (``likelihood_kernel``); the
-``ParameterVector``-taking functions are thin wrappers over the kernels.
+Each model and regime is one kernel, a function of raw parameter rows
+with the measurement set bound once (``likelihood_kernel``). A kernel
+scores many parameter vectors in one vectorized pass, and every row's
+value is computed from that row alone, so it has the same bits in any
+batch; the ``ParameterVector``-taking functions are one-row calls.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtr
+from scipy.special import log_ndtr, ndtr
 
 from .data import MeasurementSet
 from .errors import ConfigurationError, DomainError, NumericalError
-from .models import ModelKind, ParameterVector, stress, yield_strain
+from .models import ModelKind, ParameterVector, _components, stress_rows
 
 __all__ = [
     "QuadratureSpec",
@@ -103,15 +105,27 @@ def _require_double(data: MeasurementSet) -> tuple[float, float, float]:
     return data.noise.stress_std, data.noise.strain_std, data.noise.strain_limit
 
 
-Kernel = Callable[[np.ndarray], float]
+# Parameter rows, shape (k, dim), to one log-likelihood per row.
+Kernel = Callable[[np.ndarray], np.ndarray]
 
 
-def _values(x: ParameterVector, kind: ModelKind) -> np.ndarray:
-    """The components of ``x`` that ``kind`` uses, as a raw parameter array."""
-    values = [getattr(x, name) for name in kind.parameter_names]
-    if None in values:
-        raise DomainError(f"{kind.value} requires {', '.join(kind.parameter_names)}")
-    return np.array(values)
+def _one_row(kernel: Kernel, x: ParameterVector, kind: ModelKind) -> float:
+    """``kernel`` at the components of ``x`` that ``kind`` uses."""
+    return float(kernel(np.array([_components(x, kind)]))[0])
+
+
+def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """``base ** exponent`` for an exponent broadcast against ``base``'s shape.
+
+    numpy evaluates a power whose exponent array holds a single value of
+    0.5, 2 or -1 as a square root, square or reciprocal, which can differ
+    from the general power in the last bit; a one-row batch would then
+    give other bits than the same row in a larger batch. Such an exponent
+    is spread to the full shape first.
+    """
+    if np.size(exponent) == 1:
+        exponent = np.full(np.shape(base), exponent)
+    return np.power(base, exponent)
 
 
 def _single_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
@@ -119,19 +133,20 @@ def _single_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
     strains, stresses = data.strains, data.stresses
     offset = len(data) * (0.5 * _LOG_2PI + math.log(s))
 
-    def kernel(values: np.ndarray) -> float:
-        # The response functions take a ParameterVector.
-        x = ParameterVector.from_array(kind, values)
-        theoretical = np.atleast_1d(stress(strains, x, kind))
+    def kernel(values: np.ndarray) -> np.ndarray:
+        theoretical = stress_rows(kind, strains, values)
         resid = stresses - theoretical
-        value = float(np.sum(-0.5 * (resid / s) ** 2)) - offset
+        value = np.sum(-0.5 * (resid / s) ** 2, axis=1) - offset
         if kind is ModelKind.NONLINEAR_HARDENING:
-            plastic = strains > yield_strain(x)
-            if np.any(plastic):
-                t = strains[plastic] - theoretical[plastic] / x.E
-                with np.errstate(divide="ignore", over="ignore"):
-                    jac = 1.0 + (x.H * x.n / x.E) * np.power(t, x.n - 1.0)
-                value -= float(np.sum(np.log(jac)))
+            E, sy, H, n = values.T[:, :, None]
+            # Rounding can leave the plastic strain a hair below zero, and
+            # H * n can underflow to zero against an infinite power at t = 0.
+            t = np.maximum(strains - theoretical / E, 0.0)
+            coefficient = H * n / E
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                hardening = np.where(coefficient == 0.0, 0.0, coefficient * _power(t, n - 1.0))
+                log_jac = np.where(strains > sy / E, np.log(1.0 + hardening), 0.0)
+            value -= np.sum(log_jac, axis=1)
         return value
 
     return kernel
@@ -139,7 +154,7 @@ def _single_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
 
 def log_likelihood_single(x: ParameterVector, kind: ModelKind, data: MeasurementSet) -> float:
     """Stress-only log-likelihood of a measurement set, any model."""
-    return _single_kernel(kind, data)(_values(x, kind))
+    return _one_row(_single_kernel(kind, data), x, kind)
 
 
 def _log_gauss_mass(lo_z: np.ndarray, hi_z: np.ndarray) -> np.ndarray:
@@ -155,7 +170,9 @@ def _log_gauss_mass(lo_z: np.ndarray, hi_z: np.ndarray) -> np.ndarray:
     # The forms not chosen for an element may take logs of zero there.
     with np.errstate(divide="ignore", invalid="ignore"):
         log_b = log_ndtr(b)
-        tail = log_b + np.log1p(-np.exp(np.minimum(log_ndtr(a) - log_b, 0.0)))
+        # fmin: two bounds far in one tail both give -inf, and their
+        # difference is NaN where the mass is 0.
+        tail = log_b + np.log1p(-np.exp(np.fmin(log_ndtr(a) - log_b, 0.0)))
         middle = np.log1p(-(ndtr(lo_z) + ndtr(-hi_z)))
     out = np.where(upper | (hi_z <= 0.0), tail, middle)
     return np.where(hi_z > lo_z, out, -np.inf)
@@ -181,30 +198,41 @@ def _log_affine_branch(sm, em, s_sig, s_eps, intercept, slope, lo, hi) -> np.nda
 
 def _affine_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
     """Stress-and-strain kernel of LE, LE-PP and LE-LH: the branches, each an
-    (intercept, slope, strain interval), go through one (branches x points)
-    pass and each point's terms are combined with logaddexp. LE-PP is LE-LH
-    with H = 0, except that E = 0 is an error for it."""
+    (intercept, slope, strain interval) with one column entry per parameter
+    row, go through one (branches x rows x points) pass and each point's
+    terms are combined with logaddexp. LE-PP is LE-LH with H = 0, except
+    that E = 0 is an error for it."""
     s_sig, s_eps, a = _require_double(data)
     sm, em = data.stresses, data.strains
 
-    def kernel(values: np.ndarray) -> float:
-        E, sy, H = (values.tolist() + [0.0, 0.0])[:3]  # absent components read 0
+    def kernel(values: np.ndarray) -> np.ndarray:
+        E = values[:, 0]
         if kind is ModelKind.LINEAR_ELASTIC:
-            branches = [(0.0, E, 0.0, a)]
-        elif kind is ModelKind.PERFECT_PLASTICITY and E == 0.0:
+            return _log_affine_branch(sm, em, s_sig, s_eps, 0.0, E[:, None], 0.0, a).sum(axis=1)
+        sy = values[:, 1]
+        H = values[:, 2] if kind is ModelKind.LINEAR_HARDENING else 0.0
+        flat = E == 0.0
+        if kind is ModelKind.PERFECT_PLASTICITY and flat.any():
             raise DomainError("LE-PP stress-and-strain likelihood requires E > 0")
-        elif H + E == 0.0:
+        if (H + E == 0.0).any():
             raise DomainError("LE-LH undefined for H + E = 0")
-        elif E == 0.0:
-            # The elastic line is flat at zero stress and yield is never
-            # reached; the whole strain range is one zero-slope branch.
-            branches = [(0.0, 0.0, 0.0, a)]
-        else:
-            ey, hardening = sy / E, H * E / (H + E)
-            branches = [(0.0, E, 0.0, min(ey, a)), (sy - hardening * ey, hardening, ey, a)]
-        intercept, slope, lo, hi = np.array(branches).T[:, :, None]
+        # (intercept, slope, lo, hi) x branch x row. With E = 0 the elastic
+        # line is flat at zero stress and yield is never reached: the first
+        # branch then covers the whole strain range with slope 0 and the
+        # second is the empty interval [a, a].
+        table = np.zeros((4, 2, len(values)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ey = np.where(flat, a, sy / E)
+            hardening = H * E / (H + E)
+            table[0, 1] = np.where(flat, 0.0, sy - hardening * ey)
+        table[1, 0] = E
+        table[1, 1] = hardening
+        table[2, 1] = ey
+        table[3, 0] = np.minimum(ey, a)
+        table[3, 1] = a
+        intercept, slope, lo, hi = table[..., None]
         terms = _log_affine_branch(sm, em, s_sig, s_eps, intercept, slope, lo, hi)
-        return float(np.sum(np.logaddexp.reduce(terms, axis=0)))
+        return np.logaddexp(terms[0], terms[1]).sum(axis=1)
 
     return kernel
 
@@ -212,19 +240,19 @@ def _affine_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
 def log_likelihood_double_le(x: ParameterVector, data: MeasurementSet) -> float:
     """Stress-and-strain log-likelihood for the linear elastic model."""
     kind = ModelKind.LINEAR_ELASTIC
-    return _affine_kernel(kind, data)(_values(x, kind))
+    return _one_row(_affine_kernel(kind, data), x, kind)
 
 
 def log_likelihood_double_lepp(x: ParameterVector, data: MeasurementSet) -> float:
     """Stress-and-strain log-likelihood for the perfectly plastic model."""
     kind = ModelKind.PERFECT_PLASTICITY
-    return _affine_kernel(kind, data)(_values(x, kind))
+    return _one_row(_affine_kernel(kind, data), x, kind)
 
 
 def log_likelihood_double_lelh(x: ParameterVector, data: MeasurementSet) -> float:
     """Stress-and-strain log-likelihood for the linear hardening model."""
     kind = ModelKind.LINEAR_HARDENING
-    return _affine_kernel(kind, data)(_values(x, kind))
+    return _one_row(_affine_kernel(kind, data), x, kind)
 
 
 # Smooth clustering map for Simpson panels when the integration window
@@ -238,52 +266,63 @@ def _cluster_map(u: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _simpson_nodes(panels: int, clustered: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0, 1] for ``panels`` Simpson subintervals.
+def _simpson_table(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] for ``panels`` Simpson subintervals, row 0
+    on the plain mesh and row 1 on the clustered one, so a window picks its
+    row by index.
 
-    Cached per ``(panels, clustered)``; the arrays are shared between
-    callers and therefore read-only.
+    Cached per ``panels``; the arrays are shared between callers and
+    therefore read-only.
     """
     bounds = np.linspace(0.0, 1.0, panels // 2 + 1)
-    if clustered:
-        bounds = _cluster_map(bounds)
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
-    nodes = np.empty(panels + 1)
-    nodes[0::2] = bounds
-    nodes[1::2] = mids
-    seg = np.diff(bounds)
-    weights = np.zeros(panels + 1)
-    weights[0:-1:2] += seg / 6.0
-    weights[2::2] += seg / 6.0
-    weights[1::2] = 4.0 * seg / 6.0
+    bounds = np.stack([bounds, _cluster_map(bounds)])
+    seg = np.diff(bounds, axis=1)
+    nodes = np.empty((2, panels + 1))
+    nodes[:, 0::2] = bounds
+    nodes[:, 1::2] = 0.5 * (bounds[:, :-1] + bounds[:, 1:])
+    weights = np.zeros((2, panels + 1))
+    weights[:, 0:-1:2] += seg / 6.0
+    weights[:, 2::2] += seg / 6.0
+    weights[:, 1::2] = 4.0 * seg / 6.0
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
-def _plastic_path(t, x: list[float]):
+def _log_sum_exp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, shifted by each row's maximum. A
+    row that is all -inf gives -inf."""
+    peak = np.max(a, axis=-1, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - peak), axis=-1)) + peak[..., 0]
+
+
+def _plastic_path(t, x, excess: bool):
     """Stress, total strain and d(strain)/dt at plastic coordinates ``t >= 0``.
 
     Both stress and strain are explicit in ``t``, and ``t = 0`` is the
-    yield point. For ``n >= 1`` (or ``H = 0``) ``t`` is the plastic strain
-    u, so stress = sigma_y0 + H u**n; for ``n < 1`` it is the stress excess
-    v = stress - sigma_y0, so u = (v / H)**(1/n). Either way strain =
-    stress / E + u, and the chosen variable keeps d(strain)/dt finite and
-    bounded below by min(1, 1/E). ``x`` holds (E, sigma_y0, H, n).
+    yield point. With ``excess`` false (n >= 1 or H = 0) ``t`` is the
+    plastic strain u, so stress = sigma_y0 + H u**n; with ``excess`` true
+    (H > 0 and n < 1) it is the stress excess v = stress - sigma_y0, so
+    u = (v / H)**(1/n). Either way strain = stress / E + u, and the chosen
+    variable keeps d(strain)/dt finite and bounded below by min(1, 1/E).
+    ``x`` holds (E, sigma_y0, H, n), each broadcastable against ``t``.
     """
     E, sy, H, n = x
-    if H > 0.0 and n < 1.0:
+    if excess:
         sigma = sy + t
-        slope = 1.0 / E + (t / H) ** (1.0 / n - 1.0) / (n * H)
-        return sigma, sigma / E + (t / H) ** (1.0 / n), slope
-    if H == 0.0:
-        n = 1.0  # the hardening term vanishes; keep 0 * t**(n - 1) finite at t = 0
-    sigma = sy + H * t**n
-    return sigma, sigma / E + t, 1.0 + (H * n / E) * t ** (n - 1.0)
+        ratio = t / H
+        growth = _power(ratio, 1.0 / n - 1.0)  # n * H * du/dv
+        return sigma, sigma / E + ratio * growth, 1.0 / E + growth / (n * H)
+    n = np.where(H == 0.0, 1.0, n)  # the hardening term vanishes; keep 0 * t**(n - 1) finite at t = 0
+    sigma = sy + H * _power(t, n)
+    return sigma, sigma / E + t, 1.0 + (H * n / E) * _power(t, n - 1.0)
 
 
-def _plastic_coordinate(strain: np.ndarray, x: list[float]) -> np.ndarray:
-    """Invert ``_plastic_path``: the coordinate t at which strain is reached.
+def _plastic_coordinate(strain: np.ndarray, x, excess: bool) -> np.ndarray:
+    """Invert ``_plastic_path``: the coordinate t at which strain is reached,
+    elementwise (``x`` holds one parameter array per component).
 
     Strain exceeds yield by a convex increasing function of t (a linear
     term plus a power >= 1), so Newton started at or above the root
@@ -291,26 +330,27 @@ def _plastic_coordinate(strain: np.ndarray, x: list[float]) -> np.ndarray:
     values at which either term alone reaches the excess, which brackets
     the root within a factor of two; the yield strain itself starts, and
     stays, at t = 0 exactly. Convergence is judged on the strain residual
-    relative to the strain.
+    relative to the strain, and each element stops at its own convergence.
     """
     E, sy, H, n = x
-    excess = np.maximum(strain - sy / E, 0.0)
+    excess_strain = np.maximum(strain - sy / E, 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if H > 0.0 and n < 1.0:
-            t = np.fmin(E * excess, H * excess**n)
+        if excess:
+            t = np.fmin(E * excess_strain, H * _power(excess_strain, n))
         else:
-            t = np.fmin(excess, (excess * E / H) ** (1.0 / n))
+            t = np.fmin(excess_strain, _power(excess_strain * E / H, 1.0 / n))
     tol = 4.0 * np.finfo(float).eps * strain
     for _ in range(60):  # a handful suffice; the cap only turns a stall into an error
-        _, reached, slope = _plastic_path(t, x)
+        _, reached, slope = _plastic_path(t, x, excess)
         resid = reached - strain
-        if np.all(np.abs(resid) <= tol):
+        done = np.abs(resid) <= tol
+        if np.all(done):
             return t
-        t = np.maximum(t - resid / slope, 0.0)
+        t = np.where(done, t, np.maximum(t - resid / slope, 0.0))
     i = int(np.argmax(np.abs(resid) - tol))
     raise NumericalError(
         f"plastic window end not reached: strain={strain[i]!r}, residual {resid[i]:.3e}, "
-        f"x={np.array(x)!r}"
+        f"x={np.array([c[i] for c in x])!r}"
     )
 
 
@@ -318,59 +358,70 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
     """Closed-form elastic branch; the plastic branch by composite Simpson in
     the plastic coordinate of ``_plastic_path`` over a window of ``width``
     strain-noise stds around each measured strain, clipped to the plastic
-    range and the tester limit. Only window ends need a (Newton) solve."""
+    range and the tester limit. Only window ends need a (Newton) solve.
+    The (row, point) windows of a batch are integrated together, grouped
+    by plastic coordinate."""
     s_sig, s_eps, a = _require_double(data)
     sm, em = data.stresses, data.strains
     window_lo = em - quadrature.width * s_eps
     window_hi = em + quadrature.width * s_eps
+    unit_nodes, unit_weights = _simpson_table(quadrature.panels)
+    log_norm = -_LOG_2PI - math.log(s_sig) - math.log(s_eps)
 
-    def kernel(values: np.ndarray) -> float:
-        x = values.tolist()
+    def plastic_log_mass(lo, hi, x, points, excess):
+        """log of the plastic-branch integral over windows [lo, hi], one per
+        (parameter row, measurement) pair; ``x`` holds the pairs' parameter
+        components."""
         E, sy, H, n = x
-        if E <= 0.0:
+        t_lo, t_hi = np.split(
+            _plastic_coordinate(np.concatenate([lo, hi]), [np.concatenate([c, c]) for c in x], excess), 2
+        )
+        # A window starting at yield maps to t = 0 exactly. The clustered
+        # mesh is only needed there; with n = 1 or H = 0 the integrand is
+        # smooth.
+        mesh = ((lo == sy / E) & (H > 0.0) & (n != 1.0)).astype(np.intp)
+        span = (t_hi - t_lo)[:, None]
+        t = t_lo[:, None] + span * unit_nodes[mesh]
+        sigma, strain, slope = _plastic_path(t, [c[:, None] for c in x], excess)
+        log_f = (
+            -0.5 * ((em[points][:, None] - strain) / s_eps) ** 2
+            - 0.5 * ((sm[points][:, None] - sigma) / s_sig) ** 2
+            + log_norm
+        )
+        with np.errstate(divide="ignore"):
+            return _log_sum_exp(log_f + np.log(span * unit_weights[mesh] * slope))
+
+    def kernel(values: np.ndarray) -> np.ndarray:
+        E, sy, H, n = values.T[:, :, None]
+        if (E <= 0.0).any():
             raise DomainError("LE-NH requires E > 0")
-        if n <= 0.0:
+        if (n <= 0.0).any():
             raise DomainError("LE-NH requires n > 0")
         ey = sy / E
 
-        elastic = _log_affine_branch(sm, em, s_sig, s_eps, 0.0, E, 0.0, min(ey, a))
+        elastic = _log_affine_branch(sm, em, s_sig, s_eps, 0.0, E, 0.0, np.minimum(ey, a))
 
         lo = np.maximum(ey, window_lo)
-        hi = np.minimum(a, window_hi)
-        active = hi > lo
-        plastic = np.full(len(data), -np.inf)
-        if np.any(active):
-            # A window starting at yield maps to t = 0 exactly. The clustered
-            # mesh is only needed there; with n = 1 or H = 0 the integrand is
-            # smooth.
-            lo, hi = lo[active], hi[active]
-            t_lo, t_hi = np.split(_plastic_coordinate(np.concatenate([lo, hi]), x), 2)
-            clustered = (lo == ey) & (H > 0.0) & (n != 1.0)
-            plain_nodes, plain_weights = _simpson_nodes(quadrature.panels, False)
-            corner_nodes, corner_weights = _simpson_nodes(quadrature.panels, True)
-            unit_nodes = np.where(clustered[:, None], corner_nodes, plain_nodes)
-            unit_weights = np.where(clustered[:, None], corner_weights, plain_weights)
-            span = (t_hi - t_lo)[:, None]
-            t = t_lo[:, None] + span * unit_nodes
-            sigma, strain, slope = _plastic_path(t, x)
-            log_f = (
-                -0.5 * ((em[active][:, None] - strain) / s_eps) ** 2
-                - 0.5 * ((sm[active][:, None] - sigma) / s_sig) ** 2
-                - _LOG_2PI
-                - math.log(s_sig)
-                - math.log(s_eps)
-            )
-            with np.errstate(divide="ignore"):
-                plastic[active] = logsumexp(log_f + np.log(span * unit_weights * slope), axis=1)
+        hi = np.broadcast_to(np.minimum(a, window_hi), lo.shape)
+        plastic = np.full(lo.shape, -np.inf)
+        rows, points = np.nonzero(hi > lo)
+        excess = ((H > 0.0) & (n < 1.0))[rows, 0]
+        for flag in (True, False):
+            group = excess == flag
+            if np.any(group):
+                r, p = rows[group], points[group]
+                x = [c[r] for c in values.T]
+                plastic[r, p] = plastic_log_mass(lo[r, p], hi[r, p], x, p, flag)
 
         per_point = np.logaddexp(elastic, plastic)
-        if not np.all(np.isfinite(per_point) | (per_point == -np.inf)):
-            i = int(np.argmax(~(np.isfinite(per_point) | (per_point == -np.inf))))
+        bad = ~(np.isfinite(per_point) | (per_point == -np.inf))
+        if bad.any():
+            r, p = np.argwhere(bad)[0]
             raise NumericalError(
                 "non-finite quadrature for measurement "
-                f"(strain={em[i]!r}, stress={sm[i]!r}) at x={values!r}"
+                f"(strain={em[p]!r}, stress={sm[p]!r}) at x={values[r]!r}"
             )
-        return float(np.sum(per_point))
+        return np.sum(per_point, axis=1)
 
     return kernel
 
@@ -379,16 +430,17 @@ def log_likelihood_double_lenh(
     x: ParameterVector, data: MeasurementSet, quadrature: QuadratureSpec | None = None
 ) -> float:
     """Stress-and-strain log-likelihood for the nonlinear hardening model."""
-    values = _values(x, ModelKind.NONLINEAR_HARDENING)
-    return _lenh_kernel(data, quadrature or QuadratureSpec())(values)
+    kernel = _lenh_kernel(data, quadrature or QuadratureSpec())
+    return _one_row(kernel, x, ModelKind.NONLINEAR_HARDENING)
 
 
 def likelihood_kernel(
     kind: ModelKind, data: MeasurementSet, quadrature: QuadratureSpec | None = None
 ) -> Kernel:
-    """The log-likelihood of ``data`` under ``kind`` as a function of the raw
-    parameter array: finite, nonnegative, in canonical order (E, sigma_y0,
-    H, n). Dispatches on the data's noise regime. ``quadrature`` is only
+    """The log-likelihood of ``data`` under ``kind`` as a function of raw
+    parameter rows, shape (k, dim): finite, nonnegative, in canonical order
+    (E, sigma_y0, H, n); returns one value per row. Dispatches on the data's
+    noise regime. ``quadrature`` is only
     meaningful for the nonlinear hardening model in the stress-and-strain
     regime; passing it anywhere else is a configuration error.
     """
@@ -413,4 +465,4 @@ def log_likelihood(
 ) -> float:
     """Log-likelihood of ``data`` under ``kind`` with parameters ``x``; see
     ``likelihood_kernel``."""
-    return likelihood_kernel(kind, data, quadrature)(_values(x, kind))
+    return _one_row(likelihood_kernel(kind, data, quadrature), x, kind)

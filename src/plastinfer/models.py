@@ -15,6 +15,8 @@ coincide there. The nonlinear-hardening stress is only defined implicitly
 and is obtained by a safeguarded bracketing solve.
 
 All evaluation functions are pure and accept scalar or array strains.
+``stress_rows`` evaluates many parameter vectors at once; the
+single-vector functions are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "stress_lelh",
     "stress_lenh",
     "stress",
+    "stress_rows",
     "yield_strain",
 ]
 
@@ -150,31 +153,35 @@ def yield_strain(x: ParameterVector) -> float:
 
 def _as_strain_array(strain):
     eps = np.asarray(strain, dtype=float)
-    if np.any(eps < 0.0) or not np.all(np.isfinite(eps)):
+    if (eps < 0.0).any() or not np.isfinite(eps).all():
         raise DomainError("strains must be finite and >= 0 (monotonic tension)")
     return eps
 
 
+def _components(x: ParameterVector, kind: ModelKind) -> list[float]:
+    """The components of ``x`` that ``kind`` uses, in canonical order."""
+    values = [getattr(x, name) for name in kind.parameter_names]
+    if None in values:
+        raise DomainError(f"{kind.value} requires {', '.join(kind.parameter_names)}")
+    return values
+
+
+def stress(strain, x: ParameterVector, kind: ModelKind):
+    """Theoretical stress of ``kind`` at ``strain`` (scalar or array): a
+    one-row ``stress_rows``."""
+    eps = _as_strain_array(strain)
+    out = stress_rows(kind, eps.reshape(-1), np.array([_components(x, kind)]))[0]
+    return out.reshape(eps.shape) if eps.ndim else float(out[0])
+
+
 def stress_le(strain, x: ParameterVector):
     """Linear elastic stress ``E * strain``."""
-    eps = _as_strain_array(strain)
-    out = x.E * eps
-    return out if out.ndim else float(out)
+    return stress(strain, x, ModelKind.LINEAR_ELASTIC)
 
 
 def stress_lepp(strain, x: ParameterVector):
     """Perfectly plastic stress: elastic up to yield, then constant ``sigma_y0``."""
-    eps = _as_strain_array(strain)
-    if x.sigma_y0 is None:
-        raise DomainError("LE-PP requires sigma_y0")
-    if x.E == 0.0:
-        if x.sigma_y0 > 0.0:
-            raise DomainError("yield strain undefined: E = 0 with sigma_y0 > 0")
-        out = np.zeros_like(eps)
-        return out if out.ndim else float(out)
-    ey = x.sigma_y0 / x.E
-    out = np.where(eps <= ey, x.E * eps, x.sigma_y0)
-    return out if out.ndim else float(out)
+    return stress(strain, x, ModelKind.PERFECT_PLASTICITY)
 
 
 def stress_lelh(strain, x: ParameterVector):
@@ -183,19 +190,7 @@ def stress_lelh(strain, x: ParameterVector):
     Below the yield strain the response is ``E * strain``; above it the
     stress continues with the reduced slope ``H * E / (H + E)``.
     """
-    eps = _as_strain_array(strain)
-    if x.sigma_y0 is None or x.H is None:
-        raise DomainError("LE-LH requires sigma_y0 and H")
-    if x.H + x.E == 0.0:
-        raise DomainError("LE-LH undefined for H + E = 0")
-    if x.E == 0.0:
-        # Yield is never reached (the elastic line is flat at zero stress).
-        out = np.zeros_like(eps)
-        return out if out.ndim else float(out)
-    ey = x.sigma_y0 / x.E
-    slope = x.H * x.E / (x.H + x.E)
-    out = np.where(eps <= ey, x.E * eps, x.sigma_y0 + slope * (eps - ey))
-    return out if out.ndim else float(out)
+    return stress(strain, x, ModelKind.LINEAR_HARDENING)
 
 
 def stress_lenh(strain, x: ParameterVector):
@@ -215,27 +210,59 @@ def stress_lenh(strain, x: ParameterVector):
         NumericalError: if the bracket fails or the residual tolerance
             ``1e-12 * max(1, sigma_y0)`` cannot be met.
     """
-    eps = _as_strain_array(strain)
-    if x.sigma_y0 is None or x.H is None or x.n is None:
-        raise DomainError("LE-NH requires sigma_y0, H and n")
-    if x.E <= 0.0:
-        raise DomainError("LE-NH requires E > 0")
-    if x.n <= 0.0:
-        raise DomainError("LE-NH requires n > 0")
-    ey = x.sigma_y0 / x.E
-    flat = np.atleast_1d(eps)
-    out = x.E * flat
-    plastic = flat > ey
-    if np.any(plastic):
-        out[plastic] = _implicit_stress(flat[plastic], x.E, x.sigma_y0, x.H, x.n)
-    if eps.ndim == 0:
-        return float(out[0])
-    return out
+    return stress(strain, x, ModelKind.NONLINEAR_HARDENING)
 
 
-def _implicit_stress(eps: np.ndarray, E: float, sy: float, H: float, n: float) -> np.ndarray:
-    """Root of g(s) = s - sy - H * (eps - s/E)**n on [sy, E*eps], vectorized."""
-    lo = np.full_like(eps, sy)
+def stress_rows(kind: ModelKind, strain: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Theoretical stress of ``kind`` for many parameter vectors at once.
+
+    ``values`` holds one raw parameter array per row, shape (m, dim), in
+    canonical order (E, sigma_y0, H, n), each finite and nonnegative;
+    ``strain`` is a 1-D array of finite nonnegative strains. Returns the
+    stresses, shape (m, strain.size). Every element is computed from its
+    own row alone, so a row gives the same bits in any batch.
+
+    Raises:
+        DomainError: if any row is outside the model's domain.
+        NumericalError: if an implicit LE-NH solve fails for any row.
+    """
+    E, *rest = values.T[:, :, None]
+    if kind is ModelKind.LINEAR_ELASTIC:
+        return E * strain
+    if kind is ModelKind.NONLINEAR_HARDENING:
+        sy, H, n = rest
+        if (E <= 0.0).any():
+            raise DomainError("LE-NH requires E > 0")
+        if (n <= 0.0).any():
+            raise DomainError("LE-NH requires n > 0")
+        out = E * strain
+        rows, points = np.nonzero(strain > sy / E)
+        if rows.size:
+            out[rows, points] = _implicit_stress(
+                strain[points], *(c[rows, 0] for c in (E, sy, H, n))
+            )
+        return out
+    sy = rest[0]
+    # With E = 0 the elastic line is flat at zero stress and yield is never
+    # reached: the yield strain is then inf or NaN, which no strain exceeds.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ey = sy / E
+    if kind is ModelKind.PERFECT_PLASTICITY:
+        if ((E == 0.0) & (sy > 0.0)).any():
+            raise DomainError("yield strain undefined: E = 0 with sigma_y0 > 0")
+        return np.where(strain > ey, sy, E * strain)
+    H = rest[1]
+    if (H + E == 0.0).any():
+        raise DomainError("LE-LH undefined for H + E = 0")
+    with np.errstate(invalid="ignore"):
+        plastic = sy + H * E / (H + E) * (strain - ey)
+    return np.where(strain > ey, plastic, E * strain)
+
+
+def _implicit_stress(eps, E, sy, H, n) -> np.ndarray:
+    """Root of g(s) = s - sy - H * (eps - s/E)**n on [sy, E*eps], elementwise
+    over arrays of equal shape (one strain and parameter set per element)."""
+    lo = sy.copy()
     hi = E * eps
     # g(sy) = -H * (eps - sy/E)**n <= 0 and g(E*eps) = E*eps - sy > 0, so the
     # bracket is guaranteed for admissible parameters; check anyway so a
@@ -247,7 +274,8 @@ def _implicit_stress(eps: np.ndarray, E: float, sy: float, H: float, n: float) -
         i = int(np.argmax(bad))
         raise NumericalError(
             "no bracket for implicit stress: "
-            f"strain={eps[i]!r}, E={E!r}, sigma_y0={sy!r}, H={H!r}, n={n!r}, "
+            f"strain={eps[i]!r}, E={float(E[i])!r}, sigma_y0={float(sy[i])!r}, "
+            f"H={float(H[i])!r}, n={float(n[i])!r}, "
             f"g(sigma_y0)={g_lo[i]!r}, g(E*strain)={g_hi[i]!r}"
         )
 
@@ -265,10 +293,8 @@ def _implicit_stress(eps: np.ndarray, E: float, sy: float, H: float, n: float) -
     for _ in range(2):
         t = np.maximum(eps - sigma / E, 0.0)
         g = sigma - sy - H * np.power(t, n)
-        with np.errstate(divide="ignore", over="ignore"):
-            dg = 1.0 + (H * n / E) * np.power(t, n - 1.0)
-        if H == 0.0:
-            dg = np.ones_like(sigma)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dg = np.where(H == 0.0, 1.0, 1.0 + (H * n / E) * np.power(t, n - 1.0))
         step = np.where(np.isfinite(dg), g / dg, 0.0)
         cand = sigma - step
         ok = np.isfinite(cand) & (cand >= sy) & (cand <= E * eps)
@@ -283,28 +309,16 @@ def _implicit_stress(eps: np.ndarray, E: float, sy: float, H: float, n: float) -
     # bounds what any solver can deliver; the root itself stays accurate
     # to resid / |dg/ds|, far below an ulp of the stress.
     u = np.finfo(float).eps
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hardening_slope = (H * n / E) * np.power(t, n - 1.0)
     hardening_slope = np.where(np.isfinite(hardening_slope), hardening_slope, np.inf)
     noise_scale = (1.0 + hardening_slope) * np.maximum(np.abs(sigma), sy) + hardening_slope * E * eps
-    tol = 1e-12 * max(1.0, sy) + 8.0 * u * noise_scale
+    tol = 1e-12 * np.maximum(1.0, sy) + 8.0 * u * noise_scale
     if np.any(resid > tol):
         i = int(np.argmax(resid - tol))
         raise NumericalError(
             f"implicit stress residual {resid[i]:.3e} exceeds {tol[i]:.3e} at "
-            f"strain={eps[i]!r}, E={E!r}, sigma_y0={sy!r}, H={H!r}, n={n!r}"
+            f"strain={eps[i]!r}, E={float(E[i])!r}, sigma_y0={float(sy[i])!r}, "
+            f"H={float(H[i])!r}, n={float(n[i])!r}"
         )
     return sigma
-
-
-_STRESS_FUNCTIONS = {
-    ModelKind.LINEAR_ELASTIC: stress_le,
-    ModelKind.PERFECT_PLASTICITY: stress_lepp,
-    ModelKind.LINEAR_HARDENING: stress_lelh,
-    ModelKind.NONLINEAR_HARDENING: stress_lenh,
-}
-
-
-def stress(strain, x: ParameterVector, kind: ModelKind):
-    """Theoretical stress of ``kind`` at ``strain`` (scalar or array)."""
-    return _STRESS_FUNCTIONS[kind](strain, x)

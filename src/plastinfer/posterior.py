@@ -96,10 +96,12 @@ def analytic_le_posterior(
 class LogPosterior:
     """Unnormalized log-posterior over nonnegative material parameters.
 
-    Callable on a parameter array of the model's dimension. Off the
-    nonnegative orthant the value is ``-inf`` and the likelihood is never
-    touched, so the samplers can propose freely. Each set's likelihood
-    kernel is resolved once, here; a call then works on the raw array.
+    ``log_density`` scores a stack of parameter arrays in one vectorized
+    pass; calling the target on one array is a one-row ``log_density``.
+    Off the nonnegative orthant the value is ``-inf`` and the likelihood is
+    never touched, so the samplers can propose freely. Each set's
+    likelihood kernel is resolved once, here; a call then works on raw
+    arrays, and each row's value has the same bits in any batch.
 
     ``data`` may be one measurement set, a sequence of sets (independent
     specimens pooled into one identification: their log-likelihoods add),
@@ -149,11 +151,29 @@ class LogPosterior:
     def dimension(self) -> int:
         return self.kind.dimension
 
-    def __call__(self, values: np.ndarray) -> float:
-        values = np.asarray(values, dtype=float).reshape(-1)
-        lp = self.prior.log_density(values)
-        if lp == -np.inf:
+    def log_density(self, points: np.ndarray) -> np.ndarray:
+        """Log-posterior of each row of ``points``, shape (k, dimension).
+
+        Raises ``DomainError`` or ``NumericalError`` when a row on the
+        support does; rows off the support never reach a kernel.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            raise ConfigurationError(f"expected parameter rows of shape (k, {self.dimension})")
+        lp = self.prior.log_density(points)
+        live = lp > -np.inf
+        if not self._kernels or not live.any():
             return lp
+        if live.all():
+            for kernel in self._kernels:
+                lp += kernel(points)
+            return lp
+        rows, total = points[live], lp[live]
         for kernel in self._kernels:
-            lp += kernel(values)
+            total += kernel(rows)
+        lp[live] = total
         return lp
+
+    def __call__(self, values: np.ndarray) -> float:
+        values = np.asarray(values, dtype=float).reshape(1, -1)
+        return float(self.log_density(values)[0])

@@ -53,13 +53,24 @@ class TruncatedNormalPrior:
     def dimension(self) -> int:
         return self.mean.size
 
-    def log_density(self, x) -> float:
-        """Unnormalized log-density at ``x`` (vector of length ``dimension``)."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.mean.size:
-            raise ConfigurationError(f"expected {self.mean.size} components, got {x.size}")
+    def log_density(self, x):
+        """Unnormalized log-density at ``x``.
+
+        ``x`` is one vector of length ``dimension``, giving a float, or a
+        stack of them, shape (k, dimension), giving one value per row. The
+        quadratic form is summed elementwise, not by a matrix product, so
+        a row gives the same bits alone as in any stack.
+        """
+        points = np.asarray(x, dtype=float)
+        rows = points if points.ndim == 2 else points.reshape(1, -1)
+        if rows.shape[1] != self.mean.size:
+            raise ConfigurationError(f"expected {self.mean.size} components, got {rows.shape[1]}")
         # NaN fails both comparisons, so it is off the support too.
-        if not all(0.0 <= v < math.inf for v in x.tolist()):
-            return -math.inf
-        z = self._whiten @ (x - self.mean)
-        return -0.5 * float(z @ z)
+        support = ((rows >= 0.0) & (rows < math.inf)).all(axis=1)
+        deviation = rows - self.mean
+        if not support.all():
+            deviation[~support] = 0.0
+        z = (self._whiten * deviation[:, None, :]).sum(axis=2)
+        out = -0.5 * (z * z).sum(axis=1)
+        out[~support] = -math.inf
+        return out if points.ndim == 2 else float(out[0])

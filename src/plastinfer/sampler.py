@@ -5,7 +5,13 @@
 the adaptive entry point periodically replaces it by the scaled R factor
 of the QR decomposition of the chain's centered history (the Adaptive
 Metropolis of Haario, Saksman and Tamminen, 2001), so correlated
-posteriors mix without hand-tuning at O(dim^2) per step. Post-processing
+posteriors mix without hand-tuning at O(dim^2) per step. The loop scores
+proposals ahead: a step's random draws do not depend on earlier
+acceptances, so the proposals that follow from the current state if
+every step is rejected are scored in one batched target call, and the
+chain walks them up to the first acceptance (the pre-fetching of
+Brockwell, 2006, done by vectorization). The chain is the same, draw for
+draw and bit for bit, as scoring one proposal per step. Post-processing
 lives here too: moment summaries, credible regions (Gaussian ellipsoid and
 highest-density subset), effective sample size, convergence traces,
 response envelopes and CSV persistence.
@@ -16,14 +22,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.stats import chi2
 
-from .errors import ConfigurationError, NumericalError
-from .models import ModelKind, ParameterVector, stress
+from .errors import ConfigurationError, DomainError, NumericalError
+from .models import ModelKind, _as_strain_array, stress_rows
 from .posterior import LogPosterior
 
 __all__ = [
@@ -139,14 +146,30 @@ def _history_factor(history: np.ndarray, scale: float) -> np.ndarray | None:
     return factor
 
 
+# Most proposals scored in one batched target call.
+_MAX_LOOKAHEAD = 8
+
+
 def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> Chain:
     """The Metropolis loop behind both entry points.
 
     Each step draws ``standard_normal(dim)`` for the proposal ``x + z A``,
-    calls the target once, then draws ``u`` from (0, 1] so the comparison
-    ``log ratio >= log u`` is always well-defined; a proposal outside the
-    support has log-density ``-inf`` and can never be accepted. The step
-    scale defaults to 2.38 / sqrt(dim).
+    then ``u`` from (0, 1] so the comparison ``log ratio >= log u`` is
+    always well-defined; a proposal outside the support has log-density
+    ``-inf`` and can never be accepted. The step scale defaults to
+    2.38 / sqrt(dim).
+
+    The draws are taken in that order into a queue, and the next k
+    proposals of the all-reject path, each built from the current state
+    by its own row product, are scored in one ``log_density`` call. The
+    steps then take them in order up to the first acceptance; the draws
+    after it go back to the front of the queue, to be built again from
+    the new state. k is about 1 / (acceptance rate so far), the expected
+    number of steps to the next acceptance, clipped to
+    [1, ``_MAX_LOOKAHEAD``], and a batch never crosses an adaptation step
+    or the end of the chain. When a batch raises, its rows are scored
+    again one at a time, in order, so an error or a NaN stops the chain
+    only at a proposal a step uses, as it would with one call per step.
     """
     x = np.array(target.prior.mean, dtype=float) if config.initial is None else config.initial
     if x.size != target.dimension:
@@ -164,26 +187,49 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
     fixed = scale * np.eye(dim)
     rng = np.random.default_rng(config.seed)
 
-    samples = np.empty((config.n_samples, dim))
-    log_densities = np.empty(config.n_samples)
+    n = config.n_samples
+    samples = np.empty((n, dim))
+    log_densities = np.empty(n)
     n_accepted = 0
     x0 = x
     factor = fixed
-    for i in range(config.n_samples):
-        if adaptive and i > 0 and i % config.adapt_every == 0:
-            history = np.vstack([x0, samples[:i]])
-            if config.history_cap is not None:
-                history = history[-config.history_cap :]
-            adapted = _history_factor(history, scale)
-            factor = fixed if adapted is None else adapted
-        proposal = x + rng.standard_normal(dim) @ factor
-        lp_prop = target(proposal)
-        u = 1.0 - rng.random()
-        if lp_prop - lp >= math.log(u):
-            x, lp = proposal, lp_prop
-            n_accepted += 1
-        samples[i] = x
-        log_densities[i] = lp
+    draws: deque[tuple[np.ndarray, float]] = deque()  # (z, log u), in stream order
+    i = 0
+    while i < n:
+        end = n
+        if adaptive:
+            if i > 0 and i % config.adapt_every == 0:
+                history = np.vstack([x0, samples[:i]])
+                if config.history_cap is not None:
+                    history = history[-config.history_cap :]
+                adapted = _history_factor(history, scale)
+                factor = fixed if adapted is None else adapted
+            end = min(n, (i // config.adapt_every + 1) * config.adapt_every)
+        k = min(_MAX_LOOKAHEAD, end - i, -(-(i + 1) // (n_accepted + 1)))
+        while len(draws) < k:
+            z = rng.standard_normal(dim)
+            draws.append((z, math.log(1.0 - rng.random())))
+        proposals = np.array([x + draws[j][0] @ factor for j in range(k)])
+        try:
+            scores = target.log_density(proposals).tolist()
+        except (DomainError, NumericalError):
+            scores = None
+        for j, proposal in enumerate(proposals):
+            _, log_u = draws.popleft()
+            lp_prop = target(proposal) if scores is None else scores[j]
+            if math.isnan(lp_prop):
+                raise NumericalError(
+                    f"target log-density is NaN at proposal {proposal!r} from state {x!r}"
+                )
+            accepted = lp_prop - lp >= log_u
+            if accepted:
+                x, lp = proposal, lp_prop
+                n_accepted += 1
+            samples[i] = x
+            log_densities[i] = lp
+            i += 1
+            if accepted:
+                break
     return Chain(samples=samples, log_densities=log_densities, n_accepted=n_accepted, config=config)
 
 
@@ -205,6 +251,8 @@ def run_adaptive_mh(target: LogPosterior, config: SamplerConfig) -> Chain:
     with z' of length m (the history's covariance times the squared step
     scale) at O(dim^2) instead of O(m dim) per step. A degenerate history,
     every state identical, falls back to the fixed proposal for that period.
+    Proposals are scored ahead in batches that end at each adaptation step
+    (see ``_metropolis``); the chain equals scoring them one per step.
     """
     return _metropolis(target, config, adaptive=True)
 
@@ -384,17 +432,19 @@ def response_band(
     """Pointwise envelope of response curves over parameter samples.
 
     Returns the minimum and maximum theoretical stress at each grid strain
-    across all sampled parameter vectors.
+    across all sampled parameter vectors, evaluated for all of them in one
+    vectorized response.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    strain_grid = np.asarray(strain_grid, dtype=float)
-    lower = np.full(strain_grid.shape, np.inf)
-    upper = np.full(strain_grid.shape, -np.inf)
-    for row in samples:
-        curve = stress(strain_grid, ParameterVector.from_array(kind, row), kind)
-        np.minimum(lower, curve, out=lower)
-        np.maximum(upper, curve, out=upper)
-    return lower, upper
+    strain_grid = _as_strain_array(strain_grid)
+    if samples.shape[1] != kind.dimension or not (np.isfinite(samples) & (samples >= 0.0)).all():
+        raise DomainError(f"{kind.value} needs finite, nonnegative rows of {kind.parameter_names}")
+    curves = stress_rows(kind, strain_grid.reshape(-1), samples)
+    shape = strain_grid.shape
+    return (
+        np.min(curves, axis=0, initial=np.inf).reshape(shape),
+        np.max(curves, axis=0, initial=-np.inf).reshape(shape),
+    )
 
 
 def save_chain(chain: Chain, path: str | Path, parameter_names: list[str] | None = None) -> None:

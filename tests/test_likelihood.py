@@ -15,6 +15,7 @@ import zlib
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from plastinfer import (
@@ -26,6 +27,7 @@ from plastinfer import (
     ParameterVector,
     QuadratureSpec,
     generate_double_noise,
+    generate_single_noise,
     log_likelihood,
     log_likelihood_double_le,
     log_likelihood_double_lelh,
@@ -35,6 +37,7 @@ from plastinfer import (
     stress,
     yield_strain,
 )
+from plastinfer.likelihood import _log_gauss_mass, _log_sum_exp, _plastic_path
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -563,3 +566,63 @@ class TestGuards:
         kind = ModelKind.PERFECT_PLASTICITY
         assert log_likelihood(x, kind, single) == log_likelihood_single(x, kind, single)
         assert log_likelihood(x, kind, double) == log_likelihood_double_lepp(x, double)
+
+
+class TestExtremeParameters:
+    """Admissible parameters at the edge of double precision give a number
+    or -inf, never NaN."""
+
+    def test_intervals_far_in_one_tail_have_zero_mass(self):
+        lo = np.array([-2e200, 1e200, 1e160])
+        hi = np.array([-1e200, 2e200, np.inf])
+        assert np.all(_log_gauss_mass(lo, hi) == -np.inf)
+
+    @pytest.mark.parametrize("kind", [ModelKind.PERFECT_PLASTICITY, ModelKind.LINEAR_HARDENING])
+    @pytest.mark.parametrize("E", [1e-201, 1e-250, 1e-300])
+    def test_vanishing_modulus_with_unit_yield_stress(self, kind, E):
+        """sigma_y0 / E lies some 1e200 noise stds above every measurement."""
+        truth = ParameterVector(E=210.0, sigma_y0=0.25, H=50.0)
+        mset = generate_double_noise(
+            ParameterVector.from_array(kind, truth.to_array()[: kind.dimension]),
+            kind, GRID_12, 0.01, 1e-4, seed=2,
+        )
+        x = ParameterVector.from_array(kind, [E, 1.0, 5.0][: kind.dimension])
+        assert math.isfinite(log_likelihood(x, kind, mset))
+
+    def test_stress_only_nonlinear_plastic_strain_rounded_below_zero(self):
+        """Rounding in the implicit solve leaves the plastic strain at
+        -2.7e-20 for one point; it counts as 0, where the Jacobian diverges."""
+        kind = ModelKind.NONLINEAR_HARDENING
+        mset = generate_single_noise(
+            ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57), kind, GRID_12, 0.01, seed=1
+        )
+        x = ParameterVector(E=0.25436000000000003, sigma_y0=0.0, H=5.0, n=0.25)
+        assert log_likelihood(x, kind, mset) == -np.inf
+
+
+def test_log_sum_exp_matches_scipy():
+    """The LE-NH quadrature's max-shifted reduction against scipy's, rows
+    that are all or partly -inf included."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(-40.0, 15.0, (12, 513))
+    a[3] = -np.inf
+    a[5, ::2] = -np.inf
+    a[7, 100:] = -np.inf
+    got, want = _log_sum_exp(a), logsumexp(a, axis=1)
+    assert got[3] == -np.inf
+    finite = np.isfinite(want)
+    assert np.array_equal(finite, np.isfinite(got))
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, 3.0])
+def test_plastic_path_of_one_window_has_the_bits_of_a_batch(n):
+    """The exponents n and n - 1 are then 0.5 or 2, which numpy takes by a
+    square root or square when one value fills the exponent array, as it
+    does for a batch holding a single quadrature window."""
+    t = np.random.default_rng(1).uniform(1e-6, 1e-3, (1, 513))
+    x = [np.array([[value]]) for value in (10.0, 0.03, 1e6, n)]
+    alone = _plastic_path(t, x, False)
+    paired = _plastic_path(np.vstack([t, t]), [np.vstack([c, c]) for c in x], False)
+    for a, b in zip(alone, paired):
+        assert np.array_equal(a[0], b[0])

@@ -5,7 +5,8 @@ limits (flat prior, no data), its update properties (shift, strict
 narrowing, batch equals sequential), and a grid-search oracle on the
 assembled log-posterior. The assembled log-posterior, which calls the
 likelihood kernels on raw arrays, is checked against the sum of the
-prior and the ``ParameterVector``-taking likelihood functions.
+prior and the ``ParameterVector``-taking likelihood functions, and its
+batched form against one-row calls.
 """
 
 from __future__ import annotations
@@ -295,9 +296,7 @@ def _outcome(fn, values):
 def _assert_kernels_agree(kind: ModelKind, case: str, values) -> None:
     """LogPosterior equals prior.log_density plus the ParameterVector-taking
     likelihoods, to 1e-12 relative, or gives the same -inf, NaN or
-    exception. (Both sides give NaN at some extreme parameters, e.g. an E
-    so small that sigma_y0 / E overflows; that is a likelihood defect, not
-    a disagreement.)"""
+    exception."""
     target = _case_target(kind, case)
     values = np.asarray(values, dtype=float)
 
@@ -341,3 +340,73 @@ class TestKernelsAgreeWithWrappers:
         values = list(TRUTHS[kind])
         values[component] = edge
         _assert_kernels_agree(kind, case, values)
+
+
+# Components that put a row off the support, or at its edge.
+EDGE_COMPONENTS = (-1.0, -1e-300, -math.inf, math.inf, math.nan, 0.0)
+
+
+@st.composite
+def parameter_rows(draw, kind: ModelKind):
+    """A stack of 1 to 6 parameter rows; each component is admissible or,
+    now and then, an off-support or edge value."""
+    component = [
+        st.one_of(st.floats(0.0, hi), st.sampled_from(EDGE_COMPONENTS))
+        if draw(st.booleans())
+        else st.floats(0.0, hi)
+        for hi in COMPONENT_RANGES[: kind.dimension]
+    ]
+    n_rows = draw(st.integers(1, 6))
+    return np.array([[draw(c) for c in component] for _ in range(n_rows)])
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestBatchedLogDensity:
+    """``log_density`` on a stack of rows against one call per row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(ModelKind)), st.sampled_from(DATA_CASES), st.data())
+    def test_rows_equal_one_row_calls(self, kind, case, data):
+        """Each row of a batch has the bits of its own one-row call and of
+        the scalar call; a batch with a row that raises raises one of the
+        rows' exceptions."""
+        target = _case_target(kind, case)
+        points = data.draw(parameter_rows(kind))
+        outcomes = [_outcome(target, row) for row in points]
+        errors = tuple({o for o in outcomes if isinstance(o, type)})
+        if errors:
+            with pytest.raises(errors):
+                target.log_density(points)
+            return
+        batch = target.log_density(points)
+        assert batch.shape == (len(points),)
+        ones = [target.log_density(row[None])[0] for row in points]
+        assert np.array_equal(_bits(batch), _bits(ones))
+        assert np.array_equal(_bits(batch), _bits(outcomes))
+
+    @pytest.mark.parametrize("case", DATA_CASES)
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_batch_around_the_truth(self, kind, case):
+        """Eight admissible rows near the generating values, where every
+        likelihood term is finite and the LE-NH quadrature has active
+        windows; the prior alone is checked against its vector form."""
+        target = _case_target(kind, case)
+        rng = np.random.default_rng(7)
+        points = np.abs(np.array(TRUTHS[kind]) * (1.0 + 0.02 * rng.standard_normal((8, kind.dimension))))
+        batch = target.log_density(points)
+        assert np.all(np.isfinite(batch))
+        for i, row in enumerate(points):
+            assert _bits(batch[i]) == _bits(target.log_density(points[i : i + 1])[0])
+            assert batch[i] == target(row)
+        prior = target.prior.log_density(points)
+        assert np.array_equal(prior, [target.prior.log_density(row) for row in points])
+
+    def test_rejects_a_single_vector(self):
+        target = _case_target(ModelKind.PERFECT_PLASTICITY, "single")
+        with pytest.raises(ConfigurationError):
+            target.log_density(np.array(TRUTHS[ModelKind.PERFECT_PLASTICITY]))
+        with pytest.raises(ConfigurationError):
+            target.log_density(np.ones((2, 3)))

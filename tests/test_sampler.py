@@ -9,6 +9,8 @@ distributional test statistic.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -33,7 +35,8 @@ from plastinfer import (
     save_chain,
     summarize,
 )
-from plastinfer.models import ParameterVector
+from plastinfer import sampler as sampler_module
+from plastinfer.models import ParameterVector, stress
 from plastinfer.sampler import _history_factor
 
 
@@ -239,17 +242,19 @@ class TestRunAdaptiveMh:
         assert _history_factor(np.ones((5, 2)), 1.0) is None
 
     @pytest.mark.parametrize("sampler", [run_mh, run_adaptive_mh])
-    def test_one_target_call_per_step_plus_the_start(self, sampler):
-        target = _gaussian_target(50.0, 4.0)
-        calls = []
-
-        def counting(values):
-            calls.append(values)
-            return target(values)
-
-        counting.dimension, counting.prior = target.dimension, target.prior
-        sampler(counting, SamplerConfig(n_samples=2_500, adapt_every=500, seed=6))
-        assert len(calls) == 2_501
+    def test_each_used_proposal_is_scored_once(self, sampler, monkeypatch):
+        """The proposals a one-per-step run scores (the start and one per
+        step) are each scored exactly once with lookahead, in at most
+        n_samples + 1 target calls."""
+        config = SamplerConfig(n_samples=2_500, adapt_every=500, seed=6)
+        used = _one_per_step(sampler, _gaussian_target(50.0, 4.0), config, monkeypatch).rows
+        assert len(used) == 2_501
+        ahead = _Recording(_gaussian_target(50.0, 4.0))
+        sampler(ahead, config)
+        scored = Counter(ahead.rows)
+        assert all(scored[row] == 1 for row in used)
+        assert ahead.calls <= 2_501
+        assert len(ahead.rows) > len(used)  # some speculative rows went unused
 
     def test_recovers_elastoplastic_parameters(self):
         # Two-parameter identification from a small synthetic dataset; the
@@ -267,6 +272,115 @@ class TestRunAdaptiveMh:
         assert abs(summary.mean[0] - 210.0) < 10.0
         assert abs(summary.mean[1] - 0.25) < 0.012
         assert summary.map_log_density >= target(summary.mean) - 1e-9
+
+
+class _Recording:
+    """A target wrapper that records every row it scores and every call,
+    and raises or returns NaN for rows picked by ``fail`` or ``nan``."""
+
+    def __init__(self, target: LogPosterior, fail=None, nan=None) -> None:
+        self.target, self.fail, self.nan = target, fail, nan
+        self.dimension, self.prior = target.dimension, target.prior
+        self.rows: list[tuple[float, ...]] = []
+        self.calls = 0
+        self.injected = 0
+
+    def log_density(self, points: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        rows = [tuple(row) for row in points]
+        self.rows.extend(rows)
+        if self.fail is not None and any(self.fail(row) for row in rows):
+            self.injected += 1
+            raise NumericalError(f"injected at {[row for row in rows if self.fail(row)][0]}")
+        values = self.target.log_density(points)
+        if self.nan is not None:
+            values[[self.nan(row) for row in rows]] = np.nan
+        return values
+
+    def __call__(self, values: np.ndarray) -> float:
+        return float(self.log_density(np.reshape(values, (1, -1)))[0])
+
+
+def _one_per_step(sampler, target, config, monkeypatch, **injections) -> _Recording:
+    """Run ``sampler`` scoring one proposal per call; the recording holds
+    the chain as ``chain`` (or the exception as ``error``)."""
+    recording = _Recording(target, **injections)
+    with monkeypatch.context() as patch:
+        patch.setattr(sampler_module, "_MAX_LOOKAHEAD", 1)
+        try:
+            recording.chain = sampler(recording, config)
+        except NumericalError as err:
+            recording.error = err
+    return recording
+
+
+def _elastoplastic_target() -> LogPosterior:
+    truth = ParameterVector(E=210.0, sigma_y0=0.25)
+    strains = np.linspace(2.4e-4, 12 * 2.4e-4, 12)
+    data = generate_single_noise(truth, ModelKind.PERFECT_PLASTICITY, strains, 0.01, seed=3)
+    prior = TruncatedNormalPrior(mean=[200.0, 0.29], covariance=[[2500.0, 0.0], [0.0, 2.7778e-4]])
+    return LogPosterior(ModelKind.PERFECT_PLASTICITY, prior, data)
+
+
+def _assert_same_chain(a: Chain, b: Chain) -> None:
+    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a.log_densities, b.log_densities)
+    assert a.n_accepted == b.n_accepted
+
+
+class TestLookahead:
+    """Scoring the all-reject path ahead in batches changes no chain."""
+
+    @pytest.mark.parametrize("sampler", [run_mh, run_adaptive_mh])
+    @pytest.mark.parametrize(
+        "make_target, config",
+        [
+            (_elastoplastic_target, SamplerConfig(n_samples=3_000, adapt_every=700, seed=12)),
+            (_half_normal_target, SamplerConfig(n_samples=3_000, adapt_every=500, seed=7)),
+            # Almost every step rejected: batches run at the full lookahead.
+            (_half_normal_target, SamplerConfig(n_samples=1_000, step_scale=30.0, seed=3)),
+        ],
+    )
+    def test_equals_one_proposal_per_step(self, sampler, make_target, config, monkeypatch):
+        reference = _one_per_step(sampler, make_target(), config, monkeypatch).chain
+        _assert_same_chain(sampler(make_target(), config), reference)
+
+    @pytest.mark.parametrize("sampler", [run_mh, run_adaptive_mh])
+    def test_error_on_a_speculative_row_is_not_raised(self, sampler, monkeypatch):
+        """Every row that a one-per-step run never scores raises; those rows
+        all lie past an acceptance, so the chain is unchanged."""
+        config = SamplerConfig(n_samples=2_000, adapt_every=500, seed=12)
+        reference = _one_per_step(sampler, _elastoplastic_target(), config, monkeypatch)
+        used = set(reference.rows)
+        ahead = _Recording(_elastoplastic_target(), fail=lambda row: row not in used)
+        _assert_same_chain(sampler(ahead, config), reference.chain)
+        assert ahead.injected > 0
+
+    @pytest.mark.parametrize("sampler", [run_mh, run_adaptive_mh])
+    def test_error_on_a_used_row_is_raised_as_without_lookahead(self, sampler, monkeypatch):
+        config = SamplerConfig(n_samples=2_000, adapt_every=500, seed=12)
+        used = _one_per_step(sampler, _elastoplastic_target(), config, monkeypatch).rows
+        bad = used[1_200]
+        reference = _one_per_step(
+            sampler, _elastoplastic_target(), config, monkeypatch, fail=lambda row: row == bad
+        )
+        with pytest.raises(NumericalError) as raised:
+            sampler(_Recording(_elastoplastic_target(), fail=lambda row: row == bad), config)
+        assert str(raised.value) == str(reference.error)
+
+    @pytest.mark.parametrize("sampler", [run_mh, run_adaptive_mh])
+    def test_nan_on_a_used_row_is_an_error(self, sampler, monkeypatch):
+        """A NaN target value at a proposal a step uses is an error naming
+        the state, not a silent rejection; NaN on rows past an acceptance
+        is never seen."""
+        config = SamplerConfig(n_samples=2_000, adapt_every=500, seed=12)
+        reference = _one_per_step(sampler, _elastoplastic_target(), config, monkeypatch)
+        used = set(reference.rows)
+        unused_nan = _Recording(_elastoplastic_target(), nan=lambda row: row not in used)
+        _assert_same_chain(sampler(unused_nan, config), reference.chain)
+        bad = reference.rows[1_200]
+        with pytest.raises(NumericalError, match="NaN at proposal .* from state"):
+            sampler(_Recording(_elastoplastic_target(), nan=lambda row: row == bad), config)
 
 
 class TestSummarize:
@@ -475,6 +589,25 @@ class TestResponseBand:
             lower, upper = response_band(ModelKind.LINEAR_ELASTIC, draws, self.GRID)
             widths.append(upper[-1] - lower[-1])
         assert widths[1] < widths[0]
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_equals_the_per_row_loop(self, kind):
+        """One vectorized response over all rows against one ``stress``
+        call per row: bitwise for the affine models, to 1e-13 for LE-NH."""
+        truth = np.array([210.0, 0.25, 2.0, 0.57][: kind.dimension])
+        rng = np.random.default_rng(9)
+        rows = np.abs(truth * (1.0 + 0.3 * rng.standard_normal((200, kind.dimension))))
+        grid = np.linspace(0.0, 4e-3, 41)
+        curves = np.array(
+            [stress(grid, ParameterVector.from_array(kind, row), kind) for row in rows]
+        )
+        lower, upper = response_band(kind, rows, grid)
+        if kind is ModelKind.NONLINEAR_HARDENING:
+            np.testing.assert_allclose(lower, curves.min(axis=0), rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(upper, curves.max(axis=0), rtol=1e-13, atol=0.0)
+        else:
+            assert np.array_equal(lower, curves.min(axis=0))
+            assert np.array_equal(upper, curves.max(axis=0))
 
     def test_with_plastic_model_uses_full_parameter_rows(self):
         lower, upper = response_band(
