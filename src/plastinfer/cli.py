@@ -41,6 +41,7 @@ from .posterior import LogPosterior, analytic_le_posterior
 from .priors import TruncatedNormalPrior
 from .sampler import (
     SamplerConfig,
+    _check_seed,
     convergence_trace,
     effective_sample_size,
     response_band,
@@ -135,6 +136,12 @@ def _parse_prior(block: object, dimension: int) -> TruncatedNormalPrior:
     return prior
 
 
+def _seed(override: int | None, block: dict) -> int | None:
+    """The seed a verb runs with: ``--seed`` if given, else ``block``'s
+    ``seed``; None or a nonnegative integer, else a configuration error."""
+    return _check_seed(override if override is not None else block.get("seed"))
+
+
 def _parse_sampler(block: object, seed: int | None) -> tuple[SamplerConfig, bool]:
     if not isinstance(block, dict):
         raise ConfigurationError("'sampler' must be an object")
@@ -147,7 +154,7 @@ def _parse_sampler(block: object, seed: int | None) -> tuple[SamplerConfig, bool
         initial=None if initial is None else np.asarray(initial, dtype=float),
         adapt_every=int(block.get("adapt_every", 1000)),
         history_cap=None if block.get("history_cap") is None else int(block["history_cap"]),
-        seed=seed if seed is not None else block.get("seed"),
+        seed=_seed(seed, block),
     )
     return config, adaptive
 
@@ -197,7 +204,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     x = _parse_parameters(kind, _require(config, "parameters", "config"))
     strains = _parse_strains(_require(config, "strains", "config"))
     noise = _parse_noise(_require(config, "noise", "config"))
-    seed = args.seed if args.seed is not None else config.get("seed")
+    seed = _seed(args.seed, config)
     if seed is None:
         # Drawn here, not by the generator, so the provenance records it.
         seed = np.random.SeedSequence().entropy
@@ -417,7 +424,7 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
     replicates = int(config.get("replicates", 1))
     if replicates < 1:
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
-    seed = args.seed if args.seed is not None else config.get("seed")
+    seed = _seed(args.seed, config)
     fit = config.get("fit")
     if ("prior" in config) == (fit is not None):
         raise ConfigurationError("give either a 'prior' block (closed form) or a 'fit' block (sampled), not both")
@@ -516,7 +523,7 @@ def _cmd_mismatch(args: argparse.Namespace) -> int:
     x = _parse_parameters(true_kind, _require(truth, "parameters", "'truth'"))
     strains = _parse_strains(_require(truth, "strains", "'truth'"))
     noise = _parse_noise(_require(truth, "noise", "'truth'"))
-    seed = args.seed if args.seed is not None else config.get("seed")
+    seed = _seed(args.seed, config)
     if noise.double:
         data = generate_double_noise(
             x, true_kind, strains, noise.stress_std, noise.strain_std, seed, noise.strain_limit

@@ -616,3 +616,52 @@ class TestMismatch:
         code = cli.main(["mismatch", "--config", config, "--output-dir", str(out_dir)])
         assert code == 0
         assert read_measurements(out_dir / "data.csv").noise.double
+
+
+class TestBadSeed:
+    """A seed that is not null or a nonnegative integer is a configuration
+    error, exit 2, wherever a verb reads it."""
+
+    BAD = [1.5, -3, "x", True]
+
+    def _argv(self, tmp_path, where, seed):
+        if where == "generate":
+            config = _write_config(tmp_path, _generate_config(seed=seed))
+            return ["generate", "--config", config, "--output", str(tmp_path / "data.csv")]
+        if where == "identify":
+            data = _make_dataset(tmp_path)
+            config = _identify_config(tmp_path, sampler={"n_samples": 50, "seed": seed})
+            return ["identify", "--config", config, "--data", str(data), "--output-dir", str(tmp_path / "run")]
+        top, fit_seed = (1, seed) if where.endswith("-fit") else (seed, 1)
+        if where.startswith("heterogeneity"):
+            payload = {
+                "population": {"model": "LE", "mean": [210.0], "covariance": [[100.0]], "count": 3},
+                "per_specimen": {"strains": GRID_12, "noise": {"stress_std": 0.01}},
+                "fit": {
+                    "model": "LE",
+                    "prior": {"mean": [200.0], "std": [50.0]},
+                    "sampler": {"n_samples": 50, "seed": fit_seed},
+                },
+                "seed": top,
+            }
+            config = _write_config(tmp_path, payload, "het.json")
+            return ["heterogeneity", "--config", config, "--output", str(tmp_path / "het.csv")]
+        # The fit's sampler seed is read only when no top-level seed overrides it.
+        payload = TestMismatch()._payload(seed=None if where.endswith("-fit") else top)
+        payload["fit"]["sampler"]["seed"] = fit_seed
+        config = _write_config(tmp_path, payload, "mismatch.json")
+        return ["mismatch", "--config", config, "--output-dir", str(tmp_path / "m")]
+
+    WHERE = ["generate", "identify", "heterogeneity", "heterogeneity-fit", "mismatch", "mismatch-fit"]
+
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("bad", BAD)
+    def test_config_seed_exits_2(self, tmp_path, capsys, where, bad):
+        assert cli.main(self._argv(tmp_path, where, bad)) == 2
+        assert f"got {bad!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["generate", "identify", "heterogeneity", "mismatch"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, where):
+        argv = self._argv(tmp_path, where, 1)
+        assert cli.main(argv + ["--seed", "-3"]) == 2
+        assert "got -3" in capsys.readouterr().err

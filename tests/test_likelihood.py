@@ -10,6 +10,7 @@ identities that tie the four models together.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -37,7 +38,8 @@ from plastinfer import (
     stress,
     yield_strain,
 )
-from plastinfer.likelihood import _log_gauss_mass, _log_sum_exp, _plastic_path
+from plastinfer import likelihood
+from plastinfer.likelihood import _log_gauss_mass, _log_sum_exp, _plastic_path, likelihood_kernel
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -626,3 +628,67 @@ def test_plastic_path_of_one_window_has_the_bits_of_a_batch(n):
     paired = _plastic_path(np.vstack([t, t]), [np.vstack([c, c]) for c in x], False)
     for a, b in zip(alone, paired):
         assert np.array_equal(a[0], b[0])
+
+
+class TestBlockedQuadrature:
+    """The LE-NH node stage runs in blocks of at most ``_BLOCK_NODES``
+    nodes; the block size changes neither a bit of any row nor, beyond one
+    block, the memory of a call."""
+
+    S_EPS = 1e-4
+    TRUTH = ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57)
+
+    def _kernel(self, panels=512):
+        kind = ModelKind.NONLINEAR_HARDENING
+        mset = generate_double_noise(self.TRUTH, kind, GRID_12, 0.01, self.S_EPS, seed=4)
+        return likelihood_kernel(kind, mset, QuadratureSpec(panels=panels)), mset.strains
+
+    def _rows(self, rng, count, strains):
+        """Rows mixing both plastic coordinates (n < 1 with H > 0, n >= 1,
+        H = 0) and, in about half of them, a yield strain inside some
+        point's integration window, so that window starts at yield."""
+        E = rng.uniform(150.0, 260.0, count)
+        ey = rng.uniform(0.8e-3, 1.6e-3, count)
+        at_yield = rng.random(count) < 0.5
+        near = strains[rng.integers(0, strains.size, count)] + rng.uniform(-6.0, 6.0, count) * self.S_EPS
+        ey = np.where(at_yield, near, ey)
+        H = np.where(rng.random(count) < 0.15, 0.0, rng.uniform(0.5, 5.0, count))
+        n = rng.choice([rng.uniform(0.2, 0.95), 1.0, rng.uniform(1.0, 2.5)], count)
+        return np.column_stack([E, E * ey, H, n])
+
+    @pytest.mark.parametrize("panels", [512, 8192])
+    def test_rows_keep_their_bits_at_any_block_size(self, monkeypatch, panels):
+        kernel, strains = self._kernel(panels)
+        rng = np.random.default_rng(panels)
+        window = 8.0 * self.S_EPS
+        batches = [self._rows(rng, int(rng.integers(1, 13)), strains) for _ in range(12)]
+        rows = np.vstack(batches)
+        ey = rows[:, 1] / rows[:, 0]
+        assert np.any(np.abs(strains[None, :] - ey[:, None]) < window)
+        assert np.any((rows[:, 2] > 0.0) & (rows[:, 3] < 1.0)) and np.any(rows[:, 3] >= 1.0)
+        default = [kernel(batch) for batch in batches]
+        for budget in (1, 2**62):
+            monkeypatch.setattr(likelihood, "_BLOCK_NODES", budget)
+            for batch, want in zip(batches, default):
+                got = kernel(batch)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), budget
+        for batch, want in zip(batches, default):
+            alone = np.concatenate([kernel(row[None, :]) for row in batch])
+            assert np.array_equal(alone.view(np.int64), want.view(np.int64))
+
+    def test_peak_memory_of_a_call_does_not_grow_with_the_rows(self):
+        kernel, _ = self._kernel()
+        rng = np.random.default_rng(8)
+        center = self.TRUTH.to_array()
+        rows = center * (1.0 + 0.02 * rng.standard_normal((32, 4)))
+        kernel(rows[:1])  # caches the Simpson table
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                kernel(batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(rows) <= 1.25 * peak(rows[:8])

@@ -86,6 +86,16 @@ class TestSamplerConfig:
         assert config.initial.shape == (2,)
         assert config.initial.dtype == float
 
+    @pytest.mark.parametrize("bad", [1.5, -3, "x", True, np.bool_(True), np.int64(-1)])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, bad):
+        with pytest.raises(ConfigurationError, match="seed must be"):
+            SamplerConfig(n_samples=10, seed=bad)
+
+    def test_numpy_integer_seed_is_stored_as_an_int(self):
+        config = SamplerConfig(n_samples=10, seed=np.uint32(7))
+        assert config.seed == 7 and type(config.seed) is int
+        assert SamplerConfig(n_samples=10, seed=0).seed == 0
+
 
 class TestRunMh:
     """Fixed-proposal Metropolis on targets with known moments."""
@@ -638,6 +648,27 @@ class TestChainStorage:
         assert loaded.config.burn_in == chain.config.burn_in
         assert loaded.config.step_scale == chain.config.step_scale
         assert loaded.config.seed == chain.config.seed
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.0, -1.0], [1e-300, -2.5e300], [1e300, -0.0], [-1e-320, -np.inf], [123.456, -7.0e-5]],
+            [[1e300, -3.25]],
+        ],
+    )
+    def test_table_bytes_equal_savetxt(self, tmp_path, rows):
+        table = np.array(rows)
+        chain = Chain(
+            samples=table[:, :1],
+            log_densities=table[:, 1],
+            n_accepted=0,
+            config=SamplerConfig(n_samples=len(rows)),
+        )
+        path = tmp_path / "chain.csv"
+        save_chain(chain, path, parameter_names=["E"])
+        reference = tmp_path / "reference.csv"
+        np.savetxt(reference, table, fmt="%.17g", delimiter=",", header="E,log_density", comments="")
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_default_parameter_names(self, tmp_path):
         chain = self._small_chain()
