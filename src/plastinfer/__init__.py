@@ -20,25 +20,8 @@ from .data import (
     write_measurements,
 )
 from .errors import ConfigurationError, DomainError, NumericalError
-from .likelihood import (
-    QuadratureSpec,
-    log_likelihood,
-    log_likelihood_double_le,
-    log_likelihood_double_lelh,
-    log_likelihood_double_lenh,
-    log_likelihood_double_lepp,
-    log_likelihood_single,
-)
-from .models import (
-    ModelKind,
-    ParameterVector,
-    stress,
-    stress_le,
-    stress_lelh,
-    stress_lenh,
-    stress_lepp,
-    yield_strain,
-)
+from .likelihood import QuadratureSpec, log_likelihood
+from .models import ModelKind, ParameterVector, stress, stress_lenh, yield_strain
 from .posterior import AnalyticLEPosterior, LogPosterior, analytic_le_posterior
 from .priors import TruncatedNormalPrior
 from .sampler import (
@@ -87,21 +70,13 @@ __all__ = [
     "generate_single_noise",
     "load_chain",
     "log_likelihood",
-    "log_likelihood_double_le",
-    "log_likelihood_double_lelh",
-    "log_likelihood_double_lenh",
-    "log_likelihood_double_lepp",
-    "log_likelihood_single",
     "read_measurements",
     "response_band",
     "run_adaptive_mh",
     "run_mh",
     "save_chain",
     "stress",
-    "stress_le",
-    "stress_lelh",
     "stress_lenh",
-    "stress_lepp",
     "summarize",
     "write_measurements",
     "yield_strain",

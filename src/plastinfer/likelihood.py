@@ -22,9 +22,11 @@ the test suite. For the implicit model the plastic branch is integrated
 numerically with composite Simpson panels, not in the true strain but in
 a plastic coordinate in which both the stress and the total strain are
 explicit: the plastic strain u for n >= 1 (or H = 0), the stress excess
-v = stress - sigma_y0 for n < 1. The Jacobian d(strain)/d(coordinate)
-enters the quadrature weights, so no node needs an implicit stress solve.
-The window ends are solved for a whole batch at once; the nodes are then
+v = stress - sigma_y0 for n < 1. The coordinate, its Newton inversion
+from the strain and the domain checks live in ``models``, where they also
+give the forward response. The Jacobian d(strain)/d(coordinate) enters
+the quadrature weights, so only the window ends need an inversion. These
+are solved for a whole batch at once; the nodes are then
 evaluated in blocks of at most ``_BLOCK_NODES`` nodes (whole windows), so
 the node-stage temporaries of one call take a fixed amount of memory,
 about 1.5 MB at the default 512 panels, whatever the number of rows.
@@ -36,7 +38,7 @@ Each model and regime is one kernel, a function of raw parameter rows
 with the measurement set bound once (``likelihood_kernel``). A kernel
 scores many parameter vectors in one vectorized pass, and every row's
 value is computed from that row alone, so it has the same bits in any
-batch; the ``ParameterVector``-taking functions are one-row calls.
+batch; ``log_likelihood`` is a one-row call.
 """
 
 from __future__ import annotations
@@ -51,16 +53,21 @@ from scipy.special import log_ndtr, ndtr
 
 from .data import MeasurementSet
 from .errors import ConfigurationError, DomainError, NumericalError
-from .models import ModelKind, ParameterVector, _components, stress_rows
+from .models import (
+    ModelKind,
+    ParameterVector,
+    _components,
+    _lenh_columns,
+    _plastic_coordinate,
+    _plastic_groups,
+    _plastic_path,
+    _power,
+    stress_rows,
+)
 
 __all__ = [
     "QuadratureSpec",
     "log_likelihood",
-    "log_likelihood_single",
-    "log_likelihood_double_le",
-    "log_likelihood_double_lepp",
-    "log_likelihood_double_lelh",
-    "log_likelihood_double_lenh",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -113,25 +120,6 @@ def _require_double(data: MeasurementSet) -> tuple[float, float, float]:
 Kernel = Callable[[np.ndarray], np.ndarray]
 
 
-def _one_row(kernel: Kernel, x: ParameterVector, kind: ModelKind) -> float:
-    """``kernel`` at the components of ``x`` that ``kind`` uses."""
-    return float(kernel(np.array([_components(x, kind)]))[0])
-
-
-def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """``base ** exponent`` for an exponent broadcast against ``base``'s shape.
-
-    numpy evaluates a power whose exponent array holds a single value of
-    0.5, 2 or -1 as a square root, square or reciprocal, which can differ
-    from the general power in the last bit; a one-row batch would then
-    give other bits than the same row in a larger batch. Such an exponent
-    is spread to the full shape first.
-    """
-    if np.size(exponent) == 1:
-        exponent = np.full(np.shape(base), exponent)
-    return np.power(base, exponent)
-
-
 def _single_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
     s = _require_single(data)
     strains, stresses = data.strains, data.stresses
@@ -154,11 +142,6 @@ def _single_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
         return value
 
     return kernel
-
-
-def log_likelihood_single(x: ParameterVector, kind: ModelKind, data: MeasurementSet) -> float:
-    """Stress-only log-likelihood of a measurement set, any model."""
-    return _one_row(_single_kernel(kind, data), x, kind)
 
 
 def _log_gauss_mass(lo_z: np.ndarray, hi_z: np.ndarray) -> np.ndarray:
@@ -241,24 +224,6 @@ def _affine_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
     return kernel
 
 
-def log_likelihood_double_le(x: ParameterVector, data: MeasurementSet) -> float:
-    """Stress-and-strain log-likelihood for the linear elastic model."""
-    kind = ModelKind.LINEAR_ELASTIC
-    return _one_row(_affine_kernel(kind, data), x, kind)
-
-
-def log_likelihood_double_lepp(x: ParameterVector, data: MeasurementSet) -> float:
-    """Stress-and-strain log-likelihood for the perfectly plastic model."""
-    kind = ModelKind.PERFECT_PLASTICITY
-    return _one_row(_affine_kernel(kind, data), x, kind)
-
-
-def log_likelihood_double_lelh(x: ParameterVector, data: MeasurementSet) -> float:
-    """Stress-and-strain log-likelihood for the linear hardening model."""
-    kind = ModelKind.LINEAR_HARDENING
-    return _one_row(_affine_kernel(kind, data), x, kind)
-
-
 # Smooth clustering map for Simpson panels when the integration window
 # starts exactly at the yield strain: the plastic response behaves like a
 # fractional power of the distance to yield there, which wrecks Simpson's
@@ -300,62 +265,6 @@ def _log_sum_exp(a: np.ndarray) -> np.ndarray:
     peak = np.where(np.isfinite(peak), peak, 0.0)
     with np.errstate(divide="ignore"):
         return np.log(np.sum(np.exp(a - peak), axis=-1)) + peak[..., 0]
-
-
-def _plastic_path(t, x, excess: bool):
-    """Stress, total strain and d(strain)/dt at plastic coordinates ``t >= 0``.
-
-    Both stress and strain are explicit in ``t``, and ``t = 0`` is the
-    yield point. With ``excess`` false (n >= 1 or H = 0) ``t`` is the
-    plastic strain u, so stress = sigma_y0 + H u**n; with ``excess`` true
-    (H > 0 and n < 1) it is the stress excess v = stress - sigma_y0, so
-    u = (v / H)**(1/n). Either way strain = stress / E + u, and the chosen
-    variable keeps d(strain)/dt finite and bounded below by min(1, 1/E).
-    ``x`` holds (E, sigma_y0, H, n), each broadcastable against ``t``.
-    """
-    E, sy, H, n = x
-    if excess:
-        sigma = sy + t
-        ratio = t / H
-        growth = _power(ratio, 1.0 / n - 1.0)  # n * H * du/dv
-        return sigma, sigma / E + ratio * growth, 1.0 / E + growth / (n * H)
-    n = np.where(H == 0.0, 1.0, n)  # the hardening term vanishes; keep 0 * t**(n - 1) finite at t = 0
-    sigma = sy + H * _power(t, n)
-    return sigma, sigma / E + t, 1.0 + (H * n / E) * _power(t, n - 1.0)
-
-
-def _plastic_coordinate(strain: np.ndarray, x, excess: bool) -> np.ndarray:
-    """Invert ``_plastic_path``: the coordinate t at which strain is reached,
-    elementwise (``x`` holds one parameter array per component).
-
-    Strain exceeds yield by a convex increasing function of t (a linear
-    term plus a power >= 1), so Newton started at or above the root
-    decreases monotonically onto it. The start is the smaller of the two
-    values at which either term alone reaches the excess, which brackets
-    the root within a factor of two; the yield strain itself starts, and
-    stays, at t = 0 exactly. Convergence is judged on the strain residual
-    relative to the strain, and each element stops at its own convergence.
-    """
-    E, sy, H, n = x
-    excess_strain = np.maximum(strain - sy / E, 0.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if excess:
-            t = np.fmin(E * excess_strain, H * _power(excess_strain, n))
-        else:
-            t = np.fmin(excess_strain, _power(excess_strain * E / H, 1.0 / n))
-    tol = 4.0 * np.finfo(float).eps * strain
-    for _ in range(60):  # a handful suffice; the cap only turns a stall into an error
-        _, reached, slope = _plastic_path(t, x, excess)
-        resid = reached - strain
-        done = np.abs(resid) <= tol
-        if np.all(done):
-            return t
-        t = np.where(done, t, np.maximum(t - resid / slope, 0.0))
-    i = int(np.argmax(np.abs(resid) - tol))
-    raise NumericalError(
-        f"plastic window end not reached: strain={strain[i]!r}, residual {resid[i]:.3e}, "
-        f"x={np.array([c[i] for c in x])!r}"
-    )
 
 
 # Most quadrature nodes evaluated together in the LE-NH node stage. At 512
@@ -417,11 +326,7 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
         return out
 
     def kernel(values: np.ndarray) -> np.ndarray:
-        E, sy, H, n = values.T[:, :, None]
-        if (E <= 0.0).any():
-            raise DomainError("LE-NH requires E > 0")
-        if (n <= 0.0).any():
-            raise DomainError("LE-NH requires n > 0")
+        E, sy, _, _ = _lenh_columns(values)
         ey = sy / E
 
         elastic = _log_affine_branch(sm, em, s_sig, s_eps, 0.0, E, 0.0, np.minimum(ey, a))
@@ -429,14 +334,8 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
         lo = np.maximum(ey, window_lo)
         hi = np.broadcast_to(np.minimum(a, window_hi), lo.shape)
         plastic = np.full(lo.shape, -np.inf)
-        rows, points = np.nonzero(hi > lo)
-        excess = ((H > 0.0) & (n < 1.0))[rows, 0]
-        for flag in (True, False):
-            group = excess == flag
-            if np.any(group):
-                r, p = rows[group], points[group]
-                x = [c[r] for c in values.T]
-                plastic[r, p] = plastic_log_mass(lo[r, p], hi[r, p], x, p, flag)
+        for r, p, x, excess in _plastic_groups(values, hi > lo):
+            plastic[r, p] = plastic_log_mass(lo[r, p], hi[r, p], x, p, excess)
 
         per_point = np.logaddexp(elastic, plastic)
         bad = ~(np.isfinite(per_point) | (per_point == -np.inf))
@@ -449,14 +348,6 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
         return np.sum(per_point, axis=1)
 
     return kernel
-
-
-def log_likelihood_double_lenh(
-    x: ParameterVector, data: MeasurementSet, quadrature: QuadratureSpec | None = None
-) -> float:
-    """Stress-and-strain log-likelihood for the nonlinear hardening model."""
-    kernel = _lenh_kernel(data, quadrature or QuadratureSpec())
-    return _one_row(kernel, x, ModelKind.NONLINEAR_HARDENING)
 
 
 def likelihood_kernel(
@@ -490,4 +381,5 @@ def log_likelihood(
 ) -> float:
     """Log-likelihood of ``data`` under ``kind`` with parameters ``x``; see
     ``likelihood_kernel``."""
-    return _one_row(likelihood_kernel(kind, data, quadrature), x, kind)
+    kernel = likelihood_kernel(kind, data, quadrature)
+    return float(kernel(np.array([_components(x, kind)]))[0])

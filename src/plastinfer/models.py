@@ -11,8 +11,12 @@ complexity:
 Stresses are expressed in GPa and strains are dimensionless. The yield
 point sits at strain ``sigma_y0 / E``; the boundary itself is treated as
 elastic, which is immaterial for the response value because both branches
-coincide there. The nonlinear-hardening stress is only defined implicitly
-and is obtained by a safeguarded bracketing solve.
+coincide there. The nonlinear-hardening stress is only defined implicitly,
+by ``s = sigma_y0 + H * (strain - s / E)**n``; past yield it is computed
+in a plastic coordinate in which stress and strain are both explicit (the
+plastic strain for n >= 1 or H = 0, the stress excess over yield for
+n < 1), with one Newton inversion from the strain to that coordinate. The
+stress-and-strain likelihood integrates in the same coordinate.
 
 All evaluation functions are pure and accept scalar or array strains.
 ``stress_rows`` evaluates many parameter vectors at once; the
@@ -31,9 +35,6 @@ from .errors import ConfigurationError, DomainError, NumericalError
 __all__ = [
     "ModelKind",
     "ParameterVector",
-    "stress_le",
-    "stress_lepp",
-    "stress_lelh",
     "stress_lenh",
     "stress",
     "stress_rows",
@@ -174,42 +175,8 @@ def stress(strain, x: ParameterVector, kind: ModelKind):
     return out.reshape(eps.shape) if eps.ndim else float(out[0])
 
 
-def stress_le(strain, x: ParameterVector):
-    """Linear elastic stress ``E * strain``."""
-    return stress(strain, x, ModelKind.LINEAR_ELASTIC)
-
-
-def stress_lepp(strain, x: ParameterVector):
-    """Perfectly plastic stress: elastic up to yield, then constant ``sigma_y0``."""
-    return stress(strain, x, ModelKind.PERFECT_PLASTICITY)
-
-
-def stress_lelh(strain, x: ParameterVector):
-    """Linear hardening stress.
-
-    Below the yield strain the response is ``E * strain``; above it the
-    stress continues with the reduced slope ``H * E / (H + E)``.
-    """
-    return stress(strain, x, ModelKind.LINEAR_HARDENING)
-
-
 def stress_lenh(strain, x: ParameterVector):
-    """Nonlinear (power-law) hardening stress.
-
-    Above the yield strain the stress s solves the implicit equation
-
-        s = sigma_y0 + H * (strain - s / E) ** n,
-
-    which has a unique root in ``(sigma_y0, E * strain]`` because the
-    residual is strictly increasing in s there. The root is found by
-    bisection (robust even for n < 1, where the residual is not Lipschitz
-    near ``s = E * strain``) followed by a guarded Newton polish.
-
-    Raises:
-        DomainError: for parameters outside the model domain.
-        NumericalError: if the bracket fails or the residual tolerance
-            ``1e-12 * max(1, sigma_y0)`` cannot be met.
-    """
+    """Nonlinear (power-law) hardening stress: ``stress`` for ``LE-NH``."""
     return stress(strain, x, ModelKind.NONLINEAR_HARDENING)
 
 
@@ -224,24 +191,18 @@ def stress_rows(kind: ModelKind, strain: np.ndarray, values: np.ndarray) -> np.n
 
     Raises:
         DomainError: if any row is outside the model's domain.
-        NumericalError: if an implicit LE-NH solve fails for any row.
+        NumericalError: if the Newton inversion of an LE-NH plastic
+            coordinate does not converge for any element.
     """
+    if kind is ModelKind.NONLINEAR_HARDENING:
+        E, sy, _, _ = _lenh_columns(values)
+        out = E * strain
+        for r, p, x, excess in _plastic_groups(values, strain > sy / E):
+            out[r, p] = _plastic_path(_plastic_coordinate(strain[p], x, excess), x, excess)[0]
+        return out
     E, *rest = values.T[:, :, None]
     if kind is ModelKind.LINEAR_ELASTIC:
         return E * strain
-    if kind is ModelKind.NONLINEAR_HARDENING:
-        sy, H, n = rest
-        if (E <= 0.0).any():
-            raise DomainError("LE-NH requires E > 0")
-        if (n <= 0.0).any():
-            raise DomainError("LE-NH requires n > 0")
-        out = E * strain
-        rows, points = np.nonzero(strain > sy / E)
-        if rows.size:
-            out[rows, points] = _implicit_stress(
-                strain[points], *(c[rows, 0] for c in (E, sy, H, n))
-            )
-        return out
     sy = rest[0]
     # With E = 0 the elastic line is flat at zero stress and yield is never
     # reached: the yield strain is then inf or NaN, which no strain exceeds.
@@ -259,66 +220,103 @@ def stress_rows(kind: ModelKind, strain: np.ndarray, values: np.ndarray) -> np.n
     return np.where(strain > ey, plastic, E * strain)
 
 
-def _implicit_stress(eps, E, sy, H, n) -> np.ndarray:
-    """Root of g(s) = s - sy - H * (eps - s/E)**n on [sy, E*eps], elementwise
-    over arrays of equal shape (one strain and parameter set per element)."""
-    lo = sy.copy()
-    hi = E * eps
-    # g(sy) = -H * (eps - sy/E)**n <= 0 and g(E*eps) = E*eps - sy > 0, so the
-    # bracket is guaranteed for admissible parameters; check anyway so a
-    # numerical surprise surfaces with context instead of silent garbage.
-    g_lo = -H * np.power(eps - sy / E, n)
-    g_hi = hi - sy
-    bad = (g_lo > 0.0) | (g_hi < 0.0)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NumericalError(
-            "no bracket for implicit stress: "
-            f"strain={eps[i]!r}, E={float(E[i])!r}, sigma_y0={float(sy[i])!r}, "
-            f"H={float(H[i])!r}, n={float(n[i])!r}, "
-            f"g(sigma_y0)={g_lo[i]!r}, g(E*strain)={g_hi[i]!r}"
-        )
+def _lenh_columns(values: np.ndarray) -> np.ndarray:
+    """The columns E, sigma_y0, H, n of LE-NH parameter rows, each of shape
+    (m, 1), once every row is checked to lie in the model's domain."""
+    columns = values.T[:, :, None]
+    E, _, _, n = columns
+    if (E <= 0.0).any():
+        raise DomainError("LE-NH requires E > 0")
+    if (n <= 0.0).any():
+        raise DomainError("LE-NH requires n > 0")
+    return columns
 
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        t = np.maximum(eps - mid / E, 0.0)
-        gm = mid - sy - H * np.power(t, n)
-        below = gm < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    sigma = 0.5 * (lo + hi)
 
-    # Newton polish; the derivative is >= 1 so steps are tame. Where the
-    # derivative overflows (t == 0 with n < 1) the step degenerates to zero.
-    for _ in range(2):
-        t = np.maximum(eps - sigma / E, 0.0)
-        g = sigma - sy - H * np.power(t, n)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            dg = np.where(H == 0.0, 1.0, 1.0 + (H * n / E) * np.power(t, n - 1.0))
-        step = np.where(np.isfinite(dg), g / dg, 0.0)
-        cand = sigma - step
-        ok = np.isfinite(cand) & (cand >= sy) & (cand <= E * eps)
-        sigma = np.where(ok, cand, sigma)
+def _plastic_groups(values: np.ndarray, plastic: np.ndarray):
+    """The (row, point) elements where ``plastic`` (m, k) holds, split by
+    the plastic coordinate of their row: yields ``(rows, points, x, excess)``
+    per nonempty group, ``x`` holding the elements' (E, sigma_y0, H, n) as
+    1-D arrays and ``excess`` the coordinate flag of ``_plastic_path``."""
+    rows, points = np.nonzero(plastic)
+    excess = ((values[:, 2] > 0.0) & (values[:, 3] < 1.0))[rows]
+    for flag in (True, False):
+        group = excess == flag
+        if group.any():
+            r = rows[group]
+            yield r, points[group], [c[r] for c in values.T], flag
 
-    t = np.maximum(eps - sigma / E, 0.0)
-    resid = np.abs(sigma - sy - H * np.power(t, n))
-    # Achievable accuracy is limited by how the residual amplifies one-ulp
-    # input noise: |dg/ds| ulp(s) from the stress plus |dg/de| ulp(e) from
-    # the strain cancellation inside t. Just above yield with n < 1 both
-    # derivatives diverge and that floor, not the absolute tolerance,
-    # bounds what any solver can deliver; the root itself stays accurate
-    # to resid / |dg/ds|, far below an ulp of the stress.
-    u = np.finfo(float).eps
+
+def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """``base ** exponent`` for an exponent broadcast against ``base``'s shape.
+
+    numpy evaluates a power whose exponent array holds a single value of
+    0.5, 2 or -1 as a square root, square or reciprocal, which can differ
+    from the general power in the last bit; a one-row batch would then
+    give other bits than the same row in a larger batch. Such an exponent
+    is spread to the full shape first.
+    """
+    if np.size(exponent) == 1:
+        exponent = np.full(np.shape(base), exponent)
+    return np.power(base, exponent)
+
+
+def _plastic_path(t, x, excess: bool):
+    """Stress, total strain and d(strain)/dt at plastic coordinates ``t >= 0``.
+
+    Both stress and strain are explicit in ``t``, and ``t = 0`` is the
+    yield point. With ``excess`` false (n >= 1 or H = 0) ``t`` is the
+    plastic strain u, so stress = sigma_y0 + H u**n; with ``excess`` true
+    (H > 0 and n < 1) it is the stress excess v = stress - sigma_y0, so
+    u = (v / H)**(1/n). Either way strain = stress / E + u, and the chosen
+    variable keeps d(strain)/dt finite and bounded below by min(1, 1/E).
+    ``x`` holds (E, sigma_y0, H, n), each broadcastable against ``t``.
+    """
+    E, sy, H, n = x
+    if excess:
+        sigma = sy + t
+        ratio = t / H
+        growth = _power(ratio, 1.0 / n - 1.0)  # n * H * du/dv
+        return sigma, sigma / E + ratio * growth, 1.0 / E + growth / (n * H)
+    n = np.where(H == 0.0, 1.0, n)  # the hardening term vanishes; keep 0 * t**(n - 1) finite at t = 0
+    sigma = sy + H * _power(t, n)
+    return sigma, sigma / E + t, 1.0 + (H * n / E) * _power(t, n - 1.0)
+
+
+def _plastic_coordinate(strain: np.ndarray, x, excess: bool) -> np.ndarray:
+    """Invert ``_plastic_path``: the coordinate t at which strain is reached,
+    elementwise (``x`` holds one parameter array per component).
+
+    Strain exceeds yield by a convex increasing function of t (a linear
+    term plus a power >= 1), so Newton started at or above the root
+    decreases monotonically onto it. The start is the smaller of the two
+    values at which either term alone reaches the excess, which brackets
+    the root within a factor of two; the yield strain itself starts, and
+    stays, at t = 0 exactly. Convergence is judged on the strain residual,
+    against a few ulps of the strain plus the change one ulp of t makes
+    (t times the slope): for n << 1 far past yield the strain is so steep
+    in the stress excess that no double t meets a bound on the strain
+    alone. Each element stops at its own convergence.
+
+    Raises:
+        NumericalError: if some element has not converged after 60 steps.
+    """
+    E, sy, H, n = x
+    excess_strain = np.maximum(strain - sy / E, 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        hardening_slope = (H * n / E) * np.power(t, n - 1.0)
-    hardening_slope = np.where(np.isfinite(hardening_slope), hardening_slope, np.inf)
-    noise_scale = (1.0 + hardening_slope) * np.maximum(np.abs(sigma), sy) + hardening_slope * E * eps
-    tol = 1e-12 * np.maximum(1.0, sy) + 8.0 * u * noise_scale
-    if np.any(resid > tol):
-        i = int(np.argmax(resid - tol))
-        raise NumericalError(
-            f"implicit stress residual {resid[i]:.3e} exceeds {tol[i]:.3e} at "
-            f"strain={eps[i]!r}, E={float(E[i])!r}, sigma_y0={float(sy[i])!r}, "
-            f"H={float(H[i])!r}, n={float(n[i])!r}"
-        )
-    return sigma
+        if excess:
+            t = np.fmin(E * excess_strain, H * _power(excess_strain, n))
+        else:
+            t = np.fmin(excess_strain, _power(excess_strain * E / H, 1.0 / n))
+    for _ in range(60):  # a handful suffice; the cap only turns a stall into an error
+        _, reached, slope = _plastic_path(t, x, excess)
+        resid = reached - strain
+        tol = np.finfo(float).eps * (4.0 * strain + t * slope)
+        done = np.abs(resid) <= tol
+        if np.all(done):
+            return t
+        t = np.where(done, t, np.maximum(t - resid / slope, 0.0))
+    i = int(np.argmax(np.abs(resid) - tol))
+    raise NumericalError(
+        f"plastic coordinate not reached: strain={strain[i]!r}, residual {resid[i]:.3e}, "
+        f"x={np.array([c[i] for c in x])!r}"
+    )

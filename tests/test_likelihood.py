@@ -30,26 +30,18 @@ from plastinfer import (
     generate_double_noise,
     generate_single_noise,
     log_likelihood,
-    log_likelihood_double_le,
-    log_likelihood_double_lelh,
-    log_likelihood_double_lenh,
-    log_likelihood_double_lepp,
-    log_likelihood_single,
     stress,
     yield_strain,
 )
 from plastinfer import likelihood
-from plastinfer.likelihood import _log_gauss_mass, _log_sum_exp, _plastic_path, likelihood_kernel
+from plastinfer.likelihood import _log_gauss_mass, _log_sum_exp, likelihood_kernel
+from plastinfer.models import _plastic_path, stress_rows
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 GRID_12 = np.linspace(2.4e-4, 12 * 2.4e-4, 12)
 
-DOUBLE_FORMS = {
-    ModelKind.LINEAR_ELASTIC: log_likelihood_double_le,
-    ModelKind.PERFECT_PLASTICITY: log_likelihood_double_lepp,
-    ModelKind.LINEAR_HARDENING: log_likelihood_double_lelh,
-}
+AFFINE_KINDS = [ModelKind.LINEAR_ELASTIC, ModelKind.PERFECT_PLASTICITY, ModelKind.LINEAR_HARDENING]
 
 
 def _single_set(strains, stresses, s=0.01) -> MeasurementSet:
@@ -138,7 +130,7 @@ class TestSingleNoise:
         x = ParameterVector(E=210.0)
         mset = _single_set([7.25e-4], [0.1576], s=0.01)
         expected = -((0.1576 - 0.15225) ** 2) / 2e-4 - 0.5 * LOG_2PI - math.log(0.01)
-        got = log_likelihood_single(x, ModelKind.LINEAR_ELASTIC, mset)
+        got = log_likelihood(x, ModelKind.LINEAR_ELASTIC, mset)
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_zero_residual_is_the_maximum(self):
@@ -151,9 +143,9 @@ class TestSingleNoise:
         ]
         for kind, x in cases:
             exact = stress(strains, x, kind)
-            best = log_likelihood_single(x, kind, _single_set(strains, exact))
+            best = log_likelihood(x, kind, _single_set(strains, exact))
             assert best == pytest.approx(-3 * (0.5 * LOG_2PI + math.log(0.01)), rel=1e-12)
-            worse = log_likelihood_single(x, kind, _single_set(strains, exact + 0.005))
+            worse = log_likelihood(x, kind, _single_set(strains, exact + 0.005))
             assert worse < best
 
     def test_nonlinear_jacobian_constant_at_unit_exponent(self):
@@ -165,9 +157,9 @@ class TestSingleNoise:
         strains = np.array([5e-4, 1e-3, 1.5e-3, 2e-3, 4e-3])
         mset = _single_set(strains, stress(strains, xl, ModelKind.LINEAR_HARDENING) + 0.003)
         n_plastic = int(np.sum(strains > sy / E))
-        got = log_likelihood_single(xn, ModelKind.NONLINEAR_HARDENING, mset)
+        got = log_likelihood(xn, ModelKind.NONLINEAR_HARDENING, mset)
         want = (
-            log_likelihood_single(xl, ModelKind.LINEAR_HARDENING, mset)
+            log_likelihood(xl, ModelKind.LINEAR_HARDENING, mset)
             - n_plastic * math.log(1.0 + H / E)
         )
         assert got == pytest.approx(want, rel=1e-12, abs=1e-10)
@@ -178,8 +170,8 @@ class TestSingleNoise:
         xp = ParameterVector(E=210.0, sigma_y0=0.25)
         strains = np.array([5e-4, 2e-3, 4e-3])
         mset = _single_set(strains, [0.10, 0.24, 0.26])
-        got = log_likelihood_single(xn, ModelKind.NONLINEAR_HARDENING, mset)
-        want = log_likelihood_single(xp, ModelKind.PERFECT_PLASTICITY, mset)
+        got = log_likelihood(xn, ModelKind.NONLINEAR_HARDENING, mset)
+        want = log_likelihood(xp, ModelKind.PERFECT_PLASTICITY, mset)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_additivity(self):
@@ -188,26 +180,28 @@ class TestSingleNoise:
         part_a = _single_set([5e-4, 1e-3], [0.10, 0.20])
         part_b = _single_set([2e-3, 3e-3], [0.24, 0.26])
         kind = ModelKind.PERFECT_PLASTICITY
-        assert log_likelihood_single(x, kind, whole) == pytest.approx(
-            log_likelihood_single(x, kind, part_a) + log_likelihood_single(x, kind, part_b),
+        assert log_likelihood(x, kind, whole) == pytest.approx(
+            log_likelihood(x, kind, part_a) + log_likelihood(x, kind, part_b),
             rel=1e-14,
         )
 
     def test_double_data_rejected(self):
+        """``log_likelihood`` dispatches on the regime; the stress-only
+        kernel itself refuses stress-and-strain data."""
         mset = _double_set([1e-3], [0.21])
         with pytest.raises(ConfigurationError):
-            log_likelihood_single(ParameterVector(E=210.0), ModelKind.LINEAR_ELASTIC, mset)
+            likelihood._single_kernel(ModelKind.LINEAR_ELASTIC, mset)
 
     def test_zero_noise_rejected(self):
         mset = _single_set([1e-3], [0.21], s=0.0)
         with pytest.raises(ConfigurationError):
-            log_likelihood_single(ParameterVector(E=210.0), ModelKind.LINEAR_ELASTIC, mset)
+            log_likelihood(ParameterVector(E=210.0), ModelKind.LINEAR_ELASTIC, mset)
 
 
 class TestDoubleNoiseOracle:
     """Closed forms against quadrature of the defining integral."""
 
-    @pytest.mark.parametrize("kind", list(DOUBLE_FORMS))
+    @pytest.mark.parametrize("kind", AFFINE_KINDS)
     def test_matches_quadrature(self, kind):
         rng = np.random.default_rng(zlib.crc32(kind.value.encode()))
         checked = 0
@@ -216,7 +210,7 @@ class TestDoubleNoiseOracle:
             oracle = _oracle_double_point(x, kind, sm, em, s_sig, s_eps, a)
             if oracle == -math.inf:
                 continue
-            got = DOUBLE_FORMS[kind](x, _double_set([em], [sm], s_sig, s_eps, a))
+            got = log_likelihood(x, kind, _double_set([em], [sm], s_sig, s_eps, a))
             assert abs(math.expm1(got - oracle)) < 1e-8, (x, sm, em, s_sig, s_eps, a)
             checked += 1
         assert checked > 100
@@ -234,7 +228,7 @@ class TestDoubleNoiseOracle:
             em = max(em, 0.0)
             sm = stress(max(em, 0.0), x, ModelKind.NONLINEAR_HARDENING) + rng.uniform(-2, 2) * s_sig
             oracle = _oracle_double_point(x, ModelKind.NONLINEAR_HARDENING, sm, em, s_sig, s_eps, math.inf)
-            got = log_likelihood_double_lenh(x, _double_set([em], [sm], s_sig, s_eps))
+            got = log_likelihood(x, ModelKind.NONLINEAR_HARDENING, _double_set([em], [sm], s_sig, s_eps))
             assert abs(math.expm1(got - oracle)) < 1e-7, (x, sm, em)
 
     @pytest.mark.parametrize(
@@ -271,10 +265,10 @@ class TestDoubleNoiseOracle:
         strains, stresses = strains[order], stresses[order]
         assert np.any(np.abs(strains - ey) < 8.0 * s_eps)
 
-        whole = log_likelihood_double_lenh(x, _double_set(strains, stresses, s_sig, s_eps))
+        whole = log_likelihood(x, ModelKind.NONLINEAR_HARDENING, _double_set(strains, stresses, s_sig, s_eps))
         per_point = []
         for em, sm in zip(strains, stresses):
-            got = log_likelihood_double_lenh(x, _double_set([em], [sm], s_sig, s_eps))
+            got = log_likelihood(x, ModelKind.NONLINEAR_HARDENING, _double_set([em], [sm], s_sig, s_eps))
             oracle = _oracle_double_point(x, ModelKind.NONLINEAR_HARDENING, sm, em, s_sig, s_eps, math.inf)
             assert abs(math.expm1(got - oracle)) < 1e-7, (x, sm, em)
             per_point.append(got)
@@ -290,8 +284,8 @@ class TestDoubleNoiseOracle:
         x = ParameterVector(E=210.0, sigma_y0=0.25, H=50.0, n=0.05)
         mset = generate_double_noise(x, ModelKind.NONLINEAR_HARDENING, GRID_12, 0.01, 1e-4, seed)
         try:
-            base = log_likelihood_double_lenh(x, mset, QuadratureSpec(panels=512))
-            fine = log_likelihood_double_lenh(x, mset, QuadratureSpec(panels=1024))
+            base = log_likelihood(x, ModelKind.NONLINEAR_HARDENING, mset, QuadratureSpec(panels=512))
+            fine = log_likelihood(x, ModelKind.NONLINEAR_HARDENING, mset, QuadratureSpec(panels=1024))
         except NumericalError:
             return
         assert math.isfinite(base)
@@ -339,8 +333,8 @@ class TestDoubleNoiseLimits:
         x = ParameterVector(E=210.0, sigma_y0=10.0)  # ey = 0.048
         xe = ParameterVector(E=210.0)
         mset = _double_set([1e-3, 2e-3], [0.20, 0.45])
-        got = log_likelihood_double_lepp(x, mset)
-        want = log_likelihood_double_le(xe, mset)
+        got = log_likelihood(x, ModelKind.PERFECT_PLASTICITY, mset)
+        want = log_likelihood(xe, ModelKind.LINEAR_ELASTIC, mset)
         assert abs(got - want) < 1e-10
 
     def test_perfect_plasticity_plastic_only_limit(self):
@@ -349,7 +343,7 @@ class TestDoubleNoiseLimits:
         x = ParameterVector(E=210.0, sigma_y0=0.25)
         em = yield_strain(x) + 12.0 * s_eps
         sm = 0.253
-        got = log_likelihood_double_lepp(x, _double_set([em], [sm], s_sig, s_eps))
+        got = log_likelihood(x, ModelKind.PERFECT_PLASTICITY, _double_set([em], [sm], s_sig, s_eps))
         want = norm.logpdf(sm, loc=0.25, scale=s_sig)
         assert abs(got - want) < 1e-10
 
@@ -357,25 +351,25 @@ class TestDoubleNoiseLimits:
         x_lh = ParameterVector(E=210.0, sigma_y0=0.25, H=0.0)
         x_pp = ParameterVector(E=210.0, sigma_y0=0.25)
         mset = _double_set([5e-4, 1.3e-3, 2e-3], [0.10, 0.25, 0.26])
-        assert abs(
-            log_likelihood_double_lelh(x_lh, mset) - log_likelihood_double_lepp(x_pp, mset)
-        ) < 1e-10
+        lh = log_likelihood(x_lh, ModelKind.LINEAR_HARDENING, mset)
+        pp = log_likelihood(x_pp, ModelKind.PERFECT_PLASTICITY, mset)
+        assert abs(lh - pp) < 1e-10
 
     def test_linear_hardening_stiff_slope_limit(self):
         """H >> E turns the plastic slope back into the elastic one."""
         x_lh = ParameterVector(E=210.0, sigma_y0=0.25, H=1e10)
         x_le = ParameterVector(E=210.0)
         mset = _double_set([5e-4, 1.3e-3, 2e-3], [0.10, 0.27, 0.42])
-        assert abs(
-            log_likelihood_double_lelh(x_lh, mset) - log_likelihood_double_le(x_le, mset)
-        ) < 1e-6
+        lh = log_likelihood(x_lh, ModelKind.LINEAR_HARDENING, mset)
+        le = log_likelihood(x_le, ModelKind.LINEAR_ELASTIC, mset)
+        assert abs(lh - le) < 1e-6
 
     def test_zero_modulus_linear_elastic(self):
         """E = 0 factorizes into a stress Gaussian and a strain window."""
         s_sig, s_eps, a = 0.02, 1e-4, 5e-4
         x = ParameterVector(E=0.0)
         em, sm = 3e-4, 0.015
-        got = log_likelihood_double_le(x, _double_set([em], [sm], s_sig, s_eps, a))
+        got = log_likelihood(x, ModelKind.LINEAR_ELASTIC, _double_set([em], [sm], s_sig, s_eps, a))
         window = norm.cdf((a - em) / s_eps) - norm.cdf((0.0 - em) / s_eps)
         want = norm.logpdf(sm, loc=0.0, scale=s_sig) + math.log(window)
         assert got == pytest.approx(want, rel=1e-10)
@@ -384,8 +378,10 @@ class TestDoubleNoiseLimits:
         from plastinfer import DomainError
 
         with pytest.raises(DomainError):
-            log_likelihood_double_lepp(
-                ParameterVector(E=0.0, sigma_y0=0.25), _double_set([1e-3], [0.2])
+            log_likelihood(
+                ParameterVector(E=0.0, sigma_y0=0.25),
+                ModelKind.PERFECT_PLASTICITY,
+                _double_set([1e-3], [0.2]),
             )
 
     def test_tester_limit_below_yield_silences_plastic_branch(self):
@@ -394,15 +390,15 @@ class TestDoubleNoiseLimits:
         x_pp = ParameterVector(E=210.0, sigma_y0=0.25)  # ey = 1.19e-3
         x_le = ParameterVector(E=210.0)
         mset = _double_set([4e-4, 8e-4], [0.09, 0.17], a=1e-3)
-        got = log_likelihood_double_lepp(x_pp, mset)
-        want = log_likelihood_double_le(x_le, mset)
+        got = log_likelihood(x_pp, ModelKind.PERFECT_PLASTICITY, mset)
+        want = log_likelihood(x_le, ModelKind.LINEAR_ELASTIC, mset)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_far_off_measurement_stays_finite(self):
         """Wildly unlikely data give a huge negative value, not a crash."""
         x = ParameterVector(E=210.0)
         mset = _double_set([0.1], [21.0], a=1e-3)
-        value = log_likelihood_double_le(x, mset)
+        value = log_likelihood(x, ModelKind.LINEAR_ELASTIC, mset)
         assert math.isfinite(value)
         assert value < -1e5
 
@@ -415,16 +411,16 @@ class TestNonlinearReductions:
         xn = ParameterVector(E=210.0, sigma_y0=0.25, H=50.0, n=1.0)
         xl = ParameterVector(E=210.0, sigma_y0=0.25, H=50.0)
         mset = _double_set(self.STRAINS, self.STRESSES)
-        got = log_likelihood_double_lenh(xn, mset)
-        want = log_likelihood_double_lelh(xl, mset)
+        got = log_likelihood(xn, ModelKind.NONLINEAR_HARDENING, mset)
+        want = log_likelihood(xl, ModelKind.LINEAR_HARDENING, mset)
         assert abs(math.expm1(got - want)) < 1e-8
 
     def test_zero_hardening_double(self):
         xn = ParameterVector(E=210.0, sigma_y0=0.25, H=0.0, n=0.5)
         xp = ParameterVector(E=210.0, sigma_y0=0.25)
         mset = _double_set(self.STRAINS, self.STRESSES)
-        got = log_likelihood_double_lenh(xn, mset)
-        want = log_likelihood_double_lepp(xp, mset)
+        got = log_likelihood(xn, ModelKind.NONLINEAR_HARDENING, mset)
+        want = log_likelihood(xp, ModelKind.PERFECT_PLASTICITY, mset)
         assert abs(math.expm1(got - want)) < 1e-8
 
     def test_panel_doubling_self_error(self):
@@ -435,8 +431,8 @@ class TestNonlinearReductions:
         strains = np.array([ey - 5e-5, ey + 2e-5, ey + 8e-5, 3e-3])
         stresses = stress(strains, x, ModelKind.NONLINEAR_HARDENING) + 0.004
         mset = _double_set(strains, stresses)
-        base = log_likelihood_double_lenh(x, mset, QuadratureSpec())
-        fine = log_likelihood_double_lenh(x, mset, QuadratureSpec(panels=1024))
+        base = log_likelihood(x, ModelKind.NONLINEAR_HARDENING, mset, QuadratureSpec())
+        fine = log_likelihood(x, ModelKind.NONLINEAR_HARDENING, mset, QuadratureSpec(panels=1024))
         assert abs(math.expm1(base - fine)) < 1e-8
 
     def test_simpson_order_on_smooth_window(self):
@@ -452,9 +448,10 @@ class TestNonlinearReductions:
         em = yield_strain(x) + 2e-5
         sm = stress(em, x, ModelKind.NONLINEAR_HARDENING) + 0.004
         mset = _double_set([em], [sm])
-        ref = log_likelihood_double_lenh(x, mset, QuadratureSpec(panels=8192))
+        kind = ModelKind.NONLINEAR_HARDENING
+        ref = log_likelihood(x, kind, mset, QuadratureSpec(panels=8192))
         errors = [
-            abs(math.expm1(log_likelihood_double_lenh(x, mset, QuadratureSpec(panels=p)) - ref))
+            abs(math.expm1(log_likelihood(x, kind, mset, QuadratureSpec(panels=p)) - ref))
             for p in (8, 16, 32, 64)
         ]
         assert errors[-1] > 1e-13  # still above roundoff, ratios meaningful
@@ -478,7 +475,7 @@ class TestContinuityInParameters:
     def test_single_noise_perfect_plasticity(self):
         mset = _single_set([1e-3, 2e-3], [0.20, 0.24])
         self._sweep(
-            lambda sy: log_likelihood_single(
+            lambda sy: log_likelihood(
                 ParameterVector(E=210.0, sigma_y0=sy),
                 ModelKind.PERFECT_PLASTICITY,
                 mset,
@@ -490,7 +487,7 @@ class TestContinuityInParameters:
         """C0 for n >= 1, where the change-of-variables factor is bounded."""
         mset = _single_set([1e-3, 2e-3], [0.20, 0.26])
         self._sweep(
-            lambda sy: log_likelihood_single(
+            lambda sy: log_likelihood(
                 ParameterVector(E=210.0, sigma_y0=sy, H=2.0, n=1.4),
                 ModelKind.NONLINEAR_HARDENING,
                 mset,
@@ -506,7 +503,7 @@ class TestContinuityInParameters:
         mset = _single_set([1e-3, 2e-3], [0.20, 0.26])
 
         def value(sy: float) -> float:
-            return log_likelihood_single(
+            return log_likelihood(
                 ParameterVector(E=210.0, sigma_y0=sy, H=2.0, n=0.5),
                 ModelKind.NONLINEAR_HARDENING,
                 mset,
@@ -520,8 +517,8 @@ class TestContinuityInParameters:
     def test_double_noise_linear_hardening(self):
         mset = _double_set([1e-3, 2e-3], [0.20, 0.26])
         self._sweep(
-            lambda sy: log_likelihood_double_lelh(
-                ParameterVector(E=210.0, sigma_y0=sy, H=50.0), mset
+            lambda sy: log_likelihood(
+                ParameterVector(E=210.0, sigma_y0=sy, H=50.0), ModelKind.LINEAR_HARDENING, mset
             ),
             center=210.0 * 2e-3,
         )
@@ -533,8 +530,9 @@ class TestDoubleNoiseAdditivity:
         whole = _double_set([5e-4, 1e-3, 2e-3, 3e-3], [0.10, 0.20, 0.26, 0.30])
         part_a = _double_set([5e-4, 1e-3], [0.10, 0.20])
         part_b = _double_set([2e-3, 3e-3], [0.26, 0.30])
-        assert log_likelihood_double_lelh(x, whole) == pytest.approx(
-            log_likelihood_double_lelh(x, part_a) + log_likelihood_double_lelh(x, part_b),
+        kind = ModelKind.LINEAR_HARDENING
+        assert log_likelihood(x, kind, whole) == pytest.approx(
+            log_likelihood(x, kind, part_a) + log_likelihood(x, kind, part_b),
             rel=1e-14,
         )
 
@@ -543,7 +541,9 @@ class TestGuards:
     def test_single_data_rejected_by_double_forms(self):
         mset = _single_set([1e-3], [0.21])
         with pytest.raises(ConfigurationError):
-            log_likelihood_double_le(ParameterVector(E=210.0), mset)
+            likelihood._affine_kernel(ModelKind.LINEAR_ELASTIC, mset)
+        with pytest.raises(ConfigurationError):
+            likelihood._lenh_kernel(mset, QuadratureSpec())
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(ConfigurationError):
@@ -561,13 +561,14 @@ class TestGuards:
             )
 
     def test_facade_dispatch(self):
-        """The facade agrees with the per-model entry points."""
+        """The facade agrees with the kernel of the data's noise regime."""
         x = ParameterVector(E=210.0, sigma_y0=0.25)
         single = _single_set([1e-3, 2e-3], [0.20, 0.24])
         double = _double_set([1e-3, 2e-3], [0.20, 0.24])
         kind = ModelKind.PERFECT_PLASTICITY
-        assert log_likelihood(x, kind, single) == log_likelihood_single(x, kind, single)
-        assert log_likelihood(x, kind, double) == log_likelihood_double_lepp(x, double)
+        row = x.to_array()[None, :]
+        assert log_likelihood(x, kind, single) == likelihood._single_kernel(kind, single)(row)[0]
+        assert log_likelihood(x, kind, double) == likelihood._affine_kernel(kind, double)(row)[0]
 
 
 class TestExtremeParameters:
@@ -592,8 +593,8 @@ class TestExtremeParameters:
         assert math.isfinite(log_likelihood(x, kind, mset))
 
     def test_stress_only_nonlinear_plastic_strain_rounded_below_zero(self):
-        """Rounding in the implicit solve leaves the plastic strain at
-        -2.7e-20 for one point; it counts as 0, where the Jacobian diverges."""
+        """Rounding leaves the plastic strain strain - stress/E at -2.7e-20
+        for one point; it counts as 0, where the Jacobian diverges."""
         kind = ModelKind.NONLINEAR_HARDENING
         mset = generate_single_noise(
             ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57), kind, GRID_12, 0.01, seed=1
@@ -621,13 +622,34 @@ def test_log_sum_exp_matches_scipy():
 def test_plastic_path_of_one_window_has_the_bits_of_a_batch(n):
     """The exponents n and n - 1 are then 0.5 or 2, which numpy takes by a
     square root or square when one value fills the exponent array, as it
-    does for a batch holding a single quadrature window."""
+    does for a batch holding a single quadrature window.
+
+    The forward response goes through the same path: in a ``stress_rows``
+    batch mixing both plastic coordinates, H = 0 and n = 1, each row has
+    the bits of its one-row call. The last two rows have one plastic
+    strain, so their one-row calls see one-element exponent arrays of n,
+    n - 1 and, in the stress excess, 1/n - 1 = n - 1."""
     t = np.random.default_rng(1).uniform(1e-6, 1e-3, (1, 513))
     x = [np.array([[value]]) for value in (10.0, 0.03, 1e6, n)]
     alone = _plastic_path(t, x, False)
     paired = _plastic_path(np.vstack([t, t]), [np.vstack([c, c]) for c in x], False)
     for a, b in zip(alone, paired):
         assert np.array_equal(a[0], b[0])
+
+    kind = ModelKind.NONLINEAR_HARDENING
+    strain = np.linspace(0.0, 6e-3, 25)
+    rows = np.array([
+        [210.0, 0.25, 2.0, 0.5],
+        [150.0, 0.3, 40.0, 1.5],
+        [210.0, 0.25, 0.0, 0.5],
+        [200.0, 0.2, 50.0, 1.0],
+        [100.0, 0.59, 3.0, n],
+        [100.0, 0.59, 3.0, 1.0 / n],
+    ])
+    assert np.sum(strain > rows[-1, 1] / rows[-1, 0]) == 1
+    batch = stress_rows(kind, strain, rows)
+    for row, want in zip(rows, batch):
+        assert np.array_equal(stress_rows(kind, strain, row[None])[0].view(np.int64), want.view(np.int64))
 
 
 class TestBlockedQuadrature:

@@ -1,9 +1,12 @@
 """Tests for the constitutive stress responses.
 
-Covers the closed-form models against hand-evaluated arithmetic, the
-implicit nonlinear-hardening solve against an independent bisection
-oracle, the reduction identities between models, continuity across the
-yield point, and monotonicity of every response in the strain.
+Covers the closed-form models against hand-evaluated arithmetic; the
+nonlinear-hardening response, computed through the explicit plastic
+coordinate, against an independent bisection of its implicit equation
+(in long double for small exponents, where the residual itself is
+ill-conditioned) and its loud failure when the Newton inversion stalls;
+the reduction identities between models, continuity across the yield
+point, and monotonicity of every response in the strain.
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ from plastinfer import (
     ConfigurationError,
     DomainError,
     ModelKind,
+    NumericalError,
     ParameterVector,
     stress,
-    stress_le,
-    stress_lelh,
     stress_lenh,
-    stress_lepp,
     yield_strain,
 )
+from plastinfer import models
+from plastinfer.models import stress_rows
 
 E_REF = 210.0
 SIGMA_Y0_REF = 0.25
@@ -123,62 +126,64 @@ class TestYieldStrain:
 
 class TestLinearElastic:
     def test_zero_strain(self):
-        assert stress_le(0.0, ParameterVector(E=210.0)) == 0.0
+        assert stress(0.0, ParameterVector(E=210.0), ModelKind.LINEAR_ELASTIC) == 0.0
 
     def test_proportionality(self):
-        assert stress_le(7.25e-4, ParameterVector(E=210.0)) == pytest.approx(0.15225, abs=1e-15)
+        got = stress(7.25e-4, ParameterVector(E=210.0), ModelKind.LINEAR_ELASTIC)
+        assert got == pytest.approx(0.15225, abs=1e-15)
 
     def test_zero_modulus(self):
-        assert stress_le(1e-3, ParameterVector(E=0.0)) == 0.0
+        assert stress(1e-3, ParameterVector(E=0.0), ModelKind.LINEAR_ELASTIC) == 0.0
 
     def test_vectorized(self):
         eps = np.array([0.0, 1e-3, 2e-3])
-        np.testing.assert_allclose(stress_le(eps, ParameterVector(E=210.0)), 210.0 * eps)
+        got = stress(eps, ParameterVector(E=210.0), ModelKind.LINEAR_ELASTIC)
+        np.testing.assert_allclose(got, 210.0 * eps)
 
     def test_negative_strain_rejected(self):
         with pytest.raises(DomainError):
-            stress_le(-1e-3, ParameterVector(E=210.0))
+            stress(-1e-3, ParameterVector(E=210.0), ModelKind.LINEAR_ELASTIC)
 
 
 class TestPerfectPlasticity:
     def test_boundary_belongs_to_elastic_branch(self):
         """The two branches agree exactly at the yield strain."""
         x = _params(ModelKind.PERFECT_PLASTICITY)
-        assert stress_lepp(EY_REF, x) == pytest.approx(SIGMA_Y0_REF, abs=1e-15)
+        assert stress(EY_REF, x, ModelKind.PERFECT_PLASTICITY) == pytest.approx(SIGMA_Y0_REF, abs=1e-15)
 
     def test_elastic_branch(self):
         x = _params(ModelKind.PERFECT_PLASTICITY)
-        assert stress_lepp(1e-3, x) == pytest.approx(0.21, abs=1e-15)
+        assert stress(1e-3, x, ModelKind.PERFECT_PLASTICITY) == pytest.approx(0.21, abs=1e-15)
 
     def test_plastic_branch(self):
         x = _params(ModelKind.PERFECT_PLASTICITY)
-        assert stress_lepp(2e-3, x) == SIGMA_Y0_REF
+        assert stress(2e-3, x, ModelKind.PERFECT_PLASTICITY) == SIGMA_Y0_REF
 
     def test_zero_modulus_with_yield_stress_rejected(self):
         with pytest.raises(DomainError):
-            stress_lepp(1e-3, ParameterVector(E=0.0, sigma_y0=0.25))
+            stress(1e-3, ParameterVector(E=0.0, sigma_y0=0.25), ModelKind.PERFECT_PLASTICITY)
 
     def test_zero_modulus_zero_yield(self):
-        assert stress_lepp(1e-3, ParameterVector(E=0.0, sigma_y0=0.0)) == 0.0
+        assert stress(1e-3, ParameterVector(E=0.0, sigma_y0=0.0), ModelKind.PERFECT_PLASTICITY) == 0.0
 
 
 class TestLinearHardening:
     def test_continuity_at_yield(self):
         x = _params(ModelKind.LINEAR_HARDENING, H=50.0)
-        assert stress_lelh(EY_REF, x) == pytest.approx(SIGMA_Y0_REF, abs=1e-15)
+        assert stress(EY_REF, x, ModelKind.LINEAR_HARDENING) == pytest.approx(SIGMA_Y0_REF, abs=1e-15)
 
     def test_zero_hardening_is_perfectly_plastic(self):
         x = _params(ModelKind.LINEAR_HARDENING, H=0.0)
-        assert stress_lelh(2e-3, x) == SIGMA_Y0_REF
+        assert stress(2e-3, x, ModelKind.LINEAR_HARDENING) == SIGMA_Y0_REF
 
     def test_reduced_slope_arithmetic(self):
         x = _params(ModelKind.LINEAR_HARDENING, H=50.0)
         expected = 0.25 + (50.0 * 210.0 / 260.0) * (2e-3 - 0.25 / 210.0)
-        assert stress_lelh(2e-3, x) == pytest.approx(expected, rel=1e-14)
+        assert stress(2e-3, x, ModelKind.LINEAR_HARDENING) == pytest.approx(expected, rel=1e-14)
 
     def test_degenerate_moduli_rejected(self):
         with pytest.raises(DomainError):
-            stress_lelh(1e-3, ParameterVector(E=0.0, sigma_y0=0.0, H=0.0))
+            stress(1e-3, ParameterVector(E=0.0, sigma_y0=0.0, H=0.0), ModelKind.LINEAR_HARDENING)
 
 
 class TestNonlinearHardening:
@@ -190,7 +195,8 @@ class TestNonlinearHardening:
         xh = _params(ModelKind.NONLINEAR_HARDENING, H=50.0, n=1.0)
         xl = _params(ModelKind.LINEAR_HARDENING, H=50.0)
         for eps in (1.5e-3, 2e-3, 5e-3, 1e-2):
-            assert stress_lenh(eps, xh) == pytest.approx(stress_lelh(eps, xl), rel=1e-12)
+            want = stress(eps, xl, ModelKind.LINEAR_HARDENING)
+            assert stress_lenh(eps, xh) == pytest.approx(want, rel=1e-12)
 
     def test_matches_bisection_oracle(self):
         """Reference instance agrees with an independent bisection to 1e-14."""
@@ -245,6 +251,57 @@ class TestNonlinearHardening:
     def test_zero_exponent_rejected(self):
         with pytest.raises(DomainError):
             stress_lenh(1e-3, ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.0))
+
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="long double is plain double on this platform",
+    )
+    @pytest.mark.parametrize("H_range, past_yield", [((1.0, 100.0), 0.2), ((0.05, 1.0), 10.0)])
+    def test_small_exponent_matches_long_double_bisection(self, H_range, past_yield):
+        """2,000 admissible states with n in [0.02, 0.3]: the plastic branch
+        stays within a hair of the elastic line, where the residual of the
+        implicit equation is too ill-conditioned to judge a double-precision
+        root. The stress is finite and within 1e-14 relative of a bisection
+        run in long double instead. Up to 20% past yield a bisection in
+        double failed on some states; with soft hardening up to ten times
+        past yield the strain is so steep in the stress excess that a
+        Newton tolerance on the strain alone was out of reach."""
+        rng = np.random.default_rng(17)
+        m = 2000
+        E = rng.uniform(50.0, 300.0, m)
+        sy = rng.uniform(0.05, 0.6, m)
+        H = rng.uniform(*H_range, m)
+        n = rng.uniform(0.02, 0.3, m)
+        eps = sy / E * (1.0 + rng.uniform(0.0, past_yield, m))
+        values = np.column_stack([E, sy, H, n])
+        kind = ModelKind.NONLINEAR_HARDENING
+        got = np.array([stress_rows(kind, eps[i : i + 1], values[i : i + 1])[0, 0] for i in range(m)])
+        assert np.all(np.isfinite(got))
+
+        eps, E, sy, H, n = (np.asarray(c, dtype=np.longdouble) for c in (eps, E, sy, H, n))
+        lo, hi = sy.copy(), E * eps
+        for _ in range(128):
+            mid = (lo + hi) / 2
+            below = mid - sy - H * np.maximum(eps - mid / E, 0) ** n < 0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        want = (lo + hi) / 2
+        assert np.max(np.abs(got - want) / want) < 1e-14
+
+    def test_newton_stall_fails_loudly(self, monkeypatch):
+        """An inversion to the plastic coordinate that has not converged
+        raises NumericalError instead of returning a stress. Here Newton
+        sees a slope 1000 times too steep and creeps onto the root."""
+        path = models._plastic_path
+
+        def steep(t, x, excess):
+            sigma, strain, slope = path(t, x, excess)
+            return sigma, strain, 1e3 * slope
+
+        monkeypatch.setattr(models, "_plastic_path", steep)
+        for n in (0.5, 1.5):
+            with pytest.raises(NumericalError):
+                stress_lenh(2e-3, _params(ModelKind.NONLINEAR_HARDENING, H=2.0, n=n))
 
 
 class TestReductions:
