@@ -21,7 +21,7 @@ from .data import (
 )
 from .errors import ConfigurationError, DomainError, NumericalError
 from .likelihood import QuadratureSpec, log_likelihood
-from .models import ModelKind, ParameterVector, stress, stress_lenh, yield_strain
+from .models import ModelKind, ParameterVector, stress, stress_lenh
 from .posterior import AnalyticLEPosterior, LogPosterior, analytic_le_posterior
 from .priors import TruncatedNormalPrior
 from .sampler import (
@@ -79,6 +79,5 @@ __all__ = [
     "stress_lenh",
     "summarize",
     "write_measurements",
-    "yield_strain",
     "__version__",
 ]

@@ -137,9 +137,11 @@ def _parse_prior(block: object, dimension: int) -> TruncatedNormalPrior:
 
 
 def _seed(override: int | None, block: dict) -> int | None:
-    """The seed a verb runs with: ``--seed`` if given, else ``block``'s
-    ``seed``; None or a nonnegative integer, else a configuration error."""
-    return _check_seed(override if override is not None else block.get("seed"))
+    """The seed a verb runs with: ``override`` if given, else ``block``'s
+    ``seed``. Each must be None or a nonnegative integer, else it is a
+    configuration error, the block's seed even when it is overridden."""
+    seed = _check_seed(block.get("seed"))
+    return seed if override is None else _check_seed(override)
 
 
 def _parse_sampler(block: object, seed: int | None) -> tuple[SamplerConfig, bool]:

@@ -3,8 +3,9 @@
 Stress-only regime: Gaussian residuals between measured and theoretical
 stresses. For the implicit nonlinear-hardening model the density carries a
 change-of-variables factor on the plastic branch (the implicit response
-maps stress intervals nonuniformly), so the Gaussian term is divided by
-``1 + (H*n/E) * (strain - s/E)**(n-1)`` there.
+maps stress intervals nonuniformly): the Gaussian term is divided by
+d(strain)/d(plastic strain) = ``1 + (H*n/E) * u**(n-1)``, which ``models``
+returns with the stress, both from the plastic coordinate.
 
 Stress-and-strain regime: the true strain is unobserved, so each point's
 density marginalizes it over ``[0, a]`` (``a`` being the tester's strain
@@ -52,16 +53,17 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .data import MeasurementSet
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .models import (
     ModelKind,
     ParameterVector,
+    _affine_columns,
     _components,
     _lenh_columns,
+    _lenh_response,
     _plastic_coordinate,
     _plastic_groups,
     _plastic_path,
-    _power,
     stress_rows,
 )
 
@@ -126,20 +128,12 @@ def _single_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
     offset = len(data) * (0.5 * _LOG_2PI + math.log(s))
 
     def kernel(values: np.ndarray) -> np.ndarray:
-        theoretical = stress_rows(kind, strains, values)
-        resid = stresses - theoretical
-        value = np.sum(-0.5 * (resid / s) ** 2, axis=1) - offset
         if kind is ModelKind.NONLINEAR_HARDENING:
-            E, sy, H, n = values.T[:, :, None]
-            # Rounding can leave the plastic strain a hair below zero, and
-            # H * n can underflow to zero against an infinite power at t = 0.
-            t = np.maximum(strains - theoretical / E, 0.0)
-            coefficient = H * n / E
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                hardening = np.where(coefficient == 0.0, 0.0, coefficient * _power(t, n - 1.0))
-                log_jac = np.where(strains > sy / E, np.log(1.0 + hardening), 0.0)
-            value -= np.sum(log_jac, axis=1)
-        return value
+            theoretical, log_jac = _lenh_response(strains, values)
+        else:
+            theoretical, log_jac = stress_rows(kind, strains, values), 0.0
+        resid = stresses - theoretical
+        return np.sum(-0.5 * (resid / s) ** 2 - log_jac, axis=1) - offset
 
     return kernel
 
@@ -180,45 +174,32 @@ def _log_affine_branch(sm, em, s_sig, s_eps, intercept, slope, lo, hi) -> np.nda
     log_marginal = -0.5 * resid * resid / variance - 0.5 * (_LOG_2PI + np.log(variance))
     center = em + slope * s_eps * s_eps * resid / variance
     sd = s_sig * s_eps / np.sqrt(variance)
-    return log_marginal + _log_gauss_mass((lo - center) / sd, (hi - center) / sd)
+    mass = _log_gauss_mass((lo - center) / sd, (hi - center) / sd)
+    # An empty interval carries no mass whatever its line, which is NaN for
+    # the plastic branch of a row that never yields.
+    return np.where(hi > lo, log_marginal + mass, -np.inf)
 
 
 def _affine_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
-    """Stress-and-strain kernel of LE, LE-PP and LE-LH: the branches, each an
-    (intercept, slope, strain interval) with one column entry per parameter
-    row, go through one (branches x rows x points) pass and each point's
-    terms are combined with logaddexp. LE-PP is LE-LH with H = 0, except
-    that E = 0 is an error for it."""
+    """Stress-and-strain kernel of LE, LE-PP and LE-LH from the columns of
+    ``models._affine_columns``: the elastic branch on [0, ey] and the
+    plastic one on [ey, a] (empty when ey = inf), each an (intercept, slope,
+    strain interval) per parameter row, go through one (branches x rows x
+    points) pass and each point's two terms are combined with logaddexp."""
     s_sig, s_eps, a = _require_double(data)
     sm, em = data.stresses, data.strains
 
     def kernel(values: np.ndarray) -> np.ndarray:
-        E = values[:, 0]
-        if kind is ModelKind.LINEAR_ELASTIC:
-            return _log_affine_branch(sm, em, s_sig, s_eps, 0.0, E[:, None], 0.0, a).sum(axis=1)
-        sy = values[:, 1]
-        H = values[:, 2] if kind is ModelKind.LINEAR_HARDENING else 0.0
-        flat = E == 0.0
-        if kind is ModelKind.PERFECT_PLASTICITY and flat.any():
-            raise DomainError("LE-PP stress-and-strain likelihood requires E > 0")
-        if (H + E == 0.0).any():
-            raise DomainError("LE-LH undefined for H + E = 0")
-        # (intercept, slope, lo, hi) x branch x row. With E = 0 the elastic
-        # line is flat at zero stress and yield is never reached: the first
-        # branch then covers the whole strain range with slope 0 and the
-        # second is the empty interval [a, a].
-        table = np.zeros((4, 2, len(values)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ey = np.where(flat, a, sy / E)
-            hardening = H * E / (H + E)
-            table[0, 1] = np.where(flat, 0.0, sy - hardening * ey)
-        table[1, 0] = E
-        table[1, 1] = hardening
+        # (intercept, slope, lo, hi) x branch x row x 1.
+        table = np.zeros((4, 2, len(values), 1))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            E, ey, sy, slope = _affine_columns(kind, values)
+            table[0, 1] = sy - slope * ey
+        table[1] = E, slope
         table[2, 1] = ey
         table[3, 0] = np.minimum(ey, a)
         table[3, 1] = a
-        intercept, slope, lo, hi = table[..., None]
-        terms = _log_affine_branch(sm, em, s_sig, s_eps, intercept, slope, lo, hi)
+        terms = _log_affine_branch(sm, em, s_sig, s_eps, *table)
         return np.logaddexp(terms[0], terms[1]).sum(axis=1)
 
     return kernel

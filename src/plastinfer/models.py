@@ -11,12 +11,15 @@ complexity:
 Stresses are expressed in GPa and strains are dimensionless. The yield
 point sits at strain ``sigma_y0 / E``; the boundary itself is treated as
 elastic, which is immaterial for the response value because both branches
-coincide there. The nonlinear-hardening stress is only defined implicitly,
-by ``s = sigma_y0 + H * (strain - s / E)**n``; past yield it is computed
-in a plastic coordinate in which stress and strain are both explicit (the
+coincide there. LE and LE-PP are LE-LH with the hardening switched off (LE
+never yields, LE-PP has H = 0); with E = 0 none of them yields, and the
+response is zero at every strain. LE-NH requires E > 0 and n > 0. Its
+stress is only defined implicitly, by
+``s = sigma_y0 + H * (strain - s / E)**n``; past yield it is computed in a
+plastic coordinate in which stress and strain are both explicit (the
 plastic strain for n >= 1 or H = 0, the stress excess over yield for
-n < 1), with one Newton inversion from the strain to that coordinate. The
-stress-and-strain likelihood integrates in the same coordinate.
+n < 1), with one Newton inversion from the strain to that coordinate. Both
+likelihoods use the same coordinate.
 
 All evaluation functions are pure and accept scalar or array strains.
 ``stress_rows`` evaluates many parameter vectors at once; the
@@ -38,7 +41,6 @@ __all__ = [
     "stress_lenh",
     "stress",
     "stress_rows",
-    "yield_strain",
 ]
 
 
@@ -126,31 +128,6 @@ class ParameterVector:
             dtype=float,
         )
 
-    @property
-    def dimension(self) -> int:
-        return sum(getattr(self, f.name) is not None for f in fields(self))
-
-    def require_kind(self, kind: ModelKind) -> None:
-        """Raise unless exactly the components of ``kind`` are present."""
-        present = tuple(f.name for f in fields(self) if getattr(self, f.name) is not None)
-        if present != kind.parameter_names:
-            raise DomainError(
-                f"{kind.value} needs components {kind.parameter_names}, got {present}"
-            )
-
-
-def yield_strain(x: ParameterVector) -> float:
-    """Strain at which plastic flow begins, ``sigma_y0 / E``.
-
-    Raises:
-        DomainError: if ``E == 0`` or the model has no yield stress.
-    """
-    if x.sigma_y0 is None:
-        raise DomainError("yield strain undefined: parameter vector has no yield stress")
-    if x.E == 0.0:
-        raise DomainError("yield strain undefined for E = 0")
-    return x.sigma_y0 / x.E
-
 
 def _as_strain_array(strain):
     eps = np.asarray(strain, dtype=float)
@@ -195,29 +172,23 @@ def stress_rows(kind: ModelKind, strain: np.ndarray, values: np.ndarray) -> np.n
             coordinate does not converge for any element.
     """
     if kind is ModelKind.NONLINEAR_HARDENING:
-        E, sy, _, _ = _lenh_columns(values)
-        out = E * strain
-        for r, p, x, excess in _plastic_groups(values, strain > sy / E):
-            out[r, p] = _plastic_path(_plastic_coordinate(strain[p], x, excess), x, excess)[0]
-        return out
-    E, *rest = values.T[:, :, None]
-    if kind is ModelKind.LINEAR_ELASTIC:
-        return E * strain
-    sy = rest[0]
-    # With E = 0 the elastic line is flat at zero stress and yield is never
-    # reached: the yield strain is then inf or NaN, which no strain exceeds.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ey = sy / E
-    if kind is ModelKind.PERFECT_PLASTICITY:
-        if ((E == 0.0) & (sy > 0.0)).any():
-            raise DomainError("yield strain undefined: E = 0 with sigma_y0 > 0")
-        return np.where(strain > ey, sy, E * strain)
-    H = rest[1]
-    if (H + E == 0.0).any():
-        raise DomainError("LE-LH undefined for H + E = 0")
-    with np.errstate(invalid="ignore"):
-        plastic = sy + H * E / (H + E) * (strain - ey)
-    return np.where(strain > ey, plastic, E * strain)
+        return _lenh_response(strain, values)[0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        E, ey, sy, slope = _affine_columns(kind, values)
+        return np.where(strain > ey, sy + slope * (strain - ey), E * strain)
+
+
+def _affine_columns(kind: ModelKind, values: np.ndarray) -> list:
+    """The columns E, yield strain, sigma_y0 and plastic slope of LE, LE-PP
+    or LE-LH parameter rows, each of shape (m, 1) or a scalar. All three
+    are LE-LH rows: LE-PP has H = 0, and LE also sigma_y0 = inf, so it never
+    yields. Nor does a row with E = 0 (yield strain inf); the slope of a
+    row that never yields, which may be NaN, is never used. Such rows
+    divide by zero or make NaNs, so callers run this under ``np.errstate``."""
+    E = values[:, :1]
+    sy = np.inf if kind is ModelKind.LINEAR_ELASTIC else values[:, 1:2]
+    H = values[:, 2:] if kind is ModelKind.LINEAR_HARDENING else 0.0
+    return [E, np.where(E == 0.0, np.inf, sy / E), sy, H * E / (H + E)]
 
 
 def _lenh_columns(values: np.ndarray) -> np.ndarray:
@@ -244,6 +215,30 @@ def _plastic_groups(values: np.ndarray, plastic: np.ndarray):
         if group.any():
             r = rows[group]
             yield r, points[group], [c[r] for c in values.T], flag
+
+
+def _lenh_response(strain: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stress and log d(strain)/d(plastic strain) of LE-NH parameter rows at
+    the 1-D ``strain``, each (m, strain.size), 0 on the elastic branch; both
+    from the plastic coordinate t. In the plastic strain the derivative is
+    the path's slope; in the stress excess v it is
+    1 + n H / (E (v/H)**(1/n - 1)), taken in log form because for n << 1
+    the power underflows long before the plastic strain is resolved."""
+    E, sy, _, _ = _lenh_columns(values)
+    stress = E * strain
+    log_slope = np.zeros(stress.shape)
+    for r, p, x, excess in _plastic_groups(values, strain > sy / E):
+        t = _plastic_coordinate(strain[p], x, excess)
+        stress[r, p], _, slope = _plastic_path(t, x, excess)
+        if excess:
+            E_p, _, H, n = x
+            # log(n) apart: a subnormal n makes 1/n inf, and n H / E 0.
+            with np.errstate(divide="ignore", over="ignore"):
+                log_ratio = np.log(n) + np.log(H / E_p) - (1.0 / n - 1.0) * np.log(t / H)
+            log_slope[r, p] = np.logaddexp(0.0, log_ratio)
+        else:
+            log_slope[r, p] = np.log(slope)
+    return stress, log_slope
 
 
 def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from plastinfer import (
     summarize,
 )
 from plastinfer.likelihood import QuadratureSpec, log_likelihood
-from plastinfer.models import ParameterVector, stress, stress_lenh, yield_strain
+from plastinfer.models import ParameterVector, stress, stress_lenh
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -64,7 +64,7 @@ def _quad_oracle(x: ParameterVector, kind: ModelKind, sm, em, s_sig, s_eps, a) -
 
     breaks = []
     if x.sigma_y0 is not None and x.E > 0.0:
-        ey = yield_strain(x)
+        ey = x.sigma_y0 / x.E
         if lo < ey < hi:
             breaks.append(ey)
     value, _ = quad(integrand, lo, hi, points=breaks or None, limit=400, epsabs=0.0, epsrel=1e-12)

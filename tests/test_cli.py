@@ -632,7 +632,7 @@ class TestBadSeed:
             data = _make_dataset(tmp_path)
             config = _identify_config(tmp_path, sampler={"n_samples": 50, "seed": seed})
             return ["identify", "--config", config, "--data", str(data), "--output-dir", str(tmp_path / "run")]
-        top, fit_seed = (1, seed) if where.endswith("-fit") else (seed, 1)
+        top, fit_seed = (1, seed) if "-fit" in where else (seed, 1)
         if where.startswith("heterogeneity"):
             payload = {
                 "population": {"model": "LE", "mean": [210.0], "covariance": [[100.0]], "count": 3},
@@ -646,13 +646,17 @@ class TestBadSeed:
             }
             config = _write_config(tmp_path, payload, "het.json")
             return ["heterogeneity", "--config", config, "--output", str(tmp_path / "het.csv")]
-        # The fit's sampler seed is read only when no top-level seed overrides it.
-        payload = TestMismatch()._payload(seed=None if where.endswith("-fit") else top)
+        # "mismatch-fit-overridden": a top-level seed overrides the fit's
+        # sampler seed, which is still checked.
+        payload = TestMismatch()._payload(seed=None if where == "mismatch-fit" else top)
         payload["fit"]["sampler"]["seed"] = fit_seed
         config = _write_config(tmp_path, payload, "mismatch.json")
         return ["mismatch", "--config", config, "--output-dir", str(tmp_path / "m")]
 
-    WHERE = ["generate", "identify", "heterogeneity", "heterogeneity-fit", "mismatch", "mismatch-fit"]
+    WHERE = [
+        "generate", "identify", "heterogeneity", "heterogeneity-fit",
+        "mismatch", "mismatch-fit", "mismatch-fit-overridden",
+    ]
 
     @pytest.mark.parametrize("where", WHERE)
     @pytest.mark.parametrize("bad", BAD)

@@ -1,7 +1,8 @@
 """Tests for the measurement log-likelihoods.
 
-The stress-only forms are checked against hand arithmetic and the
-change-of-variables identity between the hardening models. Every
+The stress-only forms are checked against hand arithmetic, the
+change-of-variables identity between the hardening models and, for LE-NH,
+a long-double oracle of the change-of-variables factor. Every
 stress-and-strain closed form is checked against adaptive quadrature of
 its defining marginalization integral, plus the limit and reduction
 identities that tie the four models together.
@@ -31,17 +32,23 @@ from plastinfer import (
     generate_single_noise,
     log_likelihood,
     stress,
-    yield_strain,
 )
 from plastinfer import likelihood
 from plastinfer.likelihood import _log_gauss_mass, _log_sum_exp, likelihood_kernel
-from plastinfer.models import _plastic_path, stress_rows
+from plastinfer.models import _lenh_response, _plastic_path, stress_rows
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 GRID_12 = np.linspace(2.4e-4, 12 * 2.4e-4, 12)
 
 AFFINE_KINDS = [ModelKind.LINEAR_ELASTIC, ModelKind.PERFECT_PLASTICITY, ModelKind.LINEAR_HARDENING]
+
+REGIMES = pytest.mark.parametrize("double", [False, True], ids=["stress-only", "stress-and-strain"])
+
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is plain double on this platform",
+)
 
 
 def _single_set(strains, stresses, s=0.01) -> MeasurementSet:
@@ -87,11 +94,40 @@ def _oracle_double_point(x, kind, sm, em, s_sig, s_eps, a) -> float:
 
     breaks = []
     if x.sigma_y0 is not None and x.E > 0.0:
-        ey = yield_strain(x)
+        ey = x.sigma_y0 / x.E
         if lo < ey < hi:
             breaks.append(ey)
     value, _ = quad(integrand, lo, hi, points=breaks or None, limit=400, epsabs=0.0, epsrel=1e-12)
     return math.log(value) + shift - LOG_2PI - math.log(s_sig) - math.log(s_eps)
+
+
+def _long_double_lenh(strain, E, sy, H, n):
+    """LE-NH stress and log d(strain)/d(plastic strain) in long double, by
+    bisection of the stress excess v (H > 0): strain = (sy + v)/E + u, with
+    the plastic strain u = (v/H)**(1/n) explicit, so the factor
+    log(1 + n H / (E (v/H)**(1/n - 1))) takes no difference of nearly equal
+    strains. Broadcasts its arguments; at or below yield v = 0 and the
+    factor is inf."""
+    strain, E, sy, H, n = (
+        np.asarray(c, dtype=np.longdouble) for c in np.broadcast_arrays(strain, E, sy, H, n)
+    )
+    lo, hi = np.zeros_like(strain), np.maximum(E * strain - sy, 0)
+    for _ in range(160):
+        v = (lo + hi) / 2
+        below = (sy + v) / E + (v / H) ** (1 / n) < strain
+        lo, hi = np.where(below, v, lo), np.where(below, hi, v)
+    v = (lo + hi) / 2
+    with np.errstate(divide="ignore"):
+        return sy + v, np.log1p(n * H / E * (v / H) ** (1 - 1 / n))
+
+
+def _long_double_single_lenh(x: ParameterVector, mset: MeasurementSet) -> float:
+    """The stress-only LE-NH log-likelihood of ``mset``, every point past
+    yield, from ``_long_double_lenh``."""
+    sigma, log_jac = _long_double_lenh(mset.strains, x.E, x.sigma_y0, x.H, x.n)
+    s = mset.noise.stress_std
+    terms = -0.5 * ((mset.stresses - sigma) / s) ** 2 - log_jac
+    return float(np.sum(terms) - len(mset) * (0.5 * np.log(2 * np.pi, dtype=np.longdouble) + np.log(s)))
 
 
 def _random_instance(rng, kind):
@@ -253,7 +289,7 @@ class TestDoubleNoiseOracle:
         }[n_kind]
         x = ParameterVector(E=E, sigma_y0=sy, H=H, n=n)
         s_sig, s_eps = 0.01, 1e-4
-        ey = yield_strain(x)
+        ey = x.sigma_y0 / x.E
         true_strains = np.abs(
             np.concatenate(
                 [ey + rng.uniform(-6.0, 6.0, size=4) * s_eps, rng.uniform(0.2, 3.0, size=8) * ey]
@@ -322,7 +358,7 @@ class TestDoubleNoiseLimits:
         double = log_likelihood(
             x, ModelKind.NONLINEAR_HARDENING, _double_set(strains, stresses, s_eps=1e-9)
         )
-        plastic = strains > yield_strain(x)
+        plastic = strains > x.sigma_y0 / x.E
         c = stress(strains[plastic], x, ModelKind.NONLINEAR_HARDENING)
         t = strains[plastic] - c / x.E
         jacobians = 1.0 + (x.H * x.n / x.E) * t ** (x.n - 1.0)
@@ -341,19 +377,21 @@ class TestDoubleNoiseLimits:
         """A yield strain far below the data leaves a plain Gaussian in stress."""
         s_sig, s_eps = 0.01, 1e-4
         x = ParameterVector(E=210.0, sigma_y0=0.25)
-        em = yield_strain(x) + 12.0 * s_eps
+        em = x.sigma_y0 / x.E + 12.0 * s_eps
         sm = 0.253
         got = log_likelihood(x, ModelKind.PERFECT_PLASTICITY, _double_set([em], [sm], s_sig, s_eps))
         want = norm.logpdf(sm, loc=0.25, scale=s_sig)
         assert abs(got - want) < 1e-10
 
-    def test_linear_hardening_zero_slope_reduction(self):
+    @REGIMES
+    def test_linear_hardening_zero_slope_reduction(self, double):
+        """An LE-PP row has the bits of the LE-LH row with H = 0."""
         x_lh = ParameterVector(E=210.0, sigma_y0=0.25, H=0.0)
         x_pp = ParameterVector(E=210.0, sigma_y0=0.25)
-        mset = _double_set([5e-4, 1.3e-3, 2e-3], [0.10, 0.25, 0.26])
+        mset = (_double_set if double else _single_set)([5e-4, 1.3e-3, 2e-3], [0.10, 0.25, 0.26])
         lh = log_likelihood(x_lh, ModelKind.LINEAR_HARDENING, mset)
         pp = log_likelihood(x_pp, ModelKind.PERFECT_PLASTICITY, mset)
-        assert abs(lh - pp) < 1e-10
+        assert lh == pp
 
     def test_linear_hardening_stiff_slope_limit(self):
         """H >> E turns the plastic slope back into the elastic one."""
@@ -374,15 +412,35 @@ class TestDoubleNoiseLimits:
         want = norm.logpdf(sm, loc=0.0, scale=s_sig) + math.log(window)
         assert got == pytest.approx(want, rel=1e-10)
 
-    def test_zero_modulus_perfect_plasticity_rejected(self):
-        from plastinfer import DomainError
+    def test_zero_modulus_perfect_plasticity_is_linear_elastic(self):
+        """E = 0 never yields, so sigma_y0 = 0.25 changes nothing: the value
+        is LE's with E = 0 on the set of ``test_zero_modulus_linear_elastic``."""
+        mset = _double_set([3e-4], [0.015], 0.02, 1e-4, 5e-4)
+        got = log_likelihood(ParameterVector(E=0.0, sigma_y0=0.25), ModelKind.PERFECT_PLASTICITY, mset)
+        assert got == log_likelihood(ParameterVector(E=0.0), ModelKind.LINEAR_ELASTIC, mset)
+        assert got == pytest.approx(2.68743928, abs=1e-8)
 
-        with pytest.raises(DomainError):
-            log_likelihood(
-                ParameterVector(E=0.0, sigma_y0=0.25),
-                ModelKind.PERFECT_PLASTICITY,
-                _double_set([1e-3], [0.2]),
-            )
+    @REGIMES
+    @pytest.mark.parametrize("kind", AFFINE_KINDS)
+    def test_zero_modulus_never_yields(self, kind, double):
+        """With E = 0 every affine model is the zero line, whatever sigma_y0
+        and H (H = 0 included, where the plastic slope H E / (H + E) is
+        0/0): the likelihood has the bits of LE's with E = 0 and is the sum
+        of stress Gaussians about zero plus, with strain noise, the log
+        mass of each point's strain window [0, a]."""
+        s_sig, s_eps, a = 0.02, 1e-4, 5e-4
+        strains, stresses = np.array([1e-4, 3e-4, 4.5e-4]), np.array([0.015, -0.01, 0.03])
+        if double:
+            mset = _double_set(strains, stresses, s_sig, s_eps, a)
+        else:
+            mset = _single_set(strains, stresses, s_sig)
+        x = ParameterVector.from_array(kind, [0.0, 0.25, 0.0][: kind.dimension])
+        got = log_likelihood(x, kind, mset)
+        assert got == log_likelihood(ParameterVector(E=0.0), ModelKind.LINEAR_ELASTIC, mset)
+        want = np.sum(norm.logpdf(stresses, loc=0.0, scale=s_sig))
+        if double:
+            want += np.sum(np.log(norm.cdf((a - strains) / s_eps) - norm.cdf(-strains / s_eps)))
+        assert got == pytest.approx(want, rel=1e-10)
 
     def test_tester_limit_below_yield_silences_plastic_branch(self):
         """With the limit under the yield strain only the elastic branch
@@ -426,7 +484,7 @@ class TestNonlinearReductions:
     def test_panel_doubling_self_error(self):
         """Halving the mesh at defaults moves the value by < 1e-8."""
         x = ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.5)
-        ey = yield_strain(x)
+        ey = x.sigma_y0 / x.E
         # Windows straddling the yield corner are the hard case.
         strains = np.array([ey - 5e-5, ey + 2e-5, ey + 8e-5, 3e-3])
         stresses = stress(strains, x, ModelKind.NONLINEAR_HARDENING) + 0.004
@@ -445,7 +503,7 @@ class TestNonlinearReductions:
         is resolved, so no clean ratio can be read off there.)
         """
         x = ParameterVector(E=210.0, sigma_y0=0.25, H=50.0, n=1.0)
-        em = yield_strain(x) + 2e-5
+        em = x.sigma_y0 / x.E + 2e-5
         sm = stress(em, x, ModelKind.NONLINEAR_HARDENING) + 0.004
         mset = _double_set([em], [sm])
         kind = ModelKind.NONLINEAR_HARDENING
@@ -592,15 +650,70 @@ class TestExtremeParameters:
         x = ParameterVector.from_array(kind, [E, 1.0, 5.0][: kind.dimension])
         assert math.isfinite(log_likelihood(x, kind, mset))
 
+    @needs_long_double
     def test_stress_only_nonlinear_plastic_strain_rounded_below_zero(self):
-        """Rounding leaves the plastic strain strain - stress/E at -2.7e-20
-        for one point; it counts as 0, where the Jacobian diverges."""
+        """Recomputed as strain - stress/E, the plastic strain of one point
+        rounds to -2.7e-20, where the change-of-variables factor diverges.
+        Taken from the plastic coordinate it is positive, and the value
+        matches the long-double oracle."""
         kind = ModelKind.NONLINEAR_HARDENING
         mset = generate_single_noise(
             ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57), kind, GRID_12, 0.01, seed=1
         )
         x = ParameterVector(E=0.25436000000000003, sigma_y0=0.0, H=5.0, n=0.25)
+        got = log_likelihood(x, kind, mset)
+        assert got == pytest.approx(_long_double_single_lenh(x, mset), rel=1e-12)
+
+    @needs_long_double
+    def test_stress_only_nonlinear_small_exponent_is_finite(self):
+        """E = 210, sigma_y0 = 0.25, H = 50, n = 0.05: at these strains the
+        plastic strain (1.8e-67, 4.3e-50, 4.1e-43) is below the rounding of
+        strain - stress/E, which gave exactly 0 and a log-likelihood of
+        -inf. The log-factors are 141.57, 103.56 and 88.28."""
+        kind = ModelKind.NONLINEAR_HARDENING
+        x = ParameterVector(E=210.0, sigma_y0=0.25, H=50.0, n=0.05)
+        strains = np.array([1.3e-3, 2e-3, 3e-3])
+        mset = _single_set(strains, stress(strains, x, kind) + np.array([0.004, -0.006, 0.011]))
+        got = log_likelihood(x, kind, mset)
+        assert abs(got - _long_double_single_lenh(x, mset)) < 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stress_only_nonlinear_subnormal_exponent(self):
+        """n = 5e-324 makes 1/n inf and n H / E underflow to 0. Past yield
+        the plastic strain (v/H)**(1/n) is then 0 and the change-of-variables
+        factor inf, not NaN, so the value is -inf."""
+        kind = ModelKind.NONLINEAR_HARDENING
+        mset = generate_single_noise(
+            ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57), kind, GRID_12, 0.01, seed=1
+        )
+        x = ParameterVector(E=200.0, sigma_y0=0.25, H=1.0, n=5e-324)
         assert log_likelihood(x, kind, mset) == -np.inf
+
+
+@needs_long_double
+@pytest.mark.parametrize("n_range", [(0.15, 3.0), (0.02, 0.3)])
+def test_stress_only_nonlinear_log_factor_matches_long_double(n_range):
+    """300 LE-NH rows with H in [1, 100] and the yield strain inside the
+    12-point grid: the stress-only log d(strain)/d(plastic strain) is 0 up
+    to yield, finite past it, and within 1e-12 of the long-double oracle
+    at every point 1% or more past yield. Closer to yield the double sum
+    (sigma_y0 + v)/E leaves a relative error of about eps * strain /
+    (strain - sigma_y0/E) on the stress excess v, which the factor's
+    log(v/H) multiplies by 1/n - 1."""
+    rng = np.random.default_rng(23)
+    m = 300
+    E = rng.uniform(50.0, 300.0, m)
+    sy = E * rng.uniform(GRID_12[0], GRID_12[-1], m)
+    H = rng.uniform(1.0, 100.0, m)
+    n = rng.uniform(*n_range, m)
+    _, log_jac = _lenh_response(GRID_12, np.column_stack([E, sy, H, n]))
+    plastic = GRID_12 > (sy / E)[:, None]
+    assert np.all(log_jac[~plastic] == 0.0)
+    assert np.all(np.isfinite(log_jac))
+    _, want = _long_double_lenh(GRID_12, E[:, None], sy[:, None], H[:, None], n[:, None])
+    checked = GRID_12 >= 1.01 * (sy / E)[:, None]
+    assert checked.sum() > 1500
+    assert np.max(np.abs(log_jac - want)[checked]) < 1e-12
 
 
 def test_log_sum_exp_matches_scipy():

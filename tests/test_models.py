@@ -24,7 +24,6 @@ from plastinfer import (
     ParameterVector,
     stress,
     stress_lenh,
-    yield_strain,
 )
 from plastinfer import models
 from plastinfer.models import stress_rows
@@ -82,17 +81,10 @@ class TestParameterVector:
             kind = ModelKind.parse(token)
             x = ParameterVector.from_array(kind, vec)
             np.testing.assert_array_equal(x.to_array(), vec)
-            assert x.dimension == kind.dimension
-            x.require_kind(kind)
 
     def test_from_array_wrong_length(self):
         with pytest.raises(DomainError):
             ParameterVector.from_array(ModelKind.LINEAR_HARDENING, [210.0, 0.25])
-
-    def test_require_kind_mismatch(self):
-        x = ParameterVector(E=210.0, sigma_y0=0.25)
-        with pytest.raises(DomainError):
-            x.require_kind(ModelKind.LINEAR_ELASTIC)
 
     def test_parse_is_case_insensitive(self):
         assert ModelKind.parse("le-pp") is ModelKind.PERFECT_PLASTICITY
@@ -101,27 +93,6 @@ class TestParameterVector:
     def test_parse_unknown_token(self):
         with pytest.raises(ConfigurationError):
             ModelKind.parse("LE-XX")
-
-
-class TestYieldStrain:
-    def test_reference_ratio(self):
-        assert yield_strain(_params(ModelKind.PERFECT_PLASTICITY)) == pytest.approx(
-            1.190476e-3, rel=1e-6
-        )
-
-    def test_zero_yield_stress(self):
-        assert yield_strain(ParameterVector(E=210.0, sigma_y0=0.0)) == 0.0
-
-    def test_identity_ratio(self):
-        assert yield_strain(ParameterVector(E=1.0, sigma_y0=1.0)) == 1.0
-
-    def test_zero_modulus_rejected(self):
-        with pytest.raises(DomainError):
-            yield_strain(ParameterVector(E=0.0, sigma_y0=0.25))
-
-    def test_elastic_model_rejected(self):
-        with pytest.raises(DomainError):
-            yield_strain(ParameterVector(E=210.0))
 
 
 class TestLinearElastic:
@@ -159,9 +130,13 @@ class TestPerfectPlasticity:
         x = _params(ModelKind.PERFECT_PLASTICITY)
         assert stress(2e-3, x, ModelKind.PERFECT_PLASTICITY) == SIGMA_Y0_REF
 
-    def test_zero_modulus_with_yield_stress_rejected(self):
-        with pytest.raises(DomainError):
-            stress(1e-3, ParameterVector(E=0.0, sigma_y0=0.25), ModelKind.PERFECT_PLASTICITY)
+    def test_zero_modulus_with_yield_stress_is_the_zero_line(self):
+        """E = 0 never yields, whatever sigma_y0: zero stress at every strain,
+        as for LE with E = 0."""
+        eps = np.array([0.0, 1e-3, 2e-3, 1.0])
+        got = stress(eps, ParameterVector(E=0.0, sigma_y0=0.25), ModelKind.PERFECT_PLASTICITY)
+        np.testing.assert_array_equal(got, stress(eps, ParameterVector(E=0.0), ModelKind.LINEAR_ELASTIC))
+        np.testing.assert_array_equal(got, 0.0)
 
     def test_zero_modulus_zero_yield(self):
         assert stress(1e-3, ParameterVector(E=0.0, sigma_y0=0.0), ModelKind.PERFECT_PLASTICITY) == 0.0
@@ -181,9 +156,14 @@ class TestLinearHardening:
         expected = 0.25 + (50.0 * 210.0 / 260.0) * (2e-3 - 0.25 / 210.0)
         assert stress(2e-3, x, ModelKind.LINEAR_HARDENING) == pytest.approx(expected, rel=1e-14)
 
-    def test_degenerate_moduli_rejected(self):
-        with pytest.raises(DomainError):
-            stress(1e-3, ParameterVector(E=0.0, sigma_y0=0.0, H=0.0), ModelKind.LINEAR_HARDENING)
+    def test_zero_moduli_give_the_zero_line(self):
+        """E = H = 0, where the plastic slope H E / (H + E) is 0/0: E = 0
+        never yields, so the response is the zero line of LE with E = 0."""
+        eps = np.array([0.0, 1e-3, 2e-3, 1.0])
+        for sy in (0.0, 0.25):
+            got = stress(eps, ParameterVector(E=0.0, sigma_y0=sy, H=0.0), ModelKind.LINEAR_HARDENING)
+            np.testing.assert_array_equal(got, stress(eps, ParameterVector(E=0.0), ModelKind.LINEAR_ELASTIC))
+            np.testing.assert_array_equal(got, 0.0)
 
 
 class TestNonlinearHardening:
@@ -345,7 +325,7 @@ class TestContinuityAtYield:
         delta = 1e-10
         for kind in PLASTIC_KINDS:
             x = _params(kind, E=1.0, sigma_y0=0.25, H=0.4, n=0.5)
-            ey = yield_strain(x)
+            ey = x.sigma_y0 / x.E
             gap = abs(stress(ey + delta, x, kind) - stress(ey - delta, x, kind))
             assert gap <= 1e-8 * x.sigma_y0
 
@@ -354,14 +334,14 @@ class TestContinuityAtYield:
         delta = 1e-10
         for kind in PLASTIC_KINDS:
             x = _params(kind, H=2.0, n=0.5)
-            ey = yield_strain(x)
+            ey = x.sigma_y0 / x.E
             gap = abs(stress(ey + delta, x, kind) - stress(ey - delta, x, kind))
             assert gap <= 2.0 * x.E * delta * (1.0 + 1e-9)
 
     def test_gap_vanishes_with_delta(self):
         for kind in PLASTIC_KINDS:
             x = _params(kind, H=2.0, n=0.5)
-            ey = yield_strain(x)
+            ey = x.sigma_y0 / x.E
             gaps = [
                 abs(stress(ey + d, x, kind) - stress(ey - d, x, kind))
                 for d in (1e-6, 1e-8, 1e-10)
@@ -382,7 +362,7 @@ def admissible(draw):
 class TestMonotonicity:
     """Stress is non-decreasing in the strain for every admissible x."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(admissible())
     def test_nonlinear_hardening(self, params):
         E, sy, H, n = params
@@ -391,7 +371,7 @@ class TestMonotonicity:
         sigma = stress(eps, x, ModelKind.NONLINEAR_HARDENING)
         assert np.all(np.diff(sigma) >= -1e-12 * max(1.0, sigma.max()))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(admissible())
     def test_closed_form_models(self, params):
         E, sy, H, _ = params
