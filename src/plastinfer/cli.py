@@ -167,11 +167,12 @@ def _parse_quadrature(config: dict) -> QuadratureSpec | None:
         return None
     if not isinstance(block, dict):
         raise ConfigurationError("'quadrature' must be an object")
-    spec = QuadratureSpec()
-    return QuadratureSpec(
-        panels=int(block.get("panels", spec.panels)),
-        width=float(block.get("width", spec.width)),
-    )
+    panels, width = block.get("panels", QuadratureSpec.panels), block.get("width", QuadratureSpec.width)
+    if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)):
+        raise ConfigurationError(f"quadrature panels must be an integer, got {panels!r}")
+    if isinstance(width, bool) or not isinstance(width, (int, float)) or not np.isfinite(width):
+        raise ConfigurationError(f"quadrature width must be a finite number, got {width!r}")
+    return QuadratureSpec(panels=int(panels), width=float(width))
 
 
 def _apply_noise_override(data: MeasurementSet, config: dict) -> MeasurementSet:

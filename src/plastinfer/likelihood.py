@@ -20,17 +20,17 @@ stress times the mass a truncated Gaussian in the true strain assigns to
 the branch interval. These closed forms were re-derived from the
 marginalization integral and are checked against adaptive quadrature in
 the test suite. For the implicit model the plastic branch is integrated
-numerically with composite Simpson panels, not in the true strain but in
-a plastic coordinate in which both the stress and the total strain are
-explicit: the plastic strain u for n >= 1 (or H = 0), the stress excess
-v = stress - sigma_y0 for n < 1. The coordinate, its Newton inversion
-from the strain and the domain checks live in ``models``, where they also
-give the forward response. The Jacobian d(strain)/d(coordinate) enters
-the quadrature weights, so only the window ends need an inversion. These
-are solved for a whole batch at once; the nodes are then
-evaluated in blocks of at most ``_BLOCK_NODES`` nodes (whole windows), so
-the node-stage temporaries of one call take a fixed amount of memory,
-about 1.5 MB at the default 512 panels, whatever the number of rows.
+by Gauss-Legendre on a window bounded by both Gaussians, not in the true
+strain but in a plastic coordinate in which the stress and the total
+strain are explicit: the plastic strain u for n >= 1 (or H = 0), the
+stress excess v = stress - sigma_y0 for n < 1. The coordinate, its Newton
+inversion from the strain and the domain checks live in ``models``, where
+they also give the forward response. The Jacobian d(strain)/d(coordinate)
+enters the quadrature weights, so only the window ends need an inversion.
+These are solved for a whole batch at once; the nodes are then evaluated
+in blocks of at most ``_BLOCK_NODES`` nodes (whole windows), so the
+node-stage temporaries of one call take a fixed amount of memory, about
+1.5 MB, whatever the number of rows.
 
 Everything is computed and composed in log space; with ten or more
 measurements the raw products underflow double precision.
@@ -50,7 +50,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, roots_legendre
 
 from .data import MeasurementSet
 from .errors import ConfigurationError, NumericalError
@@ -64,6 +64,7 @@ from .models import (
     _plastic_coordinate,
     _plastic_groups,
     _plastic_path,
+    _stress_coordinate,
     stress_rows,
 )
 
@@ -77,13 +78,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite-Simpson settings for the implicit-model marginalization.
+    """Quadrature settings for the implicit-model marginalization.
 
     Attributes:
-        panels: number of Simpson subintervals per point (even, >= 2).
-        width: half-width of the integration window in multiples of the
-            strain-noise standard deviation. Gaussian mass beyond 8 sigma
-            is below 1e-15, far under every tolerance used here.
+        panels: resolution, even and >= 2: ``panels // 4 + 1``
+            Gauss-Legendre nodes per window.
+        width: half-width of the window in strain-noise stds, and the bound
+            of its stress band (``_lenh_kernel``); Gaussian mass beyond 8
+            sigma is below 1e-15, far under every tolerance used here.
     """
 
     panels: int = 512
@@ -205,35 +207,29 @@ def _affine_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
     return kernel
 
 
-# Smooth clustering map for Simpson panels when the integration window
-# starts exactly at the yield strain: the plastic response behaves like a
-# fractional power of the distance to yield there, which wrecks Simpson's
-# fourth-order convergence on a uniform mesh. The map 6u^5 - 5u^6 has four
-# vanishing derivatives at u = 0, restoring full order, while its interior
+# Smooth clustering map for the nodes when the integration window starts
+# exactly at the yield strain: the plastic response behaves like a
+# fractional power of the distance to yield there, which a rule on a plain
+# mesh resolves slowly. The map 6u^5 - 5u^6 has four vanishing derivatives
+# at u = 0, smoothing the pulled-back integrand, while its interior
 # stretch stays below 2.5 so the rest of the window is not starved.
 def _cluster_map(u: np.ndarray) -> np.ndarray:
     return u**5 * (6.0 - 5.0 * u)
 
 
 @functools.lru_cache(maxsize=8)
-def _simpson_table(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0, 1] for ``panels`` Simpson subintervals, row 0
-    on the plain mesh and row 1 on the clustered one, so a window picks its
-    row by index.
+def _gauss_table(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] of the ``panels // 4 + 1``-point
+    Gauss-Legendre rule, row 0 plain and row 1 through ``_cluster_map``
+    (weights times 30 u^4 (1 - u)), so a window picks its row by index.
 
     Cached per ``panels``; the arrays are shared between callers and
     therefore read-only.
     """
-    bounds = np.linspace(0.0, 1.0, panels // 2 + 1)
-    bounds = np.stack([bounds, _cluster_map(bounds)])
-    seg = np.diff(bounds, axis=1)
-    nodes = np.empty((2, panels + 1))
-    nodes[:, 0::2] = bounds
-    nodes[:, 1::2] = 0.5 * (bounds[:, :-1] + bounds[:, 1:])
-    weights = np.zeros((2, panels + 1))
-    weights[:, 0:-1:2] += seg / 6.0
-    weights[:, 2::2] += seg / 6.0
-    weights[:, 1::2] = 4.0 * seg / 6.0
+    u, w = roots_legendre(panels // 4 + 1)
+    u, w = 0.5 * (u + 1.0), 0.5 * w
+    nodes = np.stack([u, _cluster_map(u)])
+    weights = np.stack([w, w * 30.0 * u**4 * (1.0 - u)])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -249,60 +245,68 @@ def _log_sum_exp(a: np.ndarray) -> np.ndarray:
 
 
 # Most quadrature nodes evaluated together in the LE-NH node stage. At 512
-# panels a block is 31 windows and each float64 temporary 127 KB: under
-# glibc's default 128 KiB mmap threshold, so the temporaries are reused
-# heap memory instead of freshly mapped pages, and a block's working set
-# stays within a 2 MiB L2. 2**13 halves the peak memory of a call (0.76
-# against 1.48 MB) but ran 5-10% slower on 4- to 8-row calls and whole
-# chains, the per-block overhead counting twice as often.
+# panels (129 nodes) a block is 127 windows, each float64 temporary just
+# under 128 KiB and a block's working set within a 2 MiB L2. On a 2-vCPU
+# host 8-row calls ran 11% slower at 2**13 and 21% at 2**12, the per-block
+# overhead counting more often, and 16-row calls 40% slower at 2**15.
 _BLOCK_NODES = 2**14
 
 
 def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
-    """Closed-form elastic branch; the plastic branch by composite Simpson in
-    the plastic coordinate of ``_plastic_path`` over a window of ``width``
+    """Closed-form elastic branch; the plastic branch by Gauss-Legendre in
+    the plastic coordinate of ``_plastic_path`` on a window of ``width``
     strain-noise stds around each measured strain, clipped to the plastic
-    range and the tester limit. Only window ends need a (Newton) solve.
-    The (row, point) windows of a batch are integrated together, grouped
-    by plastic coordinate: the window ends of a group in one solve, its
-    nodes in consecutive blocks of at most ``_BLOCK_NODES // (panels + 1)``
-    windows (at least one), each block's log-masses written into one
-    output. A block's temporaries are at most ``_BLOCK_NODES`` floats
-    each, so a call's peak memory does not grow with the batch; as every
-    node operation is elementwise or reduces over one window's nodes, the
+    range, the tester limit and the stress band |stress - measured| <=
+    s_sig sqrt(G + width^2), G the least z_strain^2 + z_stress^2 at the
+    window ends and where the stress meets the measurement: outside it the
+    integrand is below exp(-width^2 / 2) times its value at the best of
+    those points. H = 0 has no band, and a band that misses the window (by
+    rounding) leaves it whole. The windows of a batch are integrated per
+    plastic coordinate: their ends in one (Newton) solve, their nodes in
+    blocks of at most ``_BLOCK_NODES`` nodes (whole windows, at least one),
+    so a call's peak memory does not grow with the batch; as every node
+    operation is elementwise or reduces over one window's nodes, the
     blocking does not change a single bit."""
     s_sig, s_eps, a = _require_double(data)
     sm, em = data.stresses, data.strains
-    window_lo = em - quadrature.width * s_eps
-    window_hi = em + quadrature.width * s_eps
-    unit_nodes, unit_weights = _simpson_table(quadrature.panels)
+    width = quadrature.width
+    window_lo, window_hi = em - width * s_eps, em + width * s_eps
+    unit_nodes, unit_weights = _gauss_table(quadrature.panels)
     log_norm = -_LOG_2PI - math.log(s_sig) - math.log(s_eps)
 
     def plastic_log_mass(lo, hi, x, points, excess):
         """log of the plastic-branch integral over windows [lo, hi], one per
         (parameter row, measurement) pair; ``x`` holds the pairs' parameter
         components."""
-        E, sy, H, n = x
-        t_lo, t_hi = np.split(
-            _plastic_coordinate(np.concatenate([lo, hi]), [np.concatenate([c, c]) for c in x], excess), 2
-        )
-        # A window starting at yield maps to t = 0 exactly. The clustered
-        # mesh is only needed there; with n = 1 or H = 0 the integrand is
-        # smooth.
-        mesh = ((lo == sy / E) & (H > 0.0) & (n != 1.0)).astype(np.intp)
-        span = t_hi - t_lo
-        out = np.empty(len(lo))
-        step = max(1, _BLOCK_NODES // (quadrature.panels + 1))
-        for start in range(0, len(lo), step):
-            b = slice(start, start + step)
-            t = t_lo[b, None] + span[b, None] * unit_nodes[mesh[b]]
-            sigma, strain, slope = _plastic_path(t, [c[b, None] for c in x], excess)
-            log_f = (
-                -0.5 * ((em[points[b]][:, None] - strain) / s_eps) ** 2
-                - 0.5 * ((sm[points[b]][:, None] - sigma) / s_sig) ** 2
-                + log_norm
-            )
-            with np.errstate(divide="ignore"):
+        _, _, H, n = x
+        s_m, e_m = sm[points], em[points]
+        ends = _plastic_coordinate(np.concatenate([lo, hi]), [np.concatenate([c, c]) for c in x], excess)
+        t_lo, t_hi = ends[: len(lo)], ends[len(lo) :]
+        # n H underflowing makes infs and NaNs; the caller reports a NaN.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t_s = np.minimum(np.maximum(_stress_coordinate(s_m, x, excess), t_lo), t_hi)
+            sigma, strain, _ = _plastic_path(np.array([t_lo, t_s, t_hi]), x, excess)
+            z2 = ((e_m - strain) / s_eps) ** 2 + ((s_m - sigma) / s_sig) ** 2
+            reach = s_sig * np.sqrt(z2.min(axis=0) + width * width)
+            band_lo = np.fmax(t_lo, _stress_coordinate(s_m - reach, x, excess))
+            band_hi = np.fmin(t_hi, _stress_coordinate(s_m + reach, x, excess))
+            clip = (H > 0.0) & (band_lo < band_hi)
+            t_lo = np.where(clip, band_lo, t_lo)
+            span = np.where(clip, band_hi, t_hi) - t_lo
+            # Only a window still starting at yield (t = 0) needs the
+            # clustered mesh; with n = 1 or H = 0 the integrand is smooth.
+            mesh = ((t_lo == 0.0) & (H > 0.0) & (n != 1.0)).astype(np.intp)
+            out = np.empty(len(lo))
+            step = max(1, _BLOCK_NODES // unit_nodes.shape[1])
+            for start in range(0, len(lo), step):
+                b = slice(start, start + step)
+                t = t_lo[b, None] + span[b, None] * unit_nodes[mesh[b]]
+                sigma, strain, slope = _plastic_path(t, [c[b, None] for c in x], excess)
+                log_f = (
+                    -0.5 * ((e_m[b, None] - strain) / s_eps) ** 2
+                    - 0.5 * ((s_m[b, None] - sigma) / s_sig) ** 2
+                    + log_norm
+                )
                 out[b] = _log_sum_exp(log_f + np.log(span[b, None] * unit_weights[mesh[b]] * slope))
         return out
 
@@ -318,7 +322,8 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
         for r, p, x, excess in _plastic_groups(values, hi > lo):
             plastic[r, p] = plastic_log_mass(lo[r, p], hi[r, p], x, p, excess)
 
-        per_point = np.logaddexp(elastic, plastic)
+        with np.errstate(invalid="ignore"):
+            per_point = np.logaddexp(elastic, plastic)
         bad = ~(np.isfinite(per_point) | (per_point == -np.inf))
         if bad.any():
             r, p = np.argwhere(bad)[0]

@@ -229,15 +229,15 @@ def _lenh_response(strain: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
     log_slope = np.zeros(stress.shape)
     for r, p, x, excess in _plastic_groups(values, strain > sy / E):
         t = _plastic_coordinate(strain[p], x, excess)
-        stress[r, p], _, slope = _plastic_path(t, x, excess)
-        if excess:
-            E_p, _, H, n = x
-            # log(n) apart: a subnormal n makes 1/n inf, and n H / E 0.
-            with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            stress[r, p], _, slope = _plastic_path(t, x, excess)
+            if excess:
+                E_p, _, H, n = x
+                # log(n) apart: a subnormal n makes 1/n inf, and n H / E 0.
                 log_ratio = np.log(n) + np.log(H / E_p) - (1.0 / n - 1.0) * np.log(t / H)
-            log_slope[r, p] = np.logaddexp(0.0, log_ratio)
-        else:
-            log_slope[r, p] = np.log(slope)
+                log_slope[r, p] = np.logaddexp(0.0, log_ratio)
+            else:
+                log_slope[r, p] = np.log(slope)
     return stress, log_slope
 
 
@@ -277,6 +277,14 @@ def _plastic_path(t, x, excess: bool):
     return sigma, sigma / E + t, 1.0 + (H * n / E) * _power(t, n - 1.0)
 
 
+def _stress_coordinate(sigma: np.ndarray, x, excess: bool) -> np.ndarray:
+    """The coordinate t of ``_plastic_path`` at which the stress is ``sigma``
+    (0 at or below yield); inf or NaN with H = 0, whose stress is flat."""
+    _, sy, H, n = x
+    v = np.maximum(sigma - sy, 0.0)
+    return v if excess else _power(v / H, 1.0 / n)
+
+
 def _plastic_coordinate(strain: np.ndarray, x, excess: bool) -> np.ndarray:
     """Invert ``_plastic_path``: the coordinate t at which strain is reached,
     elementwise (``x`` holds one parameter array per component).
@@ -297,20 +305,21 @@ def _plastic_coordinate(strain: np.ndarray, x, excess: bool) -> np.ndarray:
     """
     E, sy, H, n = x
     excess_strain = np.maximum(strain - sy / E, 0.0)
+    # n H underflowing makes infs and NaNs; a NaN never counts as converged.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if excess:
             t = np.fmin(E * excess_strain, H * _power(excess_strain, n))
         else:
             t = np.fmin(excess_strain, _power(excess_strain * E / H, 1.0 / n))
-    for _ in range(60):  # a handful suffice; the cap only turns a stall into an error
-        _, reached, slope = _plastic_path(t, x, excess)
-        resid = reached - strain
-        tol = np.finfo(float).eps * (4.0 * strain + t * slope)
-        done = np.abs(resid) <= tol
-        if np.all(done):
-            return t
-        t = np.where(done, t, np.maximum(t - resid / slope, 0.0))
-    i = int(np.argmax(np.abs(resid) - tol))
+        for _ in range(60):  # a handful suffice; the cap only turns a stall into an error
+            _, reached, slope = _plastic_path(t, x, excess)
+            resid = reached - strain
+            tol = np.finfo(float).eps * (4.0 * strain + t * slope)
+            done = np.abs(resid) <= tol
+            if np.all(done):
+                return t
+            t = np.where(done, t, np.maximum(t - resid / slope, 0.0))
+        i = int(np.argmax(np.abs(resid) - tol))
     raise NumericalError(
         f"plastic coordinate not reached: strain={strain[i]!r}, residual {resid[i]:.3e}, "
         f"x={np.array([c[i] for c in x])!r}"

@@ -618,6 +618,42 @@ class TestMismatch:
         assert read_measurements(out_dir / "data.csv").noise.double
 
 
+class TestQuadratureBlock:
+    """identify's 'quadrature' block for LE-NH stress-and-strain data:
+    panels must be an integer and width a finite number; anything else
+    exits 2 naming the value, where a float panel count was truncated and
+    a string raised ValueError (exit 1)."""
+
+    def _argv(self, tmp_path, block):
+        data = _make_dataset(
+            tmp_path, model="LE-NH", parameters={"E": 210.0, "sigma_y0": 0.25, "H": 2.0, "n": 0.57},
+            noise={"stress_std": 0.01, "strain_std": 1e-4}, seed=8,
+        )
+        config = _identify_config(
+            tmp_path,
+            model="LE-NH",
+            prior={"mean": [200.0, 0.29, 2.5, 0.57], "std": [50.0, 0.0166667, 0.333333, 0.05]},
+            sampler={"n_samples": 20, "step_scale": 0.02, "seed": 2},
+            quadrature=block,
+        )
+        return ["identify", "--config", config, "--data", str(data), "--output-dir", str(tmp_path / "run")]
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("panels", 512.7), ("panels", 512.0), ("panels", "abc"), ("panels", "512"), ("panels", True),
+            ("width", "x"), ("width", "8"), ("width", False), ("width", float("inf")), ("width", float("nan")),
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, key, bad):
+        assert cli.main(self._argv(tmp_path, {key: bad})) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be" in err and f"got {bad!r}" in err
+
+    def test_valid_block_runs(self, tmp_path):
+        assert cli.main(self._argv(tmp_path, {"panels": 256, "width": 6})) == 0
+
+
 class TestBadSeed:
     """A seed that is not null or a nonnegative integer is a configuration
     error, exit 2, wherever a verb reads it."""
