@@ -136,6 +136,22 @@ def _parse_prior(block: object, dimension: int) -> TruncatedNormalPrior:
     return prior
 
 
+def _integer(value: object, name: str) -> int:
+    """``value`` as an int; a bool, float, string, null or any other
+    non-integer is a configuration error, never truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value: object, name: str) -> bool:
+    """``value`` if it is a JSON boolean, else a configuration error: the
+    string "false" would otherwise read as true."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _seed(override: int | None, block: dict) -> int | None:
     """The seed a verb runs with: ``override`` if given, else ``block``'s
     ``seed``. Each must be None or a nonnegative integer, else it is a
@@ -147,15 +163,15 @@ def _seed(override: int | None, block: dict) -> int | None:
 def _parse_sampler(block: object, seed: int | None) -> tuple[SamplerConfig, bool]:
     if not isinstance(block, dict):
         raise ConfigurationError("'sampler' must be an object")
-    adaptive = bool(block.get("adaptive", True))
-    initial = block.get("initial")
+    adaptive = _flag(block.get("adaptive", True), "sampler adaptive")
+    initial, cap = block.get("initial"), block.get("history_cap")
     config = SamplerConfig(
-        n_samples=int(_require(block, "n_samples", "'sampler'")),
-        burn_in=int(block.get("burn_in", 0)),
+        n_samples=_integer(_require(block, "n_samples", "'sampler'"), "sampler n_samples"),
+        burn_in=_integer(block.get("burn_in", 0), "sampler burn_in"),
         step_scale=None if block.get("step_scale") is None else float(block["step_scale"]),
         initial=None if initial is None else np.asarray(initial, dtype=float),
-        adapt_every=int(block.get("adapt_every", 1000)),
-        history_cap=None if block.get("history_cap") is None else int(block["history_cap"]),
+        adapt_every=_integer(block.get("adapt_every", 1000), "sampler adapt_every"),
+        history_cap=None if cap is None else _integer(cap, "sampler history_cap"),
         seed=_seed(seed, block),
     )
     return config, adaptive
@@ -167,20 +183,20 @@ def _parse_quadrature(config: dict) -> QuadratureSpec | None:
         return None
     if not isinstance(block, dict):
         raise ConfigurationError("'quadrature' must be an object")
-    panels, width = block.get("panels", QuadratureSpec.panels), block.get("width", QuadratureSpec.width)
-    if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)):
-        raise ConfigurationError(f"quadrature panels must be an integer, got {panels!r}")
+    panels = _integer(block.get("panels", QuadratureSpec.panels), "quadrature panels")
+    width = block.get("width", QuadratureSpec.width)
     if isinstance(width, bool) or not isinstance(width, (int, float)) or not np.isfinite(width):
         raise ConfigurationError(f"quadrature width must be a finite number, got {width!r}")
-    return QuadratureSpec(panels=int(panels), width=float(width))
+    return QuadratureSpec(panels=panels, width=float(width))
 
 
 def _apply_noise_override(data: MeasurementSet, config: dict) -> MeasurementSet:
+    allow = _flag(config.get("allow_regime_change", False), "allow_regime_change")
     block = config.get("noise")
     if block is None:
         return data
     override = _parse_noise(block)
-    if override.double != data.noise.double and not config.get("allow_regime_change", False):
+    if override.double != data.noise.double and not allow:
         raise ConfigurationError(
             "config noise regime differs from the dataset sidecar; set "
             '"allow_regime_change": true to reinterpret the data'
@@ -513,7 +529,7 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
 
 def _cmd_mismatch(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    if not config.get("allow_mismatch", False):
+    if not _flag(config.get("allow_mismatch", False), "allow_mismatch"):
         raise ConfigurationError(
             'fitting a model other than the generating one requires "allow_mismatch": true'
         )

@@ -298,7 +298,9 @@ def _plastic_coordinate(strain: np.ndarray, x, excess: bool) -> np.ndarray:
     against a few ulps of the strain plus the change one ulp of t makes
     (t times the slope): for n << 1 far past yield the strain is so steep
     in the stress excess that no double t meets a bound on the strain
-    alone. Each element stops at its own convergence.
+    alone. Each element stops at its own convergence. Where the slope is
+    infinite, so is that tolerance, and no residual is accepted against it:
+    such an element converges to a finite tolerance or fails.
 
     Raises:
         NumericalError: if some element has not converged after 60 steps.
@@ -317,10 +319,12 @@ def _plastic_coordinate(strain: np.ndarray, x, excess: bool) -> np.ndarray:
             tol = np.finfo(float).eps * (4.0 * strain + t * slope)
             done = np.abs(resid) <= tol
             if np.all(done):
-                return t
+                done = np.isfinite(tol)  # an infinite tolerance meets any residual
+                if np.all(done):
+                    return t
             t = np.where(done, t, np.maximum(t - resid / slope, 0.0))
-        i = int(np.argmax(np.abs(resid) - tol))
+        i = int(np.argmin(done))
     raise NumericalError(
-        f"plastic coordinate not reached: strain={strain[i]!r}, residual {resid[i]:.3e}, "
-        f"x={np.array([c[i] for c in x])!r}"
+        f"plastic coordinate not reached: strain={strain[i]!r}, residual {resid[i]:.3e} "
+        f"against tolerance {tol[i]:.3e}, x={np.array([c[i] for c in x])!r}"
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .errors import ConfigurationError, DomainError, NumericalError
 from .models import ModelKind, _as_strain_array, stress_rows
@@ -303,7 +303,14 @@ class CredibleRegion:
 def credible_region(
     samples: np.ndarray, log_densities: np.ndarray, level: float = 0.95
 ) -> CredibleRegion:
-    """Build both credible views from retained samples at ``level``."""
+    """Build both credible views from retained samples at ``level``.
+
+    The ellipsoid's squared radius is the chi-squared quantile of ``level``
+    with ``dim`` degrees of freedom, computed as
+    ``2 * gammaincinv(dim / 2, level)`` (the inverse of the regularized
+    lower incomplete gamma function): the expression ``scipy.stats.chi2.ppf``
+    evaluates, with the same bits, without importing ``scipy.stats``.
+    """
     if not 0.0 < level <= 1.0:
         raise ConfigurationError(f"level must be in (0, 1], got {level!r}")
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -319,7 +326,7 @@ def credible_region(
         available = True
     except np.linalg.LinAlgError:
         available = False
-    radius_sq = float(chi2.ppf(level, samples.shape[1]))
+    radius_sq = float(2.0 * gammaincinv(samples.shape[1] / 2, level))
     threshold = float(np.quantile(log_densities, 1.0 - level))
     mask = log_densities >= threshold
     return CredibleRegion(

@@ -1,19 +1,25 @@
 """End-to-end command-line tests.
 
-Every test drives ``plastinfer.cli.main`` in process with a JSON config
-in a temporary directory, then inspects exit codes and the emitted
-files. Sampler-backed commands run short chains; only coarse recovery is
-asserted there, while file contracts (columns, round-trips, determinism)
-are checked exactly.
+Every test but the start-up one drives ``plastinfer.cli.main`` in
+process with a JSON config in a temporary directory, then inspects exit
+codes and the emitted files; the start-up test imports the package in a
+fresh interpreter. Sampler-backed commands run short chains; only coarse
+recovery is asserted there, while file contracts (columns, round-trips,
+determinism) are checked exactly.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plastinfer
 from plastinfer import (
     ModelKind,
     NumericalError,
@@ -705,3 +711,85 @@ class TestBadSeed:
         argv = self._argv(tmp_path, where, 1)
         assert cli.main(argv + ["--seed", "-3"]) == 2
         assert "got -3" in capsys.readouterr().err
+
+
+_PP_PRIOR = {"mean": [200.0, 0.29], "covariance": [[2500.0, 0.0], [0.0, 2.7778e-4]]}
+
+
+class TestTypedConfigReads:
+    """Sampler counts must be JSON integers and the switches JSON booleans:
+    anything else exits 2 naming the value. A float count was truncated, a
+    string count raised ValueError (exit 1), and the strings "false" for
+    adaptive, allow_regime_change and allow_mismatch read as true."""
+
+    def _identify(self, tmp_path, sampler=None, **top):
+        data = _make_dataset(tmp_path)
+        block = {"n_samples": 300, "burn_in": 50, "seed": 1, **(sampler or {})}
+        config = _identify_config(tmp_path, model="LE-PP", prior=_PP_PRIOR, sampler=block, **top)
+        return ["identify", "--config", config, "--data", str(data), "--output-dir", str(tmp_path / "run")]
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("n_samples", 300.9), ("n_samples", 300.0), ("n_samples", "abc"), ("n_samples", "300"),
+            ("n_samples", True), ("n_samples", None), ("burn_in", 10.5), ("burn_in", "10"),
+            ("burn_in", False), ("adapt_every", 100.0), ("adapt_every", "100"), ("adapt_every", True),
+            ("history_cap", 50.5), ("history_cap", "50"), ("history_cap", True),
+            ("adaptive", "false"), ("adaptive", "true"), ("adaptive", 0), ("adaptive", 1),
+            ("adaptive", None),
+        ],
+    )
+    def test_bad_sampler_value_exits_2(self, tmp_path, capsys, key, bad):
+        assert cli.main(self._identify(tmp_path, sampler={key: bad})) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be" in err and f"got {bad!r}" in err
+
+    @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None])
+    def test_bad_regime_switch_exits_2(self, tmp_path, capsys, bad):
+        # Stress-only data under a stress-and-strain noise block: "false"
+        # reinterpreted it with exit 0.
+        argv = self._identify(
+            tmp_path, noise={"stress_std": 0.01, "strain_std": 1e-4}, allow_regime_change=bad
+        )
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "allow_regime_change must be" in err and f"got {bad!r}" in err
+
+    @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None])
+    def test_bad_mismatch_switch_exits_2(self, tmp_path, capsys, bad):
+        config = _write_config(tmp_path, TestMismatch()._payload(allow_mismatch=bad))
+        assert cli.main(["mismatch", "--config", config, "--output-dir", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert "allow_mismatch must be" in err and f"got {bad!r}" in err
+
+    def test_valid_values_run(self, tmp_path):
+        """Every key at a valid value; adaptive false runs the fixed
+        proposal, whose chain differs from the adaptive one."""
+        sampler = {"adapt_every": 100, "history_cap": 200, "step_scale": 0.5}
+        chains = {}
+        for adaptive in (False, True):
+            argv = self._identify(
+                tmp_path, sampler={**sampler, "adaptive": adaptive}, allow_regime_change=False
+            )
+            assert cli.main(argv) == 0
+            chains[adaptive] = (tmp_path / "run" / "chain.csv").read_bytes()
+            assert load_chain(tmp_path / "run" / "chain.csv")[0].samples.shape == (300, 2)
+        assert chains[False] != chains[True]
+
+
+
+def test_fresh_import_loads_no_heavy_scipy_subpackage():
+    """Importing the package and its command line must not load
+    scipy.stats, which alone took 0.8 to 1.0 s of a 1.4 s start-up by
+    pulling in optimize, integrate, interpolate, sparse and spatial."""
+    heavy = ["scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.interpolate",
+             "scipy.sparse", "scipy.spatial"]
+    code = (
+        "import sys, plastinfer, plastinfer.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    src = str(Path(plastinfer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

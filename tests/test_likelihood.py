@@ -776,6 +776,23 @@ class TestExtremeParameters:
         want = log_likelihood(ParameterVector(*row[:2]), ModelKind.PERFECT_PLASTICITY, mset)
         assert abs(math.expm1(got - want)) < 1e-8
 
+    @REGIMES
+    def test_nonlinear_row_without_a_double_root_raises(self, double):
+        """At H = n = 1e-160 no double plastic coordinate reaches the
+        strains past yield: Newton met an infinite tolerance at t = H and
+        stopped there, and the stress-only value (-6.2422) came from that
+        false root. Both regimes must raise NumericalError naming the row."""
+        truth = ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57)
+        kind = ModelKind.NONLINEAR_HARDENING
+        if double:
+            mset = generate_double_noise(truth, kind, GRID_12, 0.01, 1e-4, seed=3)
+        else:
+            mset = generate_single_noise(truth, kind, GRID_12, 0.01, seed=1)
+        row = [210.0, 0.25, 1e-160, 1e-160]
+        with pytest.raises(NumericalError, match=r"tolerance inf") as err:
+            log_likelihood(ParameterVector(*row), kind, mset)
+        assert repr(np.array(row)) in str(err.value)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stress_only_nonlinear_subnormal_exponent(self):
         """n = 5e-324 makes 1/n inf and n H / E underflow to 0. Past yield

@@ -268,6 +268,25 @@ class TestNonlinearHardening:
         want = (lo + hi) / 2
         assert np.max(np.abs(got - want) / want) < 1e-14
 
+    def test_infinite_slope_is_no_root(self):
+        """At H = n = 1e-160 the slope in the stress excess is inf once
+        t = H, and so was the convergence tolerance eps (4 strain + t
+        slope): Newton stopped there with a reached strain of 1.0012
+        against targets of 2.2e-3 to 3.8e-3, and the stress read 0.25.
+        The row has no double root; it must raise NumericalError naming
+        it, whether alone or in a batch with a regular row."""
+        row = [210.0, 0.25, 1e-160, 1e-160]
+        strains = np.array([2.2e-3, 3e-3, 3.8e-3])
+        with pytest.raises(NumericalError, match=r"tolerance inf") as err:
+            stress_lenh(strains, ParameterVector(*row))
+        assert repr(np.array(row)) in str(err.value)
+        regular = [210.0, 0.25, 2.0, 0.57]
+        with pytest.raises(NumericalError) as err:
+            stress_rows(ModelKind.NONLINEAR_HARDENING, strains, np.array([regular, row]))
+        assert repr(np.array(row)) in str(err.value)
+        alone = stress_rows(ModelKind.NONLINEAR_HARDENING, strains, np.array([regular]))
+        assert np.all(np.isfinite(alone)) and np.all(alone > 0.25)
+
     def test_newton_stall_fails_loudly(self, monkeypatch):
         """An inversion to the plastic coordinate that has not converged
         raises NumericalError instead of returning a stress. Here Newton

@@ -496,6 +496,19 @@ class TestCredibleRegion:
         assert region.contains(just_inside)[0]
         assert not region.contains(just_outside)[0]
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_radius_is_the_chi_squared_quantile_bit_for_bit(self, dim):
+        """radius_sq comes from gammaincinv, not scipy.stats; it must equal
+        chi2.ppf exactly at the usual levels, at 1 (inf) and at 200
+        seeded random levels."""
+        rng = np.random.default_rng(dim)
+        draws = rng.normal(size=(50, dim))
+        logd = -0.5 * np.sum(draws**2, axis=1)
+        levels = [0.5, 0.6827, 0.9, 0.95, 0.99, 1.0, *rng.uniform(1e-6, 1.0, 200)]
+        for level in levels:
+            got = credible_region(draws, logd, level=float(level)).radius_sq
+            assert got == stats.chi2.ppf(level, dim), level
+
     def test_rejects_bad_levels_and_shapes(self):
         draws = np.zeros((5, 2))
         logd = np.zeros(5)
