@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,8 +27,14 @@ import numpy as np
 
 from .data import (
     MeasurementSet,
-    NoiseSpec,
     SpecimenPopulation,
+    _flag,
+    _integer,
+    _number,
+    _numbers,
+    _object,
+    _parse_noise,
+    _require,
     draw_specimens,
     generate_double_noise,
     generate_single_noise,
@@ -67,64 +74,39 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _require(config: dict, key: str, context: str) -> object:
-    if key not in config:
-        raise ConfigurationError(f"missing {key!r} in {context}")
-    return config[key]
-
-
 def _parse_parameters(kind: ModelKind, block: object) -> ParameterVector:
-    if not isinstance(block, dict):
-        raise ConfigurationError("'parameters' must be an object of named values")
+    block = _object(block, "parameters")
     extra = set(block) - set(kind.parameter_names)
     if extra:
         raise ConfigurationError(
             f"parameters {sorted(extra)} are not used by {kind.value}; "
             f"expected {list(kind.parameter_names)}"
         )
-    try:
-        values = [float(block[name]) for name in kind.parameter_names]
-    except KeyError as exc:
-        raise ConfigurationError(f"missing parameter {exc.args[0]!r} for {kind.value}") from None
+    context = f"parameters for {kind.value}"
+    values = [_number(_require(block, name, context), name) for name in kind.parameter_names]
     return ParameterVector.from_array(kind, np.array(values))
 
 
 def _parse_strains(block: object) -> np.ndarray:
     if isinstance(block, list):
-        return np.asarray(block, dtype=float)
+        return _numbers(block, "strains")
     if isinstance(block, dict):
-        start = float(_require(block, "start", "'strains'"))
-        step = float(_require(block, "step", "'strains'"))
-        count = int(_require(block, "count", "'strains'"))
-        if count < 1:
-            raise ConfigurationError(f"strain count must be >= 1, got {count}")
+        start = _number(_require(block, "start", "'strains'"), "strains start")
+        step = _number(_require(block, "step", "'strains'"), "strains step")
+        count = _integer(_require(block, "count", "'strains'"), "strains count", 1)
         return start + step * np.arange(count)
-    raise ConfigurationError("'strains' must be a list or a start/step/count object")
-
-
-def _parse_noise(block: object) -> NoiseSpec:
-    if not isinstance(block, dict):
-        raise ConfigurationError("'noise' must be an object")
-    stress_std = float(_require(block, "stress_std", "'noise'"))
-    strain_std = block.get("strain_std")
-    limit = block.get("strain_limit")
-    return NoiseSpec(
-        stress_std=stress_std,
-        strain_std=None if strain_std is None else float(strain_std),
-        strain_limit=np.inf if limit is None else float(limit),
-    )
+    raise ConfigurationError(f"strains must be a list or a start/step/count object, got {block!r}")
 
 
 def _parse_prior(block: object, dimension: int) -> TruncatedNormalPrior:
-    if not isinstance(block, dict):
-        raise ConfigurationError("'prior' must be an object")
-    mean = np.atleast_1d(np.asarray(_require(block, "mean", "'prior'"), dtype=float))
+    block = _object(block, "prior")
+    mean = np.atleast_1d(_numbers(_require(block, "mean", "'prior'"), "prior mean"))
     if "covariance" in block and "std" in block:
         raise ConfigurationError("give the prior either 'covariance' or 'std', not both")
     if "covariance" in block:
-        covariance = np.asarray(block["covariance"], dtype=float)
+        covariance = _numbers(block["covariance"], "prior covariance")
     elif "std" in block:
-        std = np.atleast_1d(np.asarray(block["std"], dtype=float))
+        std = np.atleast_1d(_numbers(block["std"], "prior std"))
         covariance = np.diag(std * std)
     else:
         raise ConfigurationError("prior needs 'covariance' or 'std'")
@@ -136,20 +118,17 @@ def _parse_prior(block: object, dimension: int) -> TruncatedNormalPrior:
     return prior
 
 
-def _integer(value: object, name: str) -> int:
-    """``value`` as an int; a bool, float, string, null or any other
-    non-integer is a configuration error, never truncated or parsed."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _flag(value: object, name: str) -> bool:
-    """``value`` if it is a JSON boolean, else a configuration error: the
-    string "false" would otherwise read as true."""
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
-    return value
+def _scalar_prior(block: object) -> tuple[float, float]:
+    """Mean and std of a one-parameter prior block, each a number or a
+    one-entry list."""
+    block = _object(block, "prior")
+    values = []
+    for key in ("mean", "std"):
+        value = _numbers(_require(block, key, "'prior'"), f"prior {key}")
+        if value.size != 1:
+            raise ConfigurationError(f"prior {key} must be one number, got {block[key]!r}")
+        values.append(value.item())
+    return values[0], values[1]
 
 
 def _seed(override: int | None, block: dict) -> int | None:
@@ -160,34 +139,39 @@ def _seed(override: int | None, block: dict) -> int | None:
     return seed if override is None else _check_seed(override)
 
 
-def _parse_sampler(block: object, seed: int | None) -> tuple[SamplerConfig, bool]:
-    if not isinstance(block, dict):
-        raise ConfigurationError("'sampler' must be an object")
-    adaptive = _flag(block.get("adaptive", True), "sampler adaptive")
-    initial, cap = block.get("initial"), block.get("history_cap")
+def _drawn(seed: int | None) -> int:
+    """``seed``, or one drawn from OS entropy when it is None: drawn here,
+    not by a generator or sampler, so that the run can record it."""
+    return np.random.SeedSequence().entropy if seed is None else seed
+
+
+def _parse_sampler(block: object, seed: int | None) -> tuple[SamplerConfig, Callable]:
+    """The sampler settings and the run function, ``run_adaptive_mh`` or
+    ``run_mh`` as ``adaptive`` selects."""
+    block = _object(block, "sampler")
+    run = run_adaptive_mh if _flag(block.get("adaptive", True), "sampler adaptive") else run_mh
+    step, initial, cap = block.get("step_scale"), block.get("initial"), block.get("history_cap")
     config = SamplerConfig(
         n_samples=_integer(_require(block, "n_samples", "'sampler'"), "sampler n_samples"),
         burn_in=_integer(block.get("burn_in", 0), "sampler burn_in"),
-        step_scale=None if block.get("step_scale") is None else float(block["step_scale"]),
-        initial=None if initial is None else np.asarray(initial, dtype=float),
+        step_scale=None if step is None else _number(step, "sampler step_scale"),
+        initial=None if initial is None else _numbers(initial, "sampler initial"),
         adapt_every=_integer(block.get("adapt_every", 1000), "sampler adapt_every"),
         history_cap=None if cap is None else _integer(cap, "sampler history_cap"),
         seed=_seed(seed, block),
     )
-    return config, adaptive
+    return config, run
 
 
 def _parse_quadrature(config: dict) -> QuadratureSpec | None:
     block = config.get("quadrature")
     if block is None:
         return None
-    if not isinstance(block, dict):
-        raise ConfigurationError("'quadrature' must be an object")
-    panels = _integer(block.get("panels", QuadratureSpec.panels), "quadrature panels")
-    width = block.get("width", QuadratureSpec.width)
-    if isinstance(width, bool) or not isinstance(width, (int, float)) or not np.isfinite(width):
-        raise ConfigurationError(f"quadrature width must be a finite number, got {width!r}")
-    return QuadratureSpec(panels=panels, width=float(width))
+    block = _object(block, "quadrature")
+    return QuadratureSpec(
+        panels=_integer(block.get("panels", QuadratureSpec.panels), "quadrature panels"),
+        width=_number(block.get("width", QuadratureSpec.width), "quadrature width"),
+    )
 
 
 def _apply_noise_override(data: MeasurementSet, config: dict) -> MeasurementSet:
@@ -202,6 +186,24 @@ def _apply_noise_override(data: MeasurementSet, config: dict) -> MeasurementSet:
             '"allow_regime_change": true to reinterpret the data'
         )
     return data.with_noise(override)
+
+
+def _generate(block: dict, seed: int, context: str) -> MeasurementSet:
+    """The measurement set that ``block`` (model, parameters, strains and
+    noise) describes, drawn with ``seed``."""
+    kind = ModelKind.parse(_require(block, "model", context))
+    x = _parse_parameters(kind, _require(block, "parameters", context))
+    strains = _parse_strains(_require(block, "strains", context))
+    noise = _parse_noise(_require(block, "noise", context))
+    if noise.double:
+        return generate_double_noise(
+            x, kind, strains, noise.stress_std, noise.strain_std, seed, noise.strain_limit
+        )
+    return generate_single_noise(x, kind, strains, noise.stress_std, seed)
+
+
+def _write_table(path, columns: list[str], rows) -> None:
+    np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.17g", delimiter=",", header=",".join(columns), comments="")
 
 
 def _jsonable(value):
@@ -219,45 +221,32 @@ def _say(verbose: bool, message: str) -> None:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    kind = ModelKind.parse(str(_require(config, "model", "config")))
-    x = _parse_parameters(kind, _require(config, "parameters", "config"))
-    strains = _parse_strains(_require(config, "strains", "config"))
-    noise = _parse_noise(_require(config, "noise", "config"))
-    seed = _seed(args.seed, config)
-    if seed is None:
-        # Drawn here, not by the generator, so the provenance records it.
-        seed = np.random.SeedSequence().entropy
-    if noise.double:
-        data = generate_double_noise(
-            x, kind, strains, noise.stress_std, noise.strain_std, seed, noise.strain_limit
-        )
-    else:
-        data = generate_single_noise(x, kind, strains, noise.stress_std, seed)
+    data = _generate(config, _drawn(_seed(args.seed, config)), "config")
     write_measurements(data, args.output)
-    _say(args.verbose, f"model {kind.value}, {len(data)} points, seed {seed}")
+    _say(args.verbose, f"{len(data)} points, {data.provenance}")
     print(f"wrote {args.output}")
     return 0
 
 
 def _run_identification(
-    data: MeasurementSet,
-    config: dict,
-    out_dir: Path,
-    seed: int | None,
-    verbose: bool,
+    data: MeasurementSet, config: dict, out_dir: Path, seed: int | None, verbose: bool, fallback: int | None = None
 ) -> int:
-    kind = ModelKind.parse(str(_require(config, "model", "config")))
+    """Sample and write the chain, summary and band. ``seed`` overrides the
+    sampler block's seed; ``fallback`` (drawn if None) serves if neither is set."""
+    kind = ModelKind.parse(_require(config, "model", "config"))
     prior = _parse_prior(_require(config, "prior", "config"), kind.dimension)
-    sampler_config, adaptive = _parse_sampler(_require(config, "sampler", "config"), seed)
+    sampler_config, run = _parse_sampler(_require(config, "sampler", "config"), seed)
     if sampler_config.seed is None:
-        # Draw the seed here rather than let the sampler read OS entropy,
-        # so summary.json and the chain sidecar record a replayable value.
-        sampler_config = replace(sampler_config, seed=np.random.SeedSequence().entropy)
+        sampler_config = replace(sampler_config, seed=_drawn(fallback))
     quadrature = _parse_quadrature(config)
+    band = _object(config.get("band", {}), "band")
+    max_strain = _number(band.get("max_strain", data.strains.max().item()), "band max_strain")
+    count = _integer(band.get("count", 100), "band count", 1)
+    samples = _integer(band.get("samples", 500), "band samples", 1)
     target = LogPosterior(kind, prior, data, quadrature)
 
-    _say(verbose, f"sampling {kind.value}, {sampler_config.n_samples} steps, adaptive={adaptive}")
-    chain = (run_adaptive_mh if adaptive else run_mh)(target, sampler_config)
+    _say(verbose, f"sampling {kind.value}, {sampler_config.n_samples} steps, {run.__name__}")
+    chain = run(target, sampler_config)
     summary = summarize(chain)
     retained, _ = chain.retained()
     trace = convergence_trace(retained)
@@ -291,26 +280,12 @@ def _run_identification(
     }
     (out_dir / "summary.json").write_text(json.dumps(report, indent=2) + "\n")
 
-    band = config.get("band", {})
-    if not isinstance(band, dict):
-        raise ConfigurationError("'band' must be an object")
-    max_strain = float(band.get("max_strain", float(data.strains.max())))
-    count = int(band.get("count", 100))
     # The envelope is drawn over the credible subset, thinned so a long
     # chain does not turn plotting data into the slowest step.
     in_region = retained[summary.credible.hpd_mask]
-    thin = max(1, in_region.shape[0] // int(band.get("samples", 500)))
     grid = np.linspace(0.0, max_strain, count)
-    lower, upper = response_band(kind, in_region[::thin], grid)
-    table = np.column_stack([grid, lower, upper])
-    np.savetxt(
-        out_dir / "band.csv",
-        table,
-        fmt="%.17g",
-        delimiter=",",
-        header="strain,lower,upper",
-        comments="",
-    )
+    lower, upper = response_band(kind, in_region[:: max(1, in_region.shape[0] // samples)], grid)
+    _write_table(out_dir / "band.csv", ["strain", "lower", "upper"], np.column_stack([grid, lower, upper]))
 
     for name, mean, std in zip(names, summary.mean, summary.std):
         print(f"{name}: mean {mean:.6g}, std {std:.6g}")
@@ -332,15 +307,9 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
             "the closed-form posterior covers stress-only noise; reinterpret "
             "the data or use 'identify'"
         )
-    block = _require(config, "prior", "config")
-    if not isinstance(block, dict):
-        raise ConfigurationError("'prior' must be an object")
+    prior_mean, prior_std = _scalar_prior(_require(config, "prior", "config"))
     posterior = analytic_le_posterior(
-        float(np.squeeze(np.asarray(_require(block, "mean", "'prior'"), dtype=float))),
-        float(np.squeeze(np.asarray(_require(block, "std", "'prior'"), dtype=float))),
-        data.strains,
-        data.stresses,
-        data.noise.stress_std,
+        prior_mean, prior_std, data.strains, data.stresses, data.noise.stress_std
     )
     report = {"mean": posterior.mean, "std": posterior.std}
     if args.output is not None:
@@ -355,26 +324,28 @@ def _cmd_prior_sweep(args: argparse.Namespace) -> int:
     data = _apply_noise_override(read_measurements(args.data), config)
     if data.noise.double:
         raise ConfigurationError("the prior sweep uses the closed-form stress-only posterior")
-    grid = _require(config, "prior_grid", "config")
-    if not isinstance(grid, dict):
-        raise ConfigurationError("'prior_grid' must be an object")
+    grid = _object(_require(config, "prior_grid", "config"), "prior_grid")
 
-    def _axis(block: object, name: str) -> np.ndarray:
+    def _axis(key: str) -> np.ndarray:
+        name = f"prior_grid {key}"
+        block = _require(grid, key, "'prior_grid'")
         if isinstance(block, list):
-            return np.asarray(block, dtype=float)
+            return _numbers(block, name)
         if isinstance(block, dict):
             return np.linspace(
-                float(_require(block, "start", name)),
-                float(_require(block, "stop", name)),
-                int(_require(block, "count", name)),
+                _number(_require(block, "start", name), f"{name} start"),
+                _number(_require(block, "stop", name), f"{name} stop"),
+                _integer(_require(block, "count", name), f"{name} count", 1),
             )
-        raise ConfigurationError(f"{name} must be a list or a start/stop/count object")
+        raise ConfigurationError(f"{name} must be a list or a start/stop/count object, got {block!r}")
 
-    means = _axis(_require(grid, "mean", "'prior_grid.mean'"), "'prior_grid.mean'")
-    stds = _axis(_require(grid, "std", "'prior_grid.std'"), "'prior_grid.std'")
+    means, stds = _axis("mean"), _axis("std")
     if np.any(stds <= 0.0):
         raise ConfigurationError("prior stds must be > 0")
-    counts = [int(c) for c in _require(config, "counts", "config")]
+    counts = _require(config, "counts", "config")
+    if not isinstance(counts, list):
+        raise ConfigurationError(f"counts must be a list of integers, got {counts!r}")
+    counts = [_integer(c, "counts") for c in counts]
     if any(c < 0 or c > len(data) for c in counts):
         raise ConfigurationError(f"counts must lie in [0, {len(data)}]")
 
@@ -396,15 +367,7 @@ def _cmd_prior_sweep(args: argparse.Namespace) -> int:
         rows.append((count, float(maps.min()), float(maps.max()), float(maps.max() - maps.min())))
         _say(args.verbose, f"k={count}: map spread {rows[-1][3]:.6g}")
 
-    table = np.asarray(rows, dtype=float)
-    np.savetxt(
-        args.output,
-        table,
-        fmt="%.17g",
-        delimiter=",",
-        header="count,map_min,map_max,map_spread",
-        comments="",
-    )
+    _write_table(args.output, ["count", "map_min", "map_max", "map_spread"], rows)
     print(f"wrote {args.output}")
     return 0
 
@@ -421,28 +384,22 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
     likelihood term.
     """
     config = _load_config(args.config)
-    pop_block = _require(config, "population", "config")
-    if not isinstance(pop_block, dict):
-        raise ConfigurationError("'population' must be an object")
-    kind = ModelKind.parse(str(pop_block.get("model", "LE")))
+    pop_block = _object(_require(config, "population", "config"), "population")
+    kind = ModelKind.parse(pop_block.get("model", "LE"))
     population = SpecimenPopulation(
         kind=kind,
-        mean=np.atleast_1d(np.asarray(_require(pop_block, "mean", "'population'"), dtype=float)),
+        mean=np.atleast_1d(_numbers(_require(pop_block, "mean", "'population'"), "population mean")),
         covariance=np.atleast_2d(
-            np.asarray(_require(pop_block, "covariance", "'population'"), dtype=float)
+            _numbers(_require(pop_block, "covariance", "'population'"), "population covariance")
         ),
-        count=int(_require(pop_block, "count", "'population'")),
+        count=_integer(_require(pop_block, "count", "'population'"), "population count", 1),
     )
-    per_specimen = _require(config, "per_specimen", "config")
-    if not isinstance(per_specimen, dict):
-        raise ConfigurationError("'per_specimen' must be an object")
+    per_specimen = _object(_require(config, "per_specimen", "config"), "per_specimen")
     strains = _parse_strains(_require(per_specimen, "strains", "'per_specimen'"))
     noise = _parse_noise(_require(per_specimen, "noise", "'per_specimen'"))
     if noise.double:
         raise ConfigurationError("the heterogeneity study uses stress-only noise")
-    replicates = int(config.get("replicates", 1))
-    if replicates < 1:
-        raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
+    replicates = _integer(config.get("replicates", 1), "replicates", 1)
     seed = _seed(args.seed, config)
     fit = config.get("fit")
     if ("prior" in config) == (fit is not None):
@@ -453,25 +410,16 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 "the closed-form route covers the linear elastic model; use a 'fit' block for the others"
             )
-        prior_block = _require(config, "prior", "config")
-        if not isinstance(prior_block, dict):
-            raise ConfigurationError("'prior' must be an object")
-        prior_mean = float(
-            np.squeeze(np.asarray(_require(prior_block, "mean", "'prior'"), dtype=float))
-        )
-        prior_std = float(
-            np.squeeze(np.asarray(_require(prior_block, "std", "'prior'"), dtype=float))
-        )
+        prior_mean, prior_std = _scalar_prior(config["prior"])
     else:
-        if not isinstance(fit, dict):
-            raise ConfigurationError("'fit' must be an object")
-        fit_kind = ModelKind.parse(str(_require(fit, "model", "'fit'")))
+        fit = _object(fit, "fit")
+        fit_kind = ModelKind.parse(_require(fit, "model", "'fit'"))
         if fit_kind is not kind:
             raise ConfigurationError(
                 f"the pooled fit uses the population model; got {fit_kind.value} vs {kind.value}"
             )
         prior = _parse_prior(_require(fit, "prior", "'fit'"), kind.dimension)
-        sampler_config, adaptive = _parse_sampler(_require(fit, "sampler", "'fit'"), None)
+        sampler_config, run = _parse_sampler(_require(fit, "sampler", "'fit'"), None)
 
     root = np.random.default_rng(seed)
     rows = []
@@ -498,7 +446,7 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
             _say(args.verbose, f"replicate {rep}: mean {posterior.mean:.6g}, std {posterior.std:.6g}")
         else:
             target = LogPosterior(kind, prior, sets)
-            chain = (run_adaptive_mh if adaptive else run_mh)(target, sampler_config)
+            chain = run(target, sampler_config)
             summary = summarize(chain)
             std = summary.std
             corr = summary.covariance / np.outer(
@@ -515,46 +463,31 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
             rows.append(tuple(row))
             _say(args.verbose, f"replicate {rep}: mean {summary.mean}, std {std}")
 
-    np.savetxt(
-        args.output,
-        np.asarray(rows, dtype=float),
-        fmt="%.17g",
-        delimiter=",",
-        header=",".join(columns),
-        comments="",
-    )
+    _write_table(args.output, columns, rows)
     print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_mismatch(args: argparse.Namespace) -> int:
+    """Generate from ``truth`` and fit ``fit``. A seedless run draws one
+    seed for the data, which the sampler also uses unless the fit's
+    sampler block pins its own, so ``--seed <recorded>`` replays it."""
     config = _load_config(args.config)
     if not _flag(config.get("allow_mismatch", False), "allow_mismatch"):
         raise ConfigurationError(
             'fitting a model other than the generating one requires "allow_mismatch": true'
         )
-    truth = _require(config, "truth", "config")
-    fit = _require(config, "fit", "config")
-    if not isinstance(truth, dict) or not isinstance(fit, dict):
-        raise ConfigurationError("'truth' and 'fit' must be objects")
-
-    true_kind = ModelKind.parse(str(_require(truth, "model", "'truth'")))
-    x = _parse_parameters(true_kind, _require(truth, "parameters", "'truth'"))
-    strains = _parse_strains(_require(truth, "strains", "'truth'"))
-    noise = _parse_noise(_require(truth, "noise", "'truth'"))
-    seed = _seed(args.seed, config)
-    if noise.double:
-        data = generate_double_noise(
-            x, true_kind, strains, noise.stress_std, noise.strain_std, seed, noise.strain_limit
-        )
-    else:
-        data = generate_single_noise(x, true_kind, strains, noise.stress_std, seed)
+    truth = _object(_require(config, "truth", "config"), "truth")
+    fit = _object(_require(config, "fit", "config"), "fit")
+    override = _seed(args.seed, config)
+    seed = _drawn(override)
+    data = _generate(truth, seed, "'truth'")
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_measurements(data, out_dir / "data.csv")
-    _say(args.verbose, f"generated {len(data)} points from {true_kind.value}")
-    return _run_identification(data, fit, out_dir, seed, args.verbose)
+    _say(args.verbose, f"generated {len(data)} points, {data.provenance}")
+    return _run_identification(data, fit, out_dir, override, args.verbose, seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:

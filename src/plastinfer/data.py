@@ -1,4 +1,4 @@
-"""Noise specifications, synthetic measurement generation, and file I/O.
+"""Noise specifications, synthetic measurements, file I/O and typed JSON readers.
 
 Measurements are (strain, stress) pairs with stress in GPa. Two noise
 regimes exist: stress-only (additive Gaussian noise on the stress) and
@@ -12,13 +12,15 @@ strain noise vanishes under the same seed.
 
 Files are a CSV with header ``strain,stress`` (17 significant digits, which
 round-trips float64 exactly) plus a JSON sidecar next to it (same stem,
-``.json`` suffix) holding the noise specification and provenance.
+``.json`` suffix) holding the noise specification and provenance. The
+sidecar and the command line's configs share one set of typed readers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 from dataclasses import dataclass, replace
 
@@ -141,6 +143,75 @@ class SpecimenPopulation:
             raise ConfigurationError("population count must be >= 1")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+
+
+def _require(block: dict, key: str, context: str) -> object:
+    if key not in block:
+        raise ConfigurationError(f"missing {key!r} in {context}")
+    return block[key]
+
+
+def _object(value: object, name: str) -> dict:
+    """``value`` if it is a JSON object, else a configuration error."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _number(value: object, name: str) -> float:
+    """``value`` as a float if it is a finite JSON number; a bool, string,
+    null or any other value is a configuration error, never parsed."""
+    # bool is an int subclass; NaN fails the comparison, and so do an
+    # infinity and an integer too large for a float.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value: object, name: str) -> np.ndarray:
+    """``value``, a number or a rectangular nested list of numbers, as a
+    float array; each number is read by :func:`_number`."""
+
+    def read(item: object) -> object:
+        return [read(entry) for entry in item] if isinstance(item, list) else _number(item, name)
+
+    numbers = read(value)
+    try:
+        return np.asarray(numbers, dtype=float)
+    except ValueError:
+        raise ConfigurationError(f"{name} must be a rectangular list, got {value!r}") from None
+
+
+def _integer(value: object, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int, at least ``minimum`` when given; a bool, float,
+    string, null or any other non-integer is a configuration error, never
+    truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _flag(value: object, name: str) -> bool:
+    """``value`` if it is a JSON boolean, else a configuration error: the
+    string "false" would otherwise read as true."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _parse_noise(block: object) -> NoiseSpec:
+    """The noise block of a config or a dataset sidecar: ``stress_std``,
+    plus ``strain_std`` for the stress-and-strain regime and
+    ``strain_limit`` for a bounded tester (null or absent: unbounded)."""
+    block = _object(block, "noise")
+    strain_std, limit = block.get("strain_std"), block.get("strain_limit")
+    return NoiseSpec(
+        stress_std=_number(_require(block, "stress_std", "'noise'"), "stress_std"),
+        strain_std=None if strain_std is None else _number(strain_std, "strain_std"),
+        strain_limit=math.inf if limit is None else _number(limit, "strain_limit"),
+    )
 
 
 def _noise_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -269,21 +340,16 @@ def write_measurements(mset: MeasurementSet, path) -> None:
 
 def _parse_sidecar(path) -> tuple[NoiseSpec, str]:
     try:
-        raw = json.loads(path.read_text())
+        raw = _object(json.loads(path.read_text()), "sidecar")
+        noise = _parse_noise(_require(raw, "noise", "sidecar"))
+        regime = _require(raw["noise"], "regime", "sidecar noise")
+        if regime != ("stress-strain" if noise.double else "stress-only"):
+            raise ConfigurationError(f"regime {regime!r} disagrees with strain_std {noise.strain_std!r}")
     except FileNotFoundError:
         raise ConfigurationError(f"missing sidecar {path}") from None
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"malformed sidecar {path}: {err}") from None
-    try:
-        block = raw["noise"]
-        regime = block["regime"]
-        limit = block.get("strain_limit")
-        noise = NoiseSpec(
-            stress_std=float(block["stress_std"]),
-            strain_std=float(block["strain_std"]) if regime == "stress-strain" else None,
-            strain_limit=math.inf if limit is None else float(limit),
-        )
-    except (KeyError, TypeError, ValueError) as err:
+    except ConfigurationError as err:
         raise ConfigurationError(f"invalid sidecar {path}: {err}") from None
     return noise, str(raw.get("provenance", ""))
 

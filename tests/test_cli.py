@@ -10,6 +10,7 @@ determinism) are checked exactly.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
@@ -623,6 +624,34 @@ class TestMismatch:
         assert code == 0
         assert read_measurements(out_dir / "data.csv").noise.double
 
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_recorded_seed_replays_the_run(self, tmp_path, seed):
+        """The data and an unpinned sampler share one seed, drawn when none
+        is given (0 is kept, not redrawn) and recorded in both data.json
+        and summary.json; --seed <recorded> rewrites every file bit for bit.
+        A seedless run generated its data from OS entropy (seed=None)."""
+        payload = self._payload(seed=seed)
+        del payload["fit"]["sampler"]["seed"]
+        config = _write_config(tmp_path, payload)
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert cli.main(["mismatch", "--config", config, "--output-dir", str(first)]) == 0
+        recorded = json.loads((first / "summary.json").read_text())["seed"]
+        assert read_measurements(first / "data.csv").provenance.endswith(f" seed={recorded}")
+        assert seed is None or recorded == seed
+        argv = ["mismatch", "--config", config, "--output-dir", str(replay), "--seed", str(recorded)]
+        assert cli.main(argv) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in replay.iterdir())
+        for name in names:
+            assert (replay / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_seedless_run_keeps_a_pinned_sampler_seed(self, tmp_path):
+        config = _write_config(tmp_path, self._payload(seed=None))
+        out_dir = tmp_path / "m"
+        assert cli.main(["mismatch", "--config", config, "--output-dir", str(out_dir)]) == 0
+        assert json.loads((out_dir / "summary.json").read_text())["seed"] == 4
+        assert read_measurements(out_dir / "data.csv").provenance.rsplit("seed=", 1)[1].isdigit()
+
 
 class TestQuadratureBlock:
     """identify's 'quadrature' block for LE-NH stress-and-strain data:
@@ -716,11 +745,109 @@ class TestBadSeed:
 _PP_PRIOR = {"mean": [200.0, 0.29], "covariance": [[2500.0, 0.0], [0.0, 2.7778e-4]]}
 
 
+def _set(payload, path, value):
+    """A deep copy of ``payload`` with the dotted ``path`` set to ``value``,
+    missing blocks on the way created empty."""
+    payload = copy.deepcopy(payload)
+    *parents, key = path.split(".")
+    block = payload
+    for part in parents:
+        block = block.setdefault(part, {})
+    block[key] = value
+    return payload
+
+
+def _cases(*cases):
+    """(verb, path, bad[, shown]) rows; ``shown`` is the value the error
+    names, ``bad`` itself unless a list entry is the culprit."""
+    return [(*case, case[2]) if len(case) == 3 else case for case in cases]
+
+
 class TestTypedConfigReads:
-    """Sampler counts must be JSON integers and the switches JSON booleans:
+    """Numbers must be finite JSON numbers, counts JSON integers (at least 1
+    where a count sizes a grid or a sample) and the switches JSON booleans:
     anything else exits 2 naming the value. A float count was truncated, a
-    string count raised ValueError (exit 1), and the strings "false" for
-    adaptive, allow_regime_change and allow_mismatch read as true."""
+    string number or count was parsed, and the strings "false" for
+    adaptive, allow_regime_change and allow_mismatch read as true; other
+    values raised a TypeError or ValueError (exit 1), and a band count of 0
+    wrote an empty band.csv."""
+
+    BASE = {
+        "generate": _generate_config(),
+        "identify": {"model": "LE-PP", "prior": _PP_PRIOR, "sampler": {"n_samples": 300, "seed": 1}},
+        "analytic": {"prior": {"mean": [200.0], "std": [50.0]}},
+        "prior-sweep": {
+            "prior_grid": {"mean": {"start": 150.0, "stop": 250.0, "count": 3}, "std": [30.0]},
+            "counts": [0, 12],
+        },
+        "heterogeneity": {
+            "population": {"model": "LE", "mean": [210.0], "covariance": [[100.0]], "count": 3},
+            "per_specimen": {"strains": GRID_12, "noise": {"stress_std": 0.01}},
+            "prior": {"mean": 200.0, "std": 50.0},
+            "replicates": 2,
+            "seed": 1,
+        },
+    }
+
+    def _argv(self, tmp_path, verb, path, bad):
+        base = TestMismatch()._payload() if verb == "mismatch" else self.BASE[verb]
+        config = _write_config(tmp_path, _set(base, path, bad), "bad.json")
+        out = str(tmp_path / "out")
+        if verb in ("generate", "heterogeneity"):
+            return [verb, "--config", config, "--output", out]
+        if verb == "mismatch":
+            return [verb, "--config", config, "--output-dir", out]
+        data = _make_dataset(tmp_path) if verb == "identify" else _make_dataset(
+            tmp_path, model="LE", parameters={"E": 210.0}
+        )
+        flag = {"identify": "--output-dir", "analytic": "--output", "prior-sweep": "--output"}[verb]
+        return [verb, "--config", config, "--data", str(data), flag, out]
+
+    @pytest.mark.parametrize(
+        "verb, path, bad, shown",
+        _cases(
+            ("generate", "parameters.E", "210"), ("generate", "parameters.E", True),
+            ("generate", "parameters.E", "abc"), ("generate", "parameters.E", [1, 2]),
+            ("generate", "parameters.sigma_y0", None), ("generate", "parameters", "x"),
+            ("generate", "strains.start", "2.4e-4"), ("generate", "strains.step", False),
+            ("generate", "strains.count", 12.9), ("generate", "strains.count", "12"),
+            ("generate", "strains", [2.4e-4, "4.8e-4"], "4.8e-4"),
+            ("generate", "strains", [[2.4e-4], [4.8e-4, 1e-3]]), ("generate", "strains", "x"),
+            ("generate", "noise.stress_std", "0.01"), ("generate", "noise.stress_std", None),
+            ("generate", "noise.strain_std", "1e-4"), ("generate", "noise.strain_limit", "0.01"),
+            ("generate", "noise", "x"),
+            ("identify", "prior.mean", [200.0, "0.29"], "0.29"), ("identify", "prior.mean", "abc"),
+            ("identify", "prior.covariance", [[2500.0, 0.0], [0.0]]),
+            ("identify", "prior.covariance", [[2500.0, 0.0], [0.0, None]], None),
+            ("identify", "sampler.step_scale", "0.5"),
+            ("identify", "sampler.initial", [205.0, "0.27"], "0.27"),
+            ("identify", "band", "x"), ("identify", "band.count", 0), ("identify", "band.count", -1),
+            ("identify", "band.count", 2.5), ("identify", "band.samples", 0),
+            ("identify", "band.samples", "500"), ("identify", "band.max_strain", "0.003"),
+            ("identify", "noise.stress_std", "0.01"),
+            ("analytic", "prior.mean", "200"), ("analytic", "prior.mean", None),
+            ("analytic", "prior.std", [50.0, 60.0]), ("analytic", "prior", "x"),
+            ("prior-sweep", "prior_grid.mean.count", 0), ("prior-sweep", "prior_grid.mean.count", 2.5),
+            ("prior-sweep", "prior_grid.mean.start", "150"),
+            ("prior-sweep", "prior_grid.std", ["30"], "30"), ("prior-sweep", "prior_grid.std", "x"),
+            ("prior-sweep", "prior_grid", "x"), ("prior-sweep", "counts", [2.9], 2.9),
+            ("prior-sweep", "counts", "3"),
+            ("heterogeneity", "population.count", 2.5), ("heterogeneity", "population.count", 0),
+            ("heterogeneity", "population.mean", ["210"], "210"),
+            ("heterogeneity", "population.covariance", [["100"]], "100"),
+            ("heterogeneity", "population", "x"), ("heterogeneity", "replicates", 2.5),
+            ("heterogeneity", "replicates", "2"), ("heterogeneity", "replicates", True),
+            ("heterogeneity", "per_specimen.noise.stress_std", "0.01"),
+            ("heterogeneity", "prior.mean", "200"),
+            ("mismatch", "truth.parameters.E", "210"), ("mismatch", "truth.strains.count", 15.5),
+            ("mismatch", "truth.noise.stress_std", "0.01"), ("mismatch", "truth", "x"),
+            ("mismatch", "fit.sampler.step_scale", "1.0"),
+        ),
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, verb, path, bad, shown):
+        assert cli.main(self._argv(tmp_path, verb, path, bad)) == 2
+        err = capsys.readouterr().err
+        assert f"{path.rsplit('.', 1)[-1]} must be" in err and f"got {shown!r}" in err
 
     def _identify(self, tmp_path, sampler=None, **top):
         data = _make_dataset(tmp_path)

@@ -7,6 +7,7 @@ checked bit for bit, and the CSV round-trip is checked losslessly.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -297,6 +298,23 @@ class TestMeasurementFiles:
         path = tmp_path / "lonely.csv"
         path.write_text("strain,stress\n1e-3,0.21\n")
         with pytest.raises(ConfigurationError, match="sidecar"):
+            read_measurements(path)
+
+    @pytest.mark.parametrize(
+        "noise, message",
+        [
+            ({"regime": "stress-only", "stress_std": "0.01"}, "stress_std must be a finite number, got '0.01'"),
+            ({"regime": "stress-only", "stress_std": 0.01, "strain_std": 1e-4}, "regime 'stress-only' disagrees"),
+        ],
+    )
+    def test_sidecar_noise_is_read_by_the_config_reader(self, tmp_path, noise, message):
+        """The sidecar's noise block goes through the config's typed reader:
+        a string std was parsed, and a strain std under a stress-only regime
+        was dropped without notice."""
+        path = tmp_path / "data.csv"
+        path.write_text("strain,stress\n1e-3,0.21\n")
+        path.with_suffix(".json").write_text(json.dumps({"noise": noise, "provenance": ""}))
+        with pytest.raises(ConfigurationError, match=f"invalid sidecar .*{message}"):
             read_measurements(path)
 
     def test_missing_file(self, tmp_path):
