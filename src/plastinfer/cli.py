@@ -421,14 +421,20 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
         prior = _parse_prior(_require(fit, "prior", "'fit'"), kind.dimension)
         sampler_config, run = _parse_sampler(_require(fit, "sampler", "'fit'"), None)
 
+    names = list(kind.parameter_names)
+    pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
+    if fit is None:
+        columns = ["replicate", "posterior_mean", "posterior_std"]
+    else:
+        means, stds = [f"mean_{p}" for p in names], [f"std_{p}" for p in names]
+        columns = ["replicate", *means, *stds, *(f"corr_{names[i]}_{names[j]}" for i, j in pairs)]
     root = np.random.default_rng(seed)
     rows = []
-    columns = ["replicate"]
-    names = list(kind.parameter_names)
     for rep in range(replicates):
         spec_seed, noise_seed = root.spawn(2)
         specimens = draw_specimens(population, spec_seed)
-        child_seeds = noise_seed.spawn(population.count)
+        # One more noise child seeds the chain; the specimens' children keep their keys.
+        *child_seeds, chain_stream = noise_seed.spawn(population.count + 1)
         sets = [
             generate_single_noise(x, kind, strains, noise.stress_std, child)
             for x, child in zip(specimens, child_seeds)
@@ -441,27 +447,17 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
                 np.concatenate([s.stresses for s in sets]),
                 noise.stress_std,
             )
-            columns = ["replicate", "posterior_mean", "posterior_std"]
             rows.append((rep, posterior.mean, posterior.std))
             _say(args.verbose, f"replicate {rep}: mean {posterior.mean:.6g}, std {posterior.std:.6g}")
         else:
-            target = LogPosterior(kind, prior, sets)
-            chain = run(target, sampler_config)
-            summary = summarize(chain)
-            std = summary.std
-            corr = summary.covariance / np.outer(
-                np.maximum(std, np.finfo(float).tiny), np.maximum(std, np.finfo(float).tiny)
-            )
-            row = [rep, *summary.mean, *std]
-            columns = (
-                ["replicate"]
-                + [f"mean_{p}" for p in names]
-                + [f"std_{p}" for p in names]
-                + [f"corr_{names[i]}_{names[j]}" for i in range(len(names)) for j in range(i + 1, len(names))]
-            )
-            row += [corr[i, j] for i in range(len(names)) for j in range(i + 1, len(names))]
-            rows.append(tuple(row))
-            _say(args.verbose, f"replicate {rep}: mean {summary.mean}, std {std}")
+            chain_config = sampler_config
+            if chain_config.seed is None:  # a pinned fit.sampler.seed is kept
+                chain_config = replace(chain_config, seed=int(chain_stream.integers(2**63)))
+            summary = summarize(run(LogPosterior(kind, prior, sets), chain_config))
+            scale = np.maximum(summary.std, np.finfo(float).tiny)
+            corr = summary.covariance / np.outer(scale, scale)
+            rows.append((rep, *summary.mean, *summary.std, *(corr[i, j] for i, j in pairs)))
+            _say(args.verbose, f"replicate {rep}: mean {summary.mean}, std {summary.std}")
 
     _write_table(args.output, columns, rows)
     print(f"wrote {args.output}")

@@ -50,7 +50,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, roots_legendre
+from scipy.special import log_ndtr, roots_legendre
 
 from .data import MeasurementSet
 from .errors import ConfigurationError, NumericalError
@@ -143,21 +143,20 @@ def _single_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
 def _log_gauss_mass(lo_z: np.ndarray, hi_z: np.ndarray) -> np.ndarray:
     """log of the standard-normal mass between z-scores, robust in the tails.
 
-    Chosen element by element: an interval on one side of zero is measured
-    in the lower tail (an upper one mirrored onto it), where ``log_ndtr``
-    keeps full precision; one straddling zero is well-scaled as it is.
+    An interval that lies more above zero than below is mirrored,
+    a = min(lo, -hi) and b = min(hi, -lo), so that |b| <= |a|: one on a
+    single side of zero is then measured in the lower tail, where
+    ``log_ndtr`` keeps full precision, and one straddling zero subtracts the
+    smaller tail, Phi(a) <= 1 - Phi(b). One form, log Phi(b) + log1p(-Phi(a)
+    / Phi(b)), serves every element.
     """
-    upper = lo_z >= 0.0
-    a = np.where(upper, -hi_z, lo_z)
-    b = np.where(upper, -lo_z, hi_z)
-    # The forms not chosen for an element may take logs of zero there.
+    a = np.minimum(lo_z, -hi_z)
+    b = np.minimum(hi_z, -lo_z)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_b = log_ndtr(b)
         # fmin: two bounds far in one tail both give -inf, and their
         # difference is NaN where the mass is 0.
-        tail = log_b + np.log1p(-np.exp(np.fmin(log_ndtr(a) - log_b, 0.0)))
-        middle = np.log1p(-(ndtr(lo_z) + ndtr(-hi_z)))
-    out = np.where(upper | (hi_z <= 0.0), tail, middle)
+        out = log_b + np.log1p(-np.exp(np.fmin(log_ndtr(a) - log_b, 0.0)))
     return np.where(hi_z > lo_z, out, -np.inf)
 
 
@@ -169,14 +168,19 @@ def _log_affine_branch(sm, em, s_sig, s_eps, intercept, slope, lo, hi) -> np.nda
     as marginal-times-mass: completing the square in the true strain e
     leaves the Gaussian marginal of sm (variance slope^2 s_eps^2 + s_sig^2)
     times the mass of the conditional Gaussian in e on [lo, hi]. Branch
-    parameters given as columns give one row of terms per branch.
+    parameters given as columns give one row of terms per branch; the
+    constants of a branch (1/variance, the center's gain on the residual,
+    1/sd) are computed on those columns before the per-point pass.
     """
-    variance = slope * slope * s_eps * s_eps + s_sig * s_sig
+    s_eps2 = s_eps * s_eps
+    variance = slope * slope * s_eps2 + s_sig * s_sig
+    inv_variance = 1.0 / variance
+    gain = slope * s_eps2 * inv_variance
+    inv_sd = np.sqrt(variance) * (1.0 / (s_sig * s_eps))
     resid = sm - intercept - slope * em
-    log_marginal = -0.5 * resid * resid / variance - 0.5 * (_LOG_2PI + np.log(variance))
-    center = em + slope * s_eps * s_eps * resid / variance
-    sd = s_sig * s_eps / np.sqrt(variance)
-    mass = _log_gauss_mass((lo - center) / sd, (hi - center) / sd)
+    log_marginal = resid * resid * (-0.5 * inv_variance) - 0.5 * (_LOG_2PI + np.log(variance))
+    center = em + gain * resid
+    mass = _log_gauss_mass((lo - center) * inv_sd, (hi - center) * inv_sd)
     # An empty interval carries no mass whatever its line, which is NaN for
     # the plastic branch of a row that never yields.
     return np.where(hi > lo, log_marginal + mass, -np.inf)
@@ -312,7 +316,8 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
 
     def kernel(values: np.ndarray) -> np.ndarray:
         E, sy, _, _ = _lenh_columns(values)
-        ey = sy / E
+        with np.errstate(over="ignore"):  # a subnormal E: the yield strain is inf
+            ey = sy / E
 
         elastic = _log_affine_branch(sm, em, s_sig, s_eps, 0.0, E, 0.0, np.minimum(ey, a))
 

@@ -227,7 +227,9 @@ def _lenh_response(strain: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
     E, sy, _, _ = _lenh_columns(values)
     stress = E * strain
     log_slope = np.zeros(stress.shape)
-    for r, p, x, excess in _plastic_groups(values, strain > sy / E):
+    with np.errstate(over="ignore"):  # a subnormal E: the yield strain is inf
+        yielded = strain > sy / E
+    for r, p, x, excess in _plastic_groups(values, yielded):
         t = _plastic_coordinate(strain[p], x, excess)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             stress[r, p], _, slope = _plastic_path(t, x, excess)

@@ -162,16 +162,14 @@ class LogPosterior:
             raise ConfigurationError(f"expected parameter rows of shape (k, {self.dimension})")
         lp = self.prior.log_density(points)
         live = lp > -np.inf
-        if not self._kernels or not live.any():
-            return lp
         if live.all():
             for kernel in self._kernels:
                 lp += kernel(points)
-            return lp
-        rows, total = points[live], lp[live]
-        for kernel in self._kernels:
-            total += kernel(rows)
-        lp[live] = total
+        elif live.any():
+            rows, total = points[live], lp[live]
+            for kernel in self._kernels:
+                total += kernel(rows)
+            lp[live] = total
         return lp
 
     def __call__(self, values: np.ndarray) -> float:

@@ -58,19 +58,21 @@ class TruncatedNormalPrior:
 
         ``x`` is one vector of length ``dimension``, giving a float, or a
         stack of them, shape (k, dimension), giving one value per row. The
-        quadratic form is summed elementwise, not by a matrix product, so
-        a row gives the same bits alone as in any stack.
+        quadratic form is summed per row by ``einsum``, not by a matrix
+        product, so a row gives the same bits alone as in any stack.
         """
         points = np.asarray(x, dtype=float)
         rows = points if points.ndim == 2 else points.reshape(1, -1)
         if rows.shape[1] != self.mean.size:
             raise ConfigurationError(f"expected {self.mean.size} components, got {rows.shape[1]}")
-        # NaN fails both comparisons, so it is off the support too.
-        support = ((rows >= 0.0) & (rows < math.inf)).all(axis=1)
         deviation = rows - self.mean
-        if not support.all():
-            deviation[~support] = 0.0
-        z = (self._whiten * deviation[:, None, :]).sum(axis=2)
-        out = -0.5 * (z * z).sum(axis=1)
-        out[~support] = -math.inf
+        off = None
+        if not (rows.min(initial=0.0) >= 0.0 and rows.max(initial=0.0) < math.inf):
+            # NaN fails both comparisons, so it is off the support too.
+            off = ~((rows >= 0.0) & (rows < math.inf)).all(axis=1)
+            deviation[off] = 0.0  # an infinity would warn (inf * 0) in the form
+        z = np.einsum("ij,kj->ki", self._whiten, deviation)
+        out = -0.5 * np.einsum("ki,ki->k", z, z)
+        if off is not None:
+            out[off] = -math.inf
         return out if points.ndim == 2 else float(out[0])

@@ -22,13 +22,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaincinv
 
+from .data import _integer, _number, _numbers, _object
 from .errors import ConfigurationError, DomainError, NumericalError
 from .models import ModelKind, _as_strain_array, stress_rows
 from .posterior import LogPosterior
@@ -159,28 +159,30 @@ def _history_factor(history: np.ndarray, scale: float) -> np.ndarray | None:
 
 # Most proposals scored in one batched target call.
 _MAX_LOOKAHEAD = 8
+# Steps drawn at once per stream: 128 KiB of normals for 4 parameters.
+_DRAW_BLOCK = 4096
 
 
 def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> Chain:
     """The Metropolis loop behind both entry points.
 
-    Each step draws ``standard_normal(dim)`` for the proposal ``x + z A``,
-    then ``u`` from (0, 1] so the comparison ``log ratio >= log u`` is
-    always well-defined; a proposal outside the support has log-density
-    ``-inf`` and can never be accepted. The step scale defaults to
-    2.38 / sqrt(dim).
+    Two streams are spawned from the seed (``SeedSequence(seed).spawn(2)``):
+    child 0 gives each step's standard normals z for the proposal
+    ``x + z A``, child 1 its ``u`` from (0, 1], so ``log ratio >= log u`` is
+    always well-defined and a proposal off the support (log-density
+    ``-inf``) is never accepted. Both are drawn in blocks of
+    ``_DRAW_BLOCK`` steps, which changes no draw. The step scale defaults
+    to 2.38 / sqrt(dim).
 
-    The draws are taken in that order into a queue, and the next k
-    proposals of the all-reject path, each built from the current state
-    by its own row product, are scored in one ``log_density`` call. The
-    steps then take them in order up to the first acceptance; the draws
-    after it go back to the front of the queue, to be built again from
-    the new state. k is about 1 / (acceptance rate so far), the expected
-    number of steps to the next acceptance, clipped to
-    [1, ``_MAX_LOOKAHEAD``], and a batch never crosses an adaptation step
-    or the end of the chain. When a batch raises, its rows are scored
-    again one at a time, in order, so an error or a NaN stops the chain
-    only at a proposal a step uses, as it would with one call per step.
+    The next k proposals of the all-reject path are built from the current
+    state by one elementwise product summed per row (a row has the same
+    bits in any batch) and scored in one ``log_density`` call; the steps
+    take them up to the first acceptance, and the next batch starts from
+    the new state. k is about 1 / (acceptance rate so far), clipped to
+    [1, ``_MAX_LOOKAHEAD``], and a batch never crosses an adaptation step,
+    a draw block or the end of the chain. When a batch raises, its rows are
+    scored again one at a time, in order, so an error or a NaN stops the
+    chain only at a proposal a step uses, as with one call per step.
     """
     x = np.array(target.prior.mean, dtype=float) if config.initial is None else config.initial
     if x.size != target.dimension:
@@ -196,7 +198,7 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
     dim = x.size
     scale = config.step_scale or 2.38 / math.sqrt(dim)
     fixed = scale * np.eye(dim)
-    rng = np.random.default_rng(config.seed)
+    z_stream, u_stream = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
 
     n = config.n_samples
     samples = np.empty((n, dim))
@@ -204,10 +206,13 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
     n_accepted = 0
     x0 = x
     factor = fixed
-    draws: deque[tuple[np.ndarray, float]] = deque()  # (z, log u), in stream order
     i = 0
     while i < n:
-        end = n
+        j = i % _DRAW_BLOCK
+        if j == 0:
+            z = z_stream.standard_normal((min(_DRAW_BLOCK, n - i), dim))
+            log_u = np.log(1.0 - u_stream.random(len(z))).tolist()
+        end = i - j + len(z)  # the block's end
         if adaptive:
             if i > 0 and i % config.adapt_every == 0:
                 history = np.vstack([x0, samples[:i]])
@@ -215,24 +220,20 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
                     history = history[-config.history_cap :]
                 adapted = _history_factor(history, scale)
                 factor = fixed if adapted is None else adapted
-            end = min(n, (i // config.adapt_every + 1) * config.adapt_every)
+            end = min(end, (i // config.adapt_every + 1) * config.adapt_every)
         k = min(_MAX_LOOKAHEAD, end - i, -(-(i + 1) // (n_accepted + 1)))
-        while len(draws) < k:
-            z = rng.standard_normal(dim)
-            draws.append((z, math.log(1.0 - rng.random())))
-        proposals = np.array([x + draws[j][0] @ factor for j in range(k)])
+        proposals = x + (z[j : j + k, :, None] * factor).sum(axis=1)
         try:
             scores = target.log_density(proposals).tolist()
         except (DomainError, NumericalError):
             scores = None
-        for j, proposal in enumerate(proposals):
-            _, log_u = draws.popleft()
-            lp_prop = target(proposal) if scores is None else scores[j]
+        for r, proposal in enumerate(proposals):
+            lp_prop = target(proposal) if scores is None else scores[r]
             if math.isnan(lp_prop):
                 raise NumericalError(
                     f"target log-density is NaN at proposal {proposal!r} from state {x!r}"
                 )
-            accepted = lp_prop - lp >= log_u
+            accepted = lp_prop - lp >= log_u[j + r]
             if accepted:
                 x, lp = proposal, lp_prop
                 n_accepted += 1
@@ -503,7 +504,9 @@ def save_chain(chain: Chain, path: str | Path, parameter_names: list[str] | None
 def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     """Read back a chain written by ``save_chain``.
 
-    Returns the chain and the parameter names from the sidecar. A table
+    Returns the chain and the parameter names from the sidecar, whose
+    values go through the typed readers of the CLI config: a missing or
+    mistyped one is a configuration error naming its key. A table
     whose row count differs from the sidecar's ``n_samples`` is loaded as
     it stands, with ``burn_in`` reset to 0, and a ``UserWarning`` names
     both counts.
@@ -512,17 +515,18 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise ConfigurationError(f"missing chain sidecar {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
+    sidecar = _object(json.loads(sidecar_path.read_text()), "chain sidecar")
     names = list(sidecar["parameter_names"])
     table = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    step, initial, cap = sidecar.get("step_scale"), sidecar.get("initial"), sidecar.get("history_cap")
     config = SamplerConfig(
-        n_samples=int(sidecar["n_samples"]),
-        burn_in=int(sidecar["burn_in"]),
-        step_scale=sidecar["step_scale"],
-        initial=sidecar["initial"],
-        adapt_every=int(sidecar["adapt_every"]),
-        history_cap=sidecar["history_cap"],
-        seed=sidecar["seed"],
+        n_samples=_integer(sidecar.get("n_samples"), "sidecar n_samples"),
+        burn_in=_integer(sidecar.get("burn_in"), "sidecar burn_in"),
+        step_scale=None if step is None else _number(step, "sidecar step_scale"),
+        initial=None if initial is None else _numbers(initial, "sidecar initial"),
+        adapt_every=_integer(sidecar.get("adapt_every"), "sidecar adapt_every"),
+        history_cap=None if cap is None else _integer(cap, "sidecar history_cap"),
+        seed=sidecar.get("seed"),
     )
     if table.shape[0] != config.n_samples:
         warnings.warn(
@@ -532,12 +536,5 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
             stacklevel=2,
         )
         config = replace(config, n_samples=table.shape[0], burn_in=0)
-    return (
-        Chain(
-            samples=table[:, :-1],
-            log_densities=table[:, -1],
-            n_accepted=int(sidecar["n_accepted"]),
-            config=config,
-        ),
-        names,
-    )
+    n_accepted = _integer(sidecar.get("n_accepted"), "sidecar n_accepted", 0)
+    return Chain(table[:, :-1], table[:, -1], n_accepted, config), names

@@ -27,6 +27,7 @@ from plastinfer import (
     analytic_le_posterior,
     load_chain,
     read_measurements,
+    run_adaptive_mh,
 )
 from plastinfer import cli
 from plastinfer.models import ParameterVector, stress
@@ -467,6 +468,41 @@ class TestHeterogeneity:
         assert abs(table[0, 1] - 210.0) < 15.0
         assert abs(table[0, 2] - 0.25) < 0.02
         assert abs(table[0, 5]) <= 1.0
+
+    def _sampled(self, sampler):
+        return {
+            "population": {"model": "LE", "mean": [210.0], "covariance": [[100.0]], "count": 3},
+            "per_specimen": {"strains": GRID_12, "noise": {"stress_std": 0.01}},
+            "fit": {"model": "LE", "prior": {"mean": [200.0], "std": [50.0]}, "sampler": sampler},
+            "replicates": 3,
+            "seed": 4,
+        }
+
+    def test_seeded_sampled_route_replays_byte_for_byte(self, tmp_path):
+        """With a top-level seed and no fit.sampler.seed, each replicate's
+        chain is seeded from the root seed, so a second run writes the same
+        bytes."""
+        payload = self._sampled({"n_samples": 300, "burn_in": 50})
+        first, second = (self._run(tmp_path, payload, name)[1] for name in ("a.csv", "b.csv"))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_replicate_chain_seeds(self, tmp_path, monkeypatch):
+        """Unpinned, the replicates' chains get distinct seeds that repeat
+        run to run; a pinned fit.sampler.seed is used as it stands."""
+        seeds = []
+
+        def recording(target, config):
+            seeds.append(config.seed)
+            return run_adaptive_mh(target, config)
+
+        monkeypatch.setattr(cli, "run_adaptive_mh", recording)
+        for _ in range(2):
+            assert self._run(tmp_path, self._sampled({"n_samples": 50}))[0] == 0
+        assert seeds[:3] == seeds[3:] and len(set(seeds)) == 3
+        assert all(isinstance(seed, int) for seed in seeds)
+        seeds.clear()
+        assert self._run(tmp_path, self._sampled({"n_samples": 50, "seed": 9}))[0] == 0
+        assert seeds == [9, 9, 9]
 
     def test_prior_and_fit_blocks_are_mutually_exclusive(self, tmp_path):
         base = {

@@ -17,7 +17,7 @@ import zlib
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import logsumexp
+from scipy.special import log_ndtr, logsumexp, ndtr
 from scipy.stats import norm
 
 from plastinfer import (
@@ -708,6 +708,67 @@ class TestGuards:
         assert log_likelihood(x, kind, double) == likelihood._affine_kernel(kind, double)(row)[0]
 
 
+def _two_form_log_gauss_mass(lo_z, hi_z):
+    """The two-form expression ``_log_gauss_mass`` replaced, kept as its
+    reference: the lower-tail form for an interval on one side of zero (an
+    upper one mirrored onto it), log1p(-(Phi(lo) + Phi(-hi))) for one
+    straddling zero."""
+    upper = lo_z >= 0.0
+    a = np.where(upper, -hi_z, lo_z)
+    b = np.where(upper, -lo_z, hi_z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_b = log_ndtr(b)
+        tail = log_b + np.log1p(-np.exp(np.fmin(log_ndtr(a) - log_b, 0.0)))
+        middle = np.log1p(-(ndtr(lo_z) + ndtr(-hi_z)))
+    out = np.where(upper | (hi_z <= 0.0), tail, middle)
+    return np.where(hi_z > lo_z, out, -np.inf)
+
+
+class TestGaussMass:
+    """The one-form interval mass against the two-form one it replaced."""
+
+    ENDS = [-np.inf, -1e160, -40.0, -38.5, -8.0, -2.0, -1.0, -0.3, -1e-9, 0.0,
+            1e-9, 0.3, 1.0, 2.0, 8.0, 38.5, 40.0, 1e160, np.inf]
+
+    def _assert_close(self, lo, hi):
+        np.testing.assert_allclose(_log_gauss_mass(lo, hi), _two_form_log_gauss_mass(lo, hi), rtol=2e-15, atol=0.0)
+
+    def test_grid_of_intervals(self):
+        """Every ordered pair of ends: both infinities, both far tails,
+        intervals straddling zero, and 1e-9-wide ones touching it; an
+        interval straddling zero is at least 0.3 wide here (see below)."""
+        pairs = [(lo, hi) for lo in self.ENDS for hi in self.ENDS]
+        kept = [(lo, hi) for lo, hi in pairs if lo < hi and not (lo < 0.0 < hi and hi - lo < 0.3)]
+        self._assert_close(*np.array(kept).T)
+        empty = [(lo, hi) for lo, hi in pairs if lo >= hi]
+        assert np.all(_log_gauss_mass(*np.array(empty).T) == -np.inf)
+
+    def test_intervals_1e_9_wide_across_the_line(self):
+        centers = np.concatenate([-np.logspace(-8, 1.5, 40), np.logspace(-8, 1.5, 40)])
+        self._assert_close(centers - 5e-10, centers + 5e-10)
+
+    def test_random_intervals(self):
+        rng = np.random.default_rng(0)
+        lo = rng.uniform(-40.0, 40.0, 20_000)
+        hi = lo + 10.0 ** rng.uniform(-6.0, 2.0, lo.size)
+        keep = ~((lo < 0.0) & (hi > 0.0) & (hi - lo < 0.3))
+        self._assert_close(lo[keep], hi[keep])
+
+    def test_narrow_interval_straddling_zero(self):
+        """Neither form resolves an interval much narrower than 1 around
+        zero: each subtracts two numbers near 1/2 (the one form their logs),
+        so the mass keeps about eps / width of relative precision, and the
+        two forms differ by as much. Both stay within that of the midpoint
+        expansion w phi(m) (1 + w^2 (m^2 - 1) / 24), which is good to O(w^4)."""
+        lo = np.array([-5e-10, -1e-10, -1e-3])
+        hi = np.array([5e-10, 9e-10, 1e-3])
+        w, m = hi - lo, 0.5 * (lo + hi)
+        density = np.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi)
+        reference = np.log(w * density * (1.0 + w * w * (m * m - 1.0) / 24.0))
+        for form in (_log_gauss_mass, _two_form_log_gauss_mass):
+            assert np.all(np.abs(np.expm1(form(lo, hi) - reference)) <= 4e-16 / w + w**4)
+
+
 class TestExtremeParameters:
     """Admissible parameters at the edge of double precision give a number
     or -inf, never NaN."""
@@ -727,6 +788,19 @@ class TestExtremeParameters:
             kind, GRID_12, 0.01, 1e-4, seed=2,
         )
         x = ParameterVector.from_array(kind, [E, 1.0, 5.0][: kind.dimension])
+        assert math.isfinite(log_likelihood(x, kind, mset))
+
+    @pytest.mark.parametrize("double", [False, True])
+    def test_nonlinear_subnormal_modulus_never_yields(self, double):
+        """sigma_y0 / E overflows to an infinite yield strain: every point is
+        elastic, with a finite value and no overflow warning."""
+        kind = ModelKind.NONLINEAR_HARDENING
+        truth = ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57)
+        if double:
+            mset = generate_double_noise(truth, kind, GRID_12, 0.01, 1e-4, seed=2)
+        else:
+            mset = generate_single_noise(truth, kind, GRID_12, 0.01, seed=2)
+        x = ParameterVector(E=5e-324, sigma_y0=1.0, H=0.0, n=1.0)
         assert math.isfinite(log_likelihood(x, kind, mset))
 
     @needs_long_double

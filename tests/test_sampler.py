@@ -9,6 +9,8 @@ distributional test statistic.
 
 from __future__ import annotations
 
+import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -393,6 +395,51 @@ class TestLookahead:
             sampler(_Recording(_elastoplastic_target(), nan=lambda row: row == bad), config)
 
 
+def _by_hand(target: LogPosterior, config: SamplerConfig) -> Chain:
+    """Fixed-proposal Metropolis written out one proposal per step: z from
+    child 0 and u from child 1 of ``SeedSequence(seed).spawn(2)``, one
+    scalar target call per step."""
+    z_stream, u_stream = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
+    x = np.array(target.prior.mean, dtype=float)
+    lp = target(x)
+    scale = config.step_scale or 2.38 / math.sqrt(x.size)
+    samples, log_densities, accepted = [], [], 0
+    for _ in range(config.n_samples):
+        proposal = x + scale * z_stream.standard_normal(x.size)
+        lp_proposal = target(proposal)
+        if lp_proposal - lp >= np.log(1.0 - u_stream.random()):
+            x, lp, accepted = proposal, lp_proposal, accepted + 1
+        samples.append(x)
+        log_densities.append(lp)
+    return Chain(np.array(samples), np.array(log_densities), accepted, config)
+
+
+class TestStreams:
+    """Two seeded streams per chain, drawn in blocks."""
+
+    @pytest.mark.parametrize("make_target", [_elastoplastic_target, _half_normal_target])
+    def test_run_mh_is_the_loop_by_hand(self, make_target):
+        config = SamplerConfig(n_samples=3_000, seed=12)
+        _assert_same_chain(run_mh(make_target(), config), _by_hand(make_target(), config))
+
+    def test_first_adaptation_period_is_the_loop_by_hand(self):
+        config = SamplerConfig(n_samples=3_000, adapt_every=1_200, seed=5)
+        chain = run_adaptive_mh(_elastoplastic_target(), config)
+        reference = _by_hand(_elastoplastic_target(), SamplerConfig(n_samples=1_200, seed=5))
+        assert np.array_equal(chain.samples[:1_200], reference.samples)
+        assert np.array_equal(chain.log_densities[:1_200], reference.log_densities)
+
+    @pytest.mark.parametrize("sampler", [run_mh, run_adaptive_mh])
+    def test_block_size_changes_no_chain(self, sampler, monkeypatch):
+        """A chain longer than one draw block equals the same chain drawn in
+        smaller blocks, aligned with the adaptation steps or not."""
+        config = SamplerConfig(n_samples=sampler_module._DRAW_BLOCK + 900, adapt_every=1_000, seed=3)
+        reference = sampler(_half_normal_target(), config)
+        for block in (7, 1_000):
+            monkeypatch.setattr(sampler_module, "_DRAW_BLOCK", block)
+            _assert_same_chain(sampler(_half_normal_target(), config), reference)
+
+
 class TestSummarize:
     """Moment arithmetic on hand-built chains."""
 
@@ -715,3 +762,29 @@ class TestChainStorage:
         assert loaded.config.n_samples == 10
         assert loaded.config.burn_in == 0
         assert loaded.samples.shape == (10, 1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_samples", "20"),
+            ("n_samples", None),
+            ("burn_in", 5.9),
+            ("n_accepted", True),
+            ("n_accepted", -1),
+            ("adapt_every", "1000"),
+            ("step_scale", "1.5"),
+            ("initial", ["50.0"]),
+            ("history_cap", 2.5),
+        ],
+    )
+    def test_mistyped_sidecar_value_rejected(self, tmp_path, key, value):
+        """Sidecar values go through the typed config readers: a string,
+        bool, float or null where an integer or number belongs is never
+        parsed, truncated or cast, and the error names the key."""
+        path = tmp_path / "chain.csv"
+        save_chain(self._small_chain(), path)
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        sidecar[key] = value
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        with pytest.raises(ConfigurationError, match=key):
+            load_chain(path)
