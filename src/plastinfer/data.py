@@ -193,6 +193,14 @@ def _integer(value: object, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _strings(value: object, name: str, count: int) -> list[str]:
+    """``value`` if it is a list of ``count`` strings, else a configuration
+    error: a string is never split into its characters."""
+    if not (isinstance(value, list) and len(value) == count and all(isinstance(v, str) for v in value)):
+        raise ConfigurationError(f"{name} must be a list of {count} strings, got {value!r}")
+    return value
+
+
 def _flag(value: object, name: str) -> bool:
     """``value`` if it is a JSON boolean, else a configuration error: the
     string "false" would otherwise read as true."""

@@ -30,10 +30,16 @@ enters the quadrature weights, so only the window ends need an inversion.
 These are solved for a whole batch at once; the nodes are then evaluated
 in blocks of at most ``_BLOCK_NODES`` nodes (whole windows), so the
 node-stage temporaries of one call take a fixed amount of memory, about
-1.5 MB, whatever the number of rows.
+1.5 MB, whatever the number of rows. A window is integrated only when a
+cheap bound on its integral (the strain Gaussian's mass past yield times
+the stress Gaussian's peak over stresses of at least sigma_y0) comes
+within ``_SCREEN_MARGIN`` of the point's elastic term; below that it
+would not move the point's value.
 
-Everything is computed and composed in log space; with ten or more
-measurements the raw products underflow double precision.
+Everything is composed in log space; with ten or more measurements the
+raw products underflow double precision. Within one quadrature window the
+weights multiply exponentials shifted by the window's least exponent,
+and one log is taken per window.
 
 Each model and regime is one kernel, a function of raw parameter rows
 with the measurement set bound once (``likelihood_kernel``). A kernel
@@ -239,13 +245,15 @@ def _gauss_table(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _log_sum_exp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis, shifted by each row's maximum. A
-    row that is all -inf gives -inf."""
-    peak = np.max(a, axis=-1, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - peak), axis=-1)) + peak[..., 0]
+def _log_window_sums(h: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """log(sum(weights * exp(-h))) over the last axis, for h >= 0: the
+    exponentials are shifted by each row's least h and enter as a product
+    with the weights, so one log per row is taken. A row whose h are all
+    inf gives -inf (log 0: callers run this under ``np.errstate``), a row
+    holding a NaN gives NaN."""
+    h_min = h.min(axis=-1, keepdims=True)
+    shift = np.where(h_min < np.inf, h_min, 0.0)
+    return np.log((np.exp(shift - h) * weights).sum(axis=-1)) - shift[..., 0]
 
 
 # Most quadrature nodes evaluated together in the LE-NH node stage. At 512
@@ -254,6 +262,11 @@ def _log_sum_exp(a: np.ndarray) -> np.ndarray:
 # host 8-row calls ran 11% slower at 2**13 and 21% at 2**12, the per-block
 # overhead counting more often, and 16-row calls 40% slower at 2**15.
 _BLOCK_NODES = 2**14
+
+# A plastic window is dropped when a bound on its integral lies this far
+# (in log) below the point's elastic term: it would move their logaddexp
+# by less than e**-60 relative, some 1e-26.
+_SCREEN_MARGIN = 60.0
 
 
 def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
@@ -265,78 +278,98 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
     window ends and where the stress meets the measurement: outside it the
     integrand is below exp(-width^2 / 2) times its value at the best of
     those points. H = 0 has no band, and a band that misses the window (by
-    rounding) leaves it whole. The windows of a batch are integrated per
-    plastic coordinate: their ends in one (Newton) solve, their nodes in
-    blocks of at most ``_BLOCK_NODES`` nodes (whole windows, at least one),
-    so a call's peak memory does not grow with the batch; as every node
-    operation is elementwise or reduces over one window's nodes, the
-    blocking does not change a single bit."""
+    rounding) leaves it whole.
+
+    A window is screened out before any of that when it cannot count: the
+    plastic integral is at most the strain Gaussian's mass past yield,
+    Phi((e_m - e_y) / s_eps), times the stress Gaussian's peak over
+    stresses of at least sigma_y0, and a window whose bound lies
+    ``_SCREEN_MARGIN`` below the elastic term is left out.
+
+    The windows of a batch are integrated per plastic coordinate: both ends
+    of all of them in one (Newton) solve, their nodes in blocks of at most
+    ``_BLOCK_NODES`` nodes (whole windows, at least one), so a call's peak
+    memory does not grow with the batch. At the nodes h is half the sum of
+    the two Gaussians' squared z-scores, and each window's weights (rule
+    weight times d(strain)/d(coordinate)) multiply exp(h_min - h), so one
+    log is taken per window (``_log_window_sums``). As every node operation
+    is elementwise or reduces over one window's nodes, neither the blocking
+    nor the screen of another row changes a single bit of a row."""
     s_sig, s_eps, a = _require_double(data)
     sm, em = data.stresses, data.strains
     width = quadrature.width
-    window_lo, window_hi = em - width * s_eps, em + width * s_eps
+    window_lo, window_hi = em - width * s_eps, np.minimum(a, em + width * s_eps)
     unit_nodes, unit_weights = _gauss_table(quadrature.panels)
     log_norm = -_LOG_2PI - math.log(s_sig) - math.log(s_eps)
+    log_peak = -0.5 * _LOG_2PI - math.log(s_sig)
+    # At the nodes, half the squared z-scores: (c_eps (e_m - strain))^2 + ...
+    c_eps, c_sig = math.sqrt(0.5) / s_eps, math.sqrt(0.5) / s_sig
+    # Per point: measured stress and strain, and both times their c.
+    point_table = np.array([sm, em, em * c_eps, sm * c_sig])
 
     def plastic_log_mass(lo, hi, x, points, excess):
         """log of the plastic-branch integral over windows [lo, hi], one per
         (parameter row, measurement) pair; ``x`` holds the pairs' parameter
         components."""
         _, _, H, n = x
-        s_m, e_m = sm[points], em[points]
-        ends = _plastic_coordinate(np.concatenate([lo, hi]), [np.concatenate([c, c]) for c in x], excess)
-        t_lo, t_hi = ends[: len(lo)], ends[len(lo) :]
-        # n H underflowing makes infs and NaNs; the caller reports a NaN.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t_s = np.minimum(np.maximum(_stress_coordinate(s_m, x, excess), t_lo), t_hi)
-            sigma, strain, _ = _plastic_path(np.array([t_lo, t_s, t_hi]), x, excess)
-            z2 = ((e_m - strain) / s_eps) ** 2 + ((s_m - sigma) / s_sig) ** 2
-            reach = s_sig * np.sqrt(z2.min(axis=0) + width * width)
-            band_lo = np.fmax(t_lo, _stress_coordinate(s_m - reach, x, excess))
-            band_hi = np.fmin(t_hi, _stress_coordinate(s_m + reach, x, excess))
-            clip = (H > 0.0) & (band_lo < band_hi)
-            t_lo = np.where(clip, band_lo, t_lo)
-            span = np.where(clip, band_hi, t_hi) - t_lo
-            # Only a window still starting at yield (t = 0) needs the
-            # clustered mesh; with n = 1 or H = 0 the integrand is smooth.
-            mesh = ((t_lo == 0.0) & (H > 0.0) & (n != 1.0)).astype(np.intp)
-            out = np.empty(len(lo))
-            step = max(1, _BLOCK_NODES // unit_nodes.shape[1])
-            for start in range(0, len(lo), step):
-                b = slice(start, start + step)
-                t = t_lo[b, None] + span[b, None] * unit_nodes[mesh[b]]
-                sigma, strain, slope = _plastic_path(t, [c[b, None] for c in x], excess)
-                log_f = (
-                    -0.5 * ((e_m[b, None] - strain) / s_eps) ** 2
-                    - 0.5 * ((s_m[b, None] - sigma) / s_sig) ** 2
-                    + log_norm
-                )
-                out[b] = _log_sum_exp(log_f + np.log(span[b, None] * unit_weights[mesh[b]] * slope))
-        return out
+        s_m, e_m, em_c, sm_c = point_table[:, points]
+        t_lo, t_hi = _plastic_coordinate(np.array([lo, hi]), x, excess)
+        t_s = np.minimum(np.maximum(_stress_coordinate(s_m, x, excess), t_lo), t_hi)
+        sigma, strain, _ = _plastic_path(np.array([t_lo, t_s, t_hi]), x, excess)
+        z2 = ((e_m - strain) / s_eps) ** 2 + ((s_m - sigma) / s_sig) ** 2
+        reach = s_sig * np.sqrt(z2.min(axis=0) + width * width)
+        band_lo, band_hi = _stress_coordinate(s_m - np.array([reach, -reach]), x, excess)
+        band_lo, band_hi = np.fmax(t_lo, band_lo), np.fmin(t_hi, band_hi)
+        hardening = H > 0.0
+        clip = hardening & (band_lo < band_hi)
+        t_lo = np.where(clip, band_lo, t_lo)
+        span = np.where(clip, band_hi, t_hi) - t_lo
+        # Only a window still starting at yield (t = 0) needs the clustered
+        # mesh; with n = 1 or H = 0 the integrand is smooth.
+        mesh = ((t_lo == 0.0) & hardening & (n != 1.0)).astype(np.intp)
+        out = np.empty(len(lo))
+        step = max(1, _BLOCK_NODES // unit_nodes.shape[1])
+        for start in range(0, len(lo), step):
+            b = slice(start, start + step)
+            t = t_lo[b, None] + span[b, None] * unit_nodes[mesh[b]]
+            sigma, strain, slope = _plastic_path(t, [c[b, None] for c in x], excess)
+            h = (em_c[b, None] - strain * c_eps) ** 2 + (sm_c[b, None] - sigma * c_sig) ** 2
+            out[b] = _log_window_sums(h, unit_weights[mesh[b]] * slope)
+            # The block's temporaries go before the next block makes its own,
+            # so a call holds about one block. h alone lives on until then:
+            # made after the others, it keeps the heap under it from being
+            # handed back to the system and faulted in again page by page
+            # (glibc trims a free top of 128 KiB or more), which made calls
+            # of many blocks half again as slow.
+            del t, sigma, strain, slope
+        return out + np.log(span) + log_norm
 
     def kernel(values: np.ndarray) -> np.ndarray:
         E, sy, _, _ = _lenh_columns(values)
-        with np.errstate(over="ignore"):  # a subnormal E: the yield strain is inf
+        # A subnormal E makes the yield strain inf; n H underflowing makes
+        # infs and NaNs in the plastic branch, reported below as a NaN.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ey = sy / E
-
-        elastic = _log_affine_branch(sm, em, s_sig, s_eps, 0.0, E, 0.0, np.minimum(ey, a))
-
-        lo = np.maximum(ey, window_lo)
-        hi = np.broadcast_to(np.minimum(a, window_hi), lo.shape)
-        plastic = np.full(lo.shape, -np.inf)
-        for r, p, x, excess in _plastic_groups(values, hi > lo):
-            plastic[r, p] = plastic_log_mass(lo[r, p], hi[r, p], x, p, excess)
-
-        with np.errstate(invalid="ignore"):
+            elastic = _log_affine_branch(sm, em, s_sig, s_eps, 0.0, E, 0.0, np.minimum(ey, a))
+            lo = np.maximum(ey, window_lo)
+            # The screen's bound, less log_peak.
+            cap = log_ndtr((em - ey) / s_eps) - np.maximum(sy - sm, 0.0) ** 2 * (0.5 / (s_sig * s_sig))
+            # A NaN elastic term drops the window, and its point is reported.
+            live = (window_hi > lo) & (elastic - (_SCREEN_MARGIN + log_peak) <= cap)
+            plastic = np.full(lo.shape, -np.inf)
+            for r, p, x, excess in _plastic_groups(values, live):
+                plastic[r, p] = plastic_log_mass(lo[r, p], window_hi[p], x, p, excess)
             per_point = np.logaddexp(elastic, plastic)
-        bad = ~(np.isfinite(per_point) | (per_point == -np.inf))
-        if bad.any():
-            r, p = np.argwhere(bad)[0]
-            raise NumericalError(
-                "non-finite quadrature for measurement "
-                f"(strain={em[p]!r}, stress={sm[p]!r}) at x={values[r]!r}"
-            )
-        return np.sum(per_point, axis=1)
+        total = per_point.sum(axis=1)
+        if not (total < np.inf).all():  # a NaN or +inf point makes its row's sum one
+            bad = ~(np.isfinite(per_point) | (per_point == -np.inf))
+            if bad.any():
+                r, p = np.argwhere(bad)[0]
+                raise NumericalError(
+                    "non-finite quadrature for measurement "
+                    f"(strain={em[p]!r}, stress={sm[p]!r}) at x={values[r]!r}"
+                )
+        return total
 
     return kernel
 

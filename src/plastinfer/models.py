@@ -209,12 +209,17 @@ def _plastic_groups(values: np.ndarray, plastic: np.ndarray):
     per nonempty group, ``x`` holding the elements' (E, sigma_y0, H, n) as
     1-D arrays and ``excess`` the coordinate flag of ``_plastic_path``."""
     rows, points = np.nonzero(plastic)
-    excess = ((values[:, 2] > 0.0) & (values[:, 3] < 1.0))[rows]
+    excess = (values[:, 2] > 0.0) & (values[:, 3] < 1.0)
+    if rows.size and (excess.all() or not excess.any()):
+        # One coordinate for every row: one group, no masks.
+        yield rows, points, list(values.T[:, rows]), bool(excess[0])
+        return
+    excess = excess[rows]
     for flag in (True, False):
         group = excess == flag
         if group.any():
             r = rows[group]
-            yield r, points[group], [c[r] for c in values.T], flag
+            yield r, points[group], list(values.T[:, r]), flag
 
 
 def _lenh_response(strain: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,6 +246,12 @@ def _lenh_response(strain: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
             else:
                 log_slope[r, p] = np.log(slope)
     return stress, log_slope
+
+
+_EPS = np.finfo(float).eps
+# Newton updates that ``_plastic_coordinate`` takes before its first
+# convergence test: from its start nearly every element needs three.
+_UNCHECKED_STEPS = 3
 
 
 def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
@@ -289,20 +300,29 @@ def _stress_coordinate(sigma: np.ndarray, x, excess: bool) -> np.ndarray:
 
 def _plastic_coordinate(strain: np.ndarray, x, excess: bool) -> np.ndarray:
     """Invert ``_plastic_path``: the coordinate t at which strain is reached,
-    elementwise (``x`` holds one parameter array per component).
+    elementwise (``x`` holds one parameter array per component, each
+    broadcastable against ``strain``: the likelihood solves both ends of
+    its windows as one (2, windows) stack against the windows' columns).
 
     Strain exceeds yield by a convex increasing function of t (a linear
     term plus a power >= 1), so Newton started at or above the root
-    decreases monotonically onto it. The start is the smaller of the two
-    values at which either term alone reaches the excess, which brackets
-    the root within a factor of two; the yield strain itself starts, and
-    stays, at t = 0 exactly. Convergence is judged on the strain residual,
-    against a few ulps of the strain plus the change one ulp of t makes
-    (t times the slope): for n << 1 far past yield the strain is so steep
-    in the stress excess that no double t meets a bound on the strain
-    alone. Each element stops at its own convergence. Where the slope is
-    infinite, so is that tolerance, and no residual is accepted against it:
-    such an element converges to a finite tolerance or fails.
+    decreases monotonically onto it. The start is one Newton step, in
+    closed form, from the root of the power term alone (which lies above
+    the root), or the root of the linear term alone where that is smaller;
+    the yield strain itself starts, and stays, at t = 0 exactly. From there
+    nearly every element needs three updates, so the first
+    ``_UNCHECKED_STEPS`` are taken without a convergence test; an element
+    already at its root moves by a few ulps at most. Convergence is then
+    judged on the strain residual, against a few ulps of the strain plus
+    the change one ulp of t makes (t times the slope): for n << 1 far past
+    yield the strain is so steep in the stress excess that no double t
+    meets a bound on the strain alone. The strain's share of that
+    tolerance is computed once. Each element stops at the first tested
+    iterate that converges, so its t does not depend on the batch. Where
+    the slope is infinite, so is that tolerance, and no residual is
+    accepted against it: such an element converges to a finite tolerance
+    or fails. The path is looked up in this module at each step, so a
+    patched ``_plastic_path`` is the one solved.
 
     Raises:
         NumericalError: if some element has not converged after 60 steps.
@@ -311,22 +331,30 @@ def _plastic_coordinate(strain: np.ndarray, x, excess: bool) -> np.ndarray:
     excess_strain = np.maximum(strain - sy / E, 0.0)
     # n H underflowing makes infs and NaNs; a NaN never counts as converged.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # The roots of the linear and of the power term alone, and the power.
         if excess:
-            t = np.fmin(E * excess_strain, H * _power(excess_strain, n))
+            linear, power, p = E * excess_strain, H * _power(excess_strain, n), 1.0 / n
         else:
-            t = np.fmin(excess_strain, _power(excess_strain * E / H, 1.0 / n))
-        for _ in range(60):  # a handful suffice; the cap only turns a stall into an error
+            linear, power, p = excess_strain, _power(excess_strain * E / H, 1.0 / n), n
+        t = np.fmin(linear, power / (1.0 + power / (p * linear)))
+        # eps (4 strain + t slope) split at a power of two, which changes no bit.
+        floor = (4.0 * _EPS) * strain
+        for step in range(60):  # a handful suffice; the cap only turns a stall into an error
             _, reached, slope = _plastic_path(t, x, excess)
             resid = reached - strain
-            tol = np.finfo(float).eps * (4.0 * strain + t * slope)
-            done = np.abs(resid) <= tol
-            if np.all(done):
+            if step < _UNCHECKED_STEPS:
+                t = np.maximum(t - resid / slope, 0.0)
+                continue
+            tol = floor + _EPS * (t * slope)
+            done = abs(resid) <= tol
+            if done.all():
                 done = np.isfinite(tol)  # an infinite tolerance meets any residual
-                if np.all(done):
+                if done.all():
                     return t
             t = np.where(done, t, np.maximum(t - resid / slope, 0.0))
-        i = int(np.argmin(done))
+    i = np.unravel_index(np.argmin(done), done.shape)
+    strain, resid, tol = (np.broadcast_to(a, done.shape)[i] for a in (strain, resid, tol))
     raise NumericalError(
-        f"plastic coordinate not reached: strain={strain[i]!r}, residual {resid[i]:.3e} "
-        f"against tolerance {tol[i]:.3e}, x={np.array([c[i] for c in x])!r}"
+        f"plastic coordinate not reached: strain={strain!r}, residual {resid:.3e} "
+        f"against tolerance {tol:.3e}, x={np.array([np.broadcast_to(c, done.shape)[i] for c in x])!r}"
     )

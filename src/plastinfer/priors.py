@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigurationError
 
@@ -22,9 +21,10 @@ class TruncatedNormalPrior:
 
     The log-density is ``-0.5 * (x - mean)^T C^{-1} (x - mean)`` for x with
     all components >= 0 and ``-inf`` otherwise. The covariance is factorized
-    once at construction, into the inverse of its Cholesky factor; an
-    ill-conditioned or asymmetric covariance is a configuration error
-    raised here, not at call time.
+    once at construction, into the inverse of its Cholesky factor (numpy's,
+    so the import loads no ``scipy.linalg``); an ill-conditioned or
+    asymmetric covariance is a configuration error raised here, not at call
+    time.
     """
 
     def __init__(self, mean, covariance) -> None:
@@ -47,7 +47,7 @@ class TruncatedNormalPrior:
             raise ConfigurationError("prior covariance must be positive definite") from None
         self.mean = mean
         self.covariance = cov
-        self._whiten = solve_triangular(chol, np.eye(mean.size), lower=True)
+        self._whiten = np.linalg.inv(chol)
 
     @property
     def dimension(self) -> int:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaincinv
 
-from .data import _integer, _number, _numbers, _object
+from .data import _integer, _number, _numbers, _object, _strings
 from .errors import ConfigurationError, DomainError, NumericalError
 from .models import ModelKind, _as_strain_array, stress_rows
 from .posterior import LogPosterior
@@ -178,11 +178,14 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
     state by one elementwise product summed per row (a row has the same
     bits in any batch) and scored in one ``log_density`` call; the steps
     take them up to the first acceptance, and the next batch starts from
-    the new state. k is about 1 / (acceptance rate so far), clipped to
-    [1, ``_MAX_LOOKAHEAD``], and a batch never crosses an adaptation step,
-    a draw block or the end of the chain. When a batch raises, its rows are
-    scored again one at a time, in order, so an error or a NaN stops the
-    chain only at a proposal a step uses, as with one call per step.
+    the new state. k covers about two acceptance intervals,
+    ceil(2 (i + 4) / (accepted + 1)) at step i (``_MAX_LOOKAHEAD`` at the
+    start), as one more row costs little next to one more call; it is
+    clipped to [1, ``_MAX_LOOKAHEAD``], and a batch never crosses an
+    adaptation step, a draw block or the end of the chain. When a batch
+    raises, its rows are scored again one at a time, in order, so an error
+    or a NaN stops the chain only at a proposal a step uses, as with one
+    call per step.
     """
     x = np.array(target.prior.mean, dtype=float) if config.initial is None else config.initial
     if x.size != target.dimension:
@@ -221,7 +224,7 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
                 adapted = _history_factor(history, scale)
                 factor = fixed if adapted is None else adapted
             end = min(end, (i // config.adapt_every + 1) * config.adapt_every)
-        k = min(_MAX_LOOKAHEAD, end - i, -(-(i + 1) // (n_accepted + 1)))
+        k = min(_MAX_LOOKAHEAD, end - i, -(-2 * (i + 4) // (n_accepted + 1)))
         proposals = x + (z[j : j + k, :, None] * factor).sum(axis=1)
         try:
             scores = target.log_density(proposals).tolist()
@@ -516,8 +519,8 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     if not sidecar_path.exists():
         raise ConfigurationError(f"missing chain sidecar {sidecar_path}")
     sidecar = _object(json.loads(sidecar_path.read_text()), "chain sidecar")
-    names = list(sidecar["parameter_names"])
     table = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    names = _strings(sidecar.get("parameter_names"), "sidecar parameter_names", table.shape[1] - 1)
     step, initial, cap = sidecar.get("step_scale"), sidecar.get("initial"), sidecar.get("history_cap")
     config = SamplerConfig(
         n_samples=_integer(sidecar.get("n_samples"), "sidecar n_samples"),

@@ -22,20 +22,24 @@ from scipy.stats import norm
 
 from plastinfer import (
     ConfigurationError,
+    LogPosterior,
     MeasurementSet,
     ModelKind,
     NoiseSpec,
     NumericalError,
     ParameterVector,
     QuadratureSpec,
+    SamplerConfig,
+    TruncatedNormalPrior,
     generate_double_noise,
     generate_single_noise,
     log_likelihood,
+    run_adaptive_mh,
     stress,
 )
 from plastinfer import likelihood
-from plastinfer.likelihood import _log_gauss_mass, _log_sum_exp, likelihood_kernel
-from plastinfer.models import _lenh_response, _plastic_path, stress_rows
+from plastinfer.likelihood import _log_gauss_mass, _log_window_sums, likelihood_kernel
+from plastinfer.models import _lenh_response, _plastic_coordinate, _plastic_path, stress_rows
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -560,6 +564,21 @@ class TestNonlinearQuadratureAccuracy:
         "C-stiff": ((10.0, 80.0), (0.15, 0.33)),
     }
 
+    @classmethod
+    def sets(cls, family):
+        """Ten seeded 12-point sets of ``family``, each with its rows: the
+        truth and three rows 15% off in every component."""
+        H_range, n_range = cls.FAMILIES[family]
+        rng = np.random.default_rng(zlib.crc32(family.encode()))
+        for _ in range(10):
+            E, sy = rng.uniform(150.0, 260.0), rng.uniform(0.15, 0.35)
+            truth = np.array([E, sy, rng.uniform(*H_range), rng.uniform(*n_range)])
+            mset = generate_double_noise(
+                ParameterVector(*truth), ModelKind.NONLINEAR_HARDENING, GRID_12, 0.01, 1e-4,
+                seed=int(rng.integers(2**31)),
+            )
+            yield mset, np.vstack([truth, truth * (1.0 + 0.15 * rng.choice([-1.0, 1.0], (3, 4)))])
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_sets_match_strain_space_reference(self, family):
         """Ten seeded 12-point sets per family of (H, n), scored at the
@@ -568,15 +587,7 @@ class TestNonlinearQuadratureAccuracy:
         erred by up to 3e-8; rows 15% off are where the stress Gaussian
         is narrow against a window set by the strain noise alone."""
         kind = ModelKind.NONLINEAR_HARDENING
-        H_range, n_range = self.FAMILIES[family]
-        rng = np.random.default_rng(zlib.crc32(family.encode()))
-        for _ in range(10):
-            E, sy = rng.uniform(150.0, 260.0), rng.uniform(0.15, 0.35)
-            truth = np.array([E, sy, rng.uniform(*H_range), rng.uniform(*n_range)])
-            mset = generate_double_noise(
-                ParameterVector(*truth), kind, GRID_12, 0.01, 1e-4, seed=int(rng.integers(2**31))
-            )
-            rows = np.vstack([truth, truth * (1.0 + 0.15 * rng.choice([-1.0, 1.0], (3, 4)))])
+        for mset, rows in self.sets(family):
             got = likelihood_kernel(kind, mset)(rows)
             for row, value in zip(rows, got):
                 want = sum(
@@ -906,19 +917,26 @@ def test_stress_only_nonlinear_log_factor_matches_long_double(n_range):
     assert np.max(np.abs(log_jac - want)[checked]) < 1e-12
 
 
-def test_log_sum_exp_matches_scipy():
-    """The LE-NH quadrature's max-shifted reduction against scipy's, rows
-    that are all or partly -inf included."""
+def test_log_window_sums_match_scipy():
+    """The LE-NH node stage's per-window reduction, log(sum(w exp(-h))),
+    against scipy's weighted logsumexp: rows that are all or partly inf in
+    h included. A row holding a NaN gives NaN."""
     rng = np.random.default_rng(3)
-    a = rng.normal(-40.0, 15.0, (12, 513))
-    a[3] = -np.inf
-    a[5, ::2] = -np.inf
-    a[7, 100:] = -np.inf
-    got, want = _log_sum_exp(a), logsumexp(a, axis=1)
+    h = rng.uniform(0.0, 3000.0, (12, 129)) ** 2 / 6000.0
+    w = rng.uniform(1e-9, 2.0, h.shape)
+    h[3] = np.inf
+    h[5, ::2] = np.inf
+    h[7, 100:] = np.inf
+    h[9, 40] = np.nan
+    with np.errstate(divide="ignore"):
+        got = _log_window_sums(h, w)
+    want = logsumexp(-h, b=w, axis=1)
     assert got[3] == -np.inf
+    assert np.isnan(got[9]) and np.isnan(want[9])
     finite = np.isfinite(want)
     assert np.array_equal(finite, np.isfinite(got))
-    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-15, atol=0.0)
+    # The error of a log is the relative error of its sum.
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-15, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1.5, 2.0, 3.0])
@@ -1021,3 +1039,99 @@ class TestBlockedQuadrature:
                 tracemalloc.stop()
 
         assert peak(rows) <= 1.25 * peak(rows[:small])
+
+
+def _lenh_double_states(seed):
+    """A 200-step chain of the benchmark's LE-NH stress-and-strain
+    identification: its measurement set and its states."""
+    truth = ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57)
+    std = np.array([50.0, 0.0166667, 0.333333, 0.05])
+    prior = TruncatedNormalPrior([200.0, 0.29, 2.5, 0.57], np.diag(std * std))
+    kind = ModelKind.NONLINEAR_HARDENING
+    target = LogPosterior(kind, prior, generate_double_noise(truth, kind, GRID_12, 0.01, 1e-4, seed))
+    chain = run_adaptive_mh(target, SamplerConfig(n_samples=200, step_scale=0.02, seed=seed))
+    return target.data[0], chain.samples
+
+
+class TestScreen:
+    """Plastic windows whose bound lies ``_SCREEN_MARGIN`` below the elastic
+    term are never integrated, and that changes no bit of any row."""
+
+    @staticmethod
+    def _batches():
+        for family in TestNonlinearQuadratureAccuracy.FAMILIES:
+            yield from TestNonlinearQuadratureAccuracy.sets(family)
+        for seed in (3, 17):
+            yield _lenh_double_states(seed)
+
+    def test_dropped_windows_change_no_bit(self, monkeypatch):
+        live = []
+        groups = likelihood._plastic_groups
+
+        def counting(values, plastic):
+            live.append(int(plastic.sum()))
+            return groups(values, plastic)
+
+        monkeypatch.setattr(likelihood, "_plastic_groups", counting)
+        dropped = 0
+        for mset, rows in self._batches():
+            kernel = likelihood_kernel(ModelKind.NONLINEAR_HARDENING, mset)
+            screened = kernel(rows)
+            with monkeypatch.context() as patch:
+                patch.setattr(likelihood, "_SCREEN_MARGIN", math.inf)
+                whole = kernel(rows)
+            assert np.array_equal(screened.view(np.int64), whole.view(np.int64))
+            dropped += live[-1] - live[-2]
+        assert dropped > 0
+
+
+class TestYieldWindow:
+    """A window that starts at the yield strain has the plastic coordinate
+    0 there, exactly, and so the clustered mesh."""
+
+    # Rows whose point's window starts at yield, one per coordinate: the
+    # plastic strain (n > 1) and the stress excess (n < 1). A plain mesh
+    # misses their point's value by 2.0e-8 and 4.5e-6.
+    AT_YIELD = [
+        ([196.45894639966838, 0.2298746798064551, 4.253811536254689, 1.2407599998607057],
+         0.0011138178939702514, 0.2822656938944069),
+        ([168.48175523712283, 0.18757476788336314, 4.172514101876825, 0.9024067027947774],
+         0.0011332243892787184, 0.1831957734853699),
+    ]
+
+    def test_plastic_coordinate_is_zero_at_the_yield_strain_in_a_mixed_batch(self):
+        rng = np.random.default_rng(6)
+        for excess, n_range in ((True, (0.15, 0.95)), (False, (1.0, 3.0))):
+            m = 40
+            x = [rng.uniform(150.0, 260.0, m), rng.uniform(0.15, 0.35, m), rng.uniform(0.5, 10.0, m),
+                 rng.uniform(*n_range, m)]
+            ey = x[1] / x[0]
+            at_yield = rng.random(m) < 0.5
+            past = ey + rng.uniform(1e-6, 2e-3, m)
+            strain = np.array([np.where(at_yield, ey, past), past + 8e-4])
+            t = _plastic_coordinate(strain, x, excess)
+            assert np.all(t[0][at_yield] == 0.0)
+            assert np.all(t[0][~at_yield] > 0.0) and np.all(t[1] > 0.0)
+
+    def test_window_at_yield_keeps_the_clustered_mesh(self, monkeypatch):
+        """In a batch with rows of both coordinates, H = 0 and n = 1, each
+        row whose window starts at yield matches the strain-space
+        reference to 1e-12; with the clustered nodes replaced by the plain
+        ones it would miss by more than 1e-9."""
+        kind = ModelKind.NONLINEAR_HARDENING
+        strains = np.array([em for _, em, _ in self.AT_YIELD] + [3e-3])
+        stresses = np.array([sm for _, _, sm in self.AT_YIELD] + [0.33])
+        mset = _double_set(strains, stresses)
+        rows = np.array([row for row, _, _ in self.AT_YIELD]
+                        + [[210.0, 0.25, 0.0, 0.5], [200.0, 0.2, 50.0, 1.0], [210.0, 0.25, 2.0, 0.57]])
+        want = [sum(_strain_space_lenh_point(row, sm, em, 0.01, 1e-4) for em, sm in zip(strains, stresses))
+                for row in rows[: len(self.AT_YIELD)]]
+        got = likelihood_kernel(kind, mset)(rows)
+        for value, ref in zip(got, want):
+            assert abs(math.expm1(value - ref)) < 1e-12
+        nodes, weights = likelihood._gauss_table(512)
+        plain = (np.stack([nodes[0], nodes[0]]), np.stack([weights[0], weights[0]]))
+        monkeypatch.setattr(likelihood, "_gauss_table", lambda panels: plain)
+        unclustered = likelihood_kernel(kind, mset)(rows)
+        for value, ref in zip(unclustered, want):
+            assert abs(math.expm1(value - ref)) > 1e-9

@@ -357,6 +357,32 @@ class TestLookahead:
         reference = _one_per_step(sampler, make_target(), config, monkeypatch).chain
         _assert_same_chain(sampler(make_target(), config), reference)
 
+    def test_batch_holds_about_two_acceptance_intervals(self):
+        """After the starting state's one-row call the first batch is
+        ``_MAX_LOOKAHEAD`` rows; the batch at step i is
+        ceil(2 (i + 4) / (accepted + 1)) rows, clipped to [1, 8] and to the
+        draw block."""
+        target = _elastoplastic_target()
+        sizes = []
+        score = target.log_density
+
+        def recording(points):
+            sizes.append(len(points))
+            return score(points)
+
+        target.log_density = recording
+        chain = run_mh(target, SamplerConfig(n_samples=3_000, seed=12))
+        most, block = sampler_module._MAX_LOOKAHEAD, sampler_module._DRAW_BLOCK
+        assert sizes[:2] == [1, most]
+        i, accepted = 0, 0
+        for size in sizes[1:]:
+            assert size == min(most, -(-2 * (i + 4) // (accepted + 1)), block - i % block, 3_000 - i)
+            state = chain.samples[i - 1] if i else target.prior.mean
+            moved = np.any(chain.samples[i : i + size] != state, axis=1)
+            i += int(np.argmax(moved)) + 1 if moved.any() else size
+            accepted += int(moved.any())
+        assert i == 3_000 and accepted == chain.n_accepted
+
     @pytest.mark.parametrize("sampler", [run_mh, run_adaptive_mh])
     def test_error_on_a_speculative_row_is_not_raised(self, sampler, monkeypatch):
         """Every row that a one-per-step run never scores raises; those rows
@@ -730,6 +756,15 @@ class TestChainStorage:
         np.savetxt(reference, table, fmt="%.17g", delimiter=",", header="E,log_density", comments="")
         assert path.read_bytes() == reference.read_bytes()
 
+    def test_missing_parameter_names_rejected(self, tmp_path):
+        path = tmp_path / "chain.csv"
+        save_chain(self._small_chain(), path)
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        del sidecar["parameter_names"]
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        with pytest.raises(ConfigurationError, match="parameter_names"):
+            load_chain(path)
+
     def test_default_parameter_names(self, tmp_path):
         chain = self._small_chain()
         path = tmp_path / "chain.csv"
@@ -775,12 +810,17 @@ class TestChainStorage:
             ("step_scale", "1.5"),
             ("initial", ["50.0"]),
             ("history_cap", 2.5),
+            ("parameter_names", "Ex"),
+            ("parameter_names", ["E", "x"]),
+            ("parameter_names", [1.0]),
+            ("parameter_names", None),
         ],
     )
     def test_mistyped_sidecar_value_rejected(self, tmp_path, key, value):
         """Sidecar values go through the typed config readers: a string,
         bool, float or null where an integer or number belongs is never
-        parsed, truncated or cast, and the error names the key."""
+        parsed, truncated or cast, and the error names the key. The
+        parameter names are a list of one string per parameter column."""
         path = tmp_path / "chain.csv"
         save_chain(self._small_chain(), path)
         sidecar = json.loads(path.with_suffix(".json").read_text())
