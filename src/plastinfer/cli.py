@@ -34,7 +34,9 @@ from .data import (
     _numbers,
     _object,
     _parse_noise,
+    _read_object,
     _require,
+    _write_table,
     draw_specimens,
     generate_double_noise,
     generate_single_noise,
@@ -49,6 +51,7 @@ from .priors import TruncatedNormalPrior
 from .sampler import (
     SamplerConfig,
     _check_seed,
+    _read_config,
     convergence_trace,
     effective_sample_size,
     response_band,
@@ -59,19 +62,6 @@ from .sampler import (
 )
 
 __all__ = ["main"]
-
-
-def _load_config(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            config = json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise ConfigurationError(f"{path} must contain a JSON object")
-    return config
 
 
 def _parse_parameters(kind: ModelKind, block: object) -> ParameterVector:
@@ -150,17 +140,7 @@ def _parse_sampler(block: object, seed: int | None) -> tuple[SamplerConfig, Call
     ``run_mh`` as ``adaptive`` selects."""
     block = _object(block, "sampler")
     run = run_adaptive_mh if _flag(block.get("adaptive", True), "sampler adaptive") else run_mh
-    step, initial, cap = block.get("step_scale"), block.get("initial"), block.get("history_cap")
-    config = SamplerConfig(
-        n_samples=_integer(_require(block, "n_samples", "'sampler'"), "sampler n_samples"),
-        burn_in=_integer(block.get("burn_in", 0), "sampler burn_in"),
-        step_scale=None if step is None else _number(step, "sampler step_scale"),
-        initial=None if initial is None else _numbers(initial, "sampler initial"),
-        adapt_every=_integer(block.get("adapt_every", 1000), "sampler adapt_every"),
-        history_cap=None if cap is None else _integer(cap, "sampler history_cap"),
-        seed=_seed(seed, block),
-    )
-    return config, run
+    return _read_config(block, "sampler", seed), run
 
 
 def _parse_quadrature(config: dict) -> QuadratureSpec | None:
@@ -202,25 +182,13 @@ def _generate(block: dict, seed: int, context: str) -> MeasurementSet:
     return generate_single_noise(x, kind, strains, noise.stress_std, seed)
 
 
-def _write_table(path, columns: list[str], rows) -> None:
-    np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.17g", delimiter=",", header=",".join(columns), comments="")
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 def _say(verbose: bool, message: str) -> None:
     if verbose:
         print(message)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _read_object(args.config, "config")
     data = _generate(config, _drawn(_seed(args.seed, config)), "config")
     write_measurements(data, args.output)
     _say(args.verbose, f"{len(data)} points, {data.provenance}")
@@ -263,10 +231,10 @@ def _run_identification(
     report = {
         "model": kind.value,
         "parameter_names": names,
-        "mean": _jsonable(summary.mean),
-        "std": _jsonable(summary.std),
-        "covariance": _jsonable(summary.covariance),
-        "map": _jsonable(summary.map_estimate),
+        "mean": summary.mean.tolist(),
+        "std": summary.std.tolist(),
+        "covariance": summary.covariance.tolist(),
+        "map": summary.map_estimate.tolist(),
         "map_log_density": summary.map_log_density,
         "acceptance_rate": summary.acceptance_rate,
         "n_retained": summary.n_retained,
@@ -294,13 +262,13 @@ def _run_identification(
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _read_object(args.config, "config")
     data = _apply_noise_override(read_measurements(args.data), config)
     return _run_identification(data, config, Path(args.output_dir), args.seed, args.verbose)
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _read_object(args.config, "config")
     data = _apply_noise_override(read_measurements(args.data), config)
     if data.noise.double:
         raise ConfigurationError(
@@ -320,7 +288,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_prior_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _read_object(args.config, "config")
     data = _apply_noise_override(read_measurements(args.data), config)
     if data.noise.double:
         raise ConfigurationError("the prior sweep uses the closed-form stress-only posterior")
@@ -383,7 +351,7 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
     identification, each specimen's measurement set contributing its own
     likelihood term.
     """
-    config = _load_config(args.config)
+    config = _read_object(args.config, "config")
     pop_block = _object(_require(config, "population", "config"), "population")
     kind = ModelKind.parse(pop_block.get("model", "LE"))
     population = SpecimenPopulation(
@@ -468,7 +436,7 @@ def _cmd_mismatch(args: argparse.Namespace) -> int:
     """Generate from ``truth`` and fit ``fit``. A seedless run draws one
     seed for the data, which the sampler also uses unless the fit's
     sampler block pins its own, so ``--seed <recorded>`` replays it."""
-    config = _load_config(args.config)
+    config = _read_object(args.config, "config")
     if not _flag(config.get("allow_mismatch", False), "allow_mismatch"):
         raise ConfigurationError(
             'fitting a model other than the generating one requires "allow_mismatch": true'

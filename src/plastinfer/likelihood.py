@@ -20,26 +20,13 @@ stress times the mass a truncated Gaussian in the true strain assigns to
 the branch interval. These closed forms were re-derived from the
 marginalization integral and are checked against adaptive quadrature in
 the test suite. For the implicit model the plastic branch is integrated
-by Gauss-Legendre on a window bounded by both Gaussians, not in the true
-strain but in a plastic coordinate in which the stress and the total
-strain are explicit: the plastic strain u for n >= 1 (or H = 0), the
-stress excess v = stress - sigma_y0 for n < 1. The coordinate, its Newton
-inversion from the strain and the domain checks live in ``models``, where
-they also give the forward response. The Jacobian d(strain)/d(coordinate)
-enters the quadrature weights, so only the window ends need an inversion.
-These are solved for a whole batch at once; the nodes are then evaluated
-in blocks of at most ``_BLOCK_NODES`` nodes (whole windows), so the
-node-stage temporaries of one call take a fixed amount of memory, about
-1.5 MB, whatever the number of rows. A window is integrated only when a
-cheap bound on its integral (the strain Gaussian's mass past yield times
-the stress Gaussian's peak over stresses of at least sigma_y0) comes
-within ``_SCREEN_MARGIN`` of the point's elastic term; below that it
-would not move the point's value.
+by Gauss-Legendre in a plastic coordinate in which the stress and the
+total strain are explicit (``models``): the plastic strain for n >= 1 or
+H = 0, the stress excess for n < 1. ``_lenh_kernel`` gives the window, the
+screen and the blocking.
 
 Everything is composed in log space; with ten or more measurements the
-raw products underflow double precision. Within one quadrature window the
-weights multiply exponentials shifted by the window's least exponent,
-and one log is taken per window.
+raw products underflow double precision.
 
 Each model and regime is one kernel, a function of raw parameter rows
 with the measurement set bound once (``likelihood_kernel``). A kernel
@@ -104,26 +91,18 @@ class QuadratureSpec:
             raise ConfigurationError(f"width must be >= 4, got {self.width!r}")
 
 
-def _require_single(data: MeasurementSet) -> float:
-    if data.noise.double:
+def _noise_stds(data: MeasurementSet, double: bool) -> tuple[float, float | None, float]:
+    """The stress std, strain std and strain limit of ``data``, whose regime
+    must be the one ``double`` names and whose stds must be positive."""
+    noise, regimes = data.noise, ("stress-only", "stress-and-strain")
+    if noise.double != double:
         raise ConfigurationError(
-            "stress-and-strain data passed to a stress-only likelihood; "
+            f"{regimes[noise.double]} data passed to a {regimes[double]} likelihood; "
             "reinterpret the set explicitly if that is intended"
         )
-    if data.noise.stress_std <= 0.0:
-        raise ConfigurationError("stress-only likelihood requires stress_std > 0")
-    return data.noise.stress_std
-
-
-def _require_double(data: MeasurementSet) -> tuple[float, float, float]:
-    if not data.noise.double:
-        raise ConfigurationError(
-            "stress-only data passed to a stress-and-strain likelihood; "
-            "reinterpret the set explicitly if that is intended"
-        )
-    if data.noise.stress_std <= 0.0 or data.noise.strain_std <= 0.0:
-        raise ConfigurationError("stress-and-strain likelihood requires positive noise stds")
-    return data.noise.stress_std, data.noise.strain_std, data.noise.strain_limit
+    if noise.stress_std <= 0.0 or (double and noise.strain_std <= 0.0):
+        raise ConfigurationError(f"{regimes[double]} likelihood requires positive noise stds")
+    return noise.stress_std, noise.strain_std, noise.strain_limit
 
 
 # Parameter rows, shape (k, dim), to one log-likelihood per row.
@@ -131,7 +110,7 @@ Kernel = Callable[[np.ndarray], np.ndarray]
 
 
 def _single_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
-    s = _require_single(data)
+    s, _, _ = _noise_stds(data, False)
     strains, stresses = data.strains, data.stresses
     offset = len(data) * (0.5 * _LOG_2PI + math.log(s))
 
@@ -198,7 +177,7 @@ def _affine_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
     plastic one on [ey, a] (empty when ey = inf), each an (intercept, slope,
     strain interval) per parameter row, go through one (branches x rows x
     points) pass and each point's two terms are combined with logaddexp."""
-    s_sig, s_eps, a = _require_double(data)
+    s_sig, s_eps, a = _noise_stds(data, True)
     sm, em = data.stresses, data.strains
 
     def kernel(values: np.ndarray) -> np.ndarray:
@@ -295,7 +274,7 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
     log is taken per window (``_log_window_sums``). As every node operation
     is elementwise or reduces over one window's nodes, neither the blocking
     nor the screen of another row changes a single bit of a row."""
-    s_sig, s_eps, a = _require_double(data)
+    s_sig, s_eps, a = _noise_stds(data, True)
     sm, em = data.stresses, data.strains
     width = quadrature.width
     window_lo, window_hi = em - width * s_eps, np.minimum(a, em + width * s_eps)

@@ -22,13 +22,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaincinv
 
-from .data import _integer, _number, _numbers, _object, _strings
+from .data import _integer, _number, _numbers, _read_object, _strings, _write_table
 from .errors import ConfigurationError, DomainError, NumericalError
 from .models import ModelKind, _as_strain_array, stress_rows
 from .posterior import LogPosterior
@@ -51,14 +51,10 @@ __all__ = [
 ]
 
 
-def _check_seed(seed: object) -> int | None:
+def _check_seed(seed: object, name: str = "seed") -> int | None:
     """``seed`` as a Python int, or None; anything but None or a nonnegative
     integer (numpy integers included, bools not) is a configuration error."""
-    if seed is None:
-        return None
-    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0:
-        return int(seed)
-    raise ConfigurationError(f"seed must be a nonnegative integer or null, got {seed!r}")
+    return None if seed is None else _integer(seed, name, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +97,37 @@ class SamplerConfig:
                 raise ConfigurationError("initial state must be finite")
             object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "seed", _check_seed(self.seed))
+
+
+# The typed reader of each ``SamplerConfig`` field in a JSON settings block.
+_SETTING_READERS = {
+    "n_samples": _integer,
+    "burn_in": _integer,
+    "step_scale": _number,
+    "initial": _numbers,
+    "adapt_every": _integer,
+    "history_cap": _integer,
+    "seed": _check_seed,
+}
+
+
+def _read_config(block: dict, name: str, seed: int | None = None, required: bool = False) -> SamplerConfig:
+    """The ``SamplerConfig`` that the JSON object ``block`` holds, each value
+    read by its field's typed reader (null stands for a None default) and
+    named ``name`` and its key in an error. A key left out takes its field's
+    default, unless ``required`` or the field has none. ``seed``, when not
+    None, overrides the block's seed, which is still checked."""
+    values = {}
+    for field in fields(SamplerConfig):
+        if field.name not in block and (required or field.default is MISSING):
+            raise ConfigurationError(f"missing {field.name!r} in {name}")
+        value = block.get(field.name, field.default)
+        if value is not None or field.default is not None:
+            value = _SETTING_READERS[field.name](value, f"{name} {field.name}")
+        values[field.name] = value
+    if seed is not None:
+        values["seed"] = _check_seed(seed)
+    return SamplerConfig(**values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,21 +511,12 @@ def save_chain(chain: Chain, path: str | Path, parameter_names: list[str] | None
         raise ConfigurationError(
             f"expected {chain.dimension} parameter names, got {len(parameter_names)}"
         )
-    header = ",".join([*parameter_names, "log_density"])
-    table = np.column_stack([chain.samples, chain.log_densities])
-    # One format operation over the whole table: the bytes of np.savetxt
-    # with fmt="%.17g", which formats row by row, in about half the time.
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    path.write_text(header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
+    _write_table(path, [*parameter_names, "log_density"], np.column_stack([chain.samples, chain.log_densities]))
+    initial = chain.config.initial
     sidecar = {
         "parameter_names": parameter_names,
-        "n_samples": chain.config.n_samples,
-        "burn_in": chain.config.burn_in,
-        "step_scale": chain.config.step_scale,
-        "initial": None if chain.config.initial is None else chain.config.initial.tolist(),
-        "adapt_every": chain.config.adapt_every,
-        "history_cap": chain.config.history_cap,
-        "seed": chain.config.seed,
+        **{field.name: getattr(chain.config, field.name) for field in fields(SamplerConfig)},
+        "initial": None if initial is None else initial.tolist(),
         "n_accepted": chain.n_accepted,
     }
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
@@ -508,29 +526,21 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     """Read back a chain written by ``save_chain``.
 
     Returns the chain and the parameter names from the sidecar, whose
-    values go through the typed readers of the CLI config: a missing or
-    mistyped one is a configuration error naming its key. A table
-    whose row count differs from the sidecar's ``n_samples`` is loaded as
-    it stands, with ``burn_in`` reset to 0, and a ``UserWarning`` names
-    both counts.
+    settings go through the reader of the CLI's sampler block, every key
+    required: a missing or mistyped one is a configuration error naming its
+    key, and so is a sidecar or table that cannot be read. A table whose
+    row count differs from the sidecar's ``n_samples`` is loaded as it
+    stands, with ``burn_in`` reset to 0, and a ``UserWarning`` names both
+    counts.
     """
     path = Path(path)
-    sidecar_path = path.with_suffix(".json")
-    if not sidecar_path.exists():
-        raise ConfigurationError(f"missing chain sidecar {sidecar_path}")
-    sidecar = _object(json.loads(sidecar_path.read_text()), "chain sidecar")
-    table = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    sidecar = _read_object(path.with_suffix(".json"), "chain sidecar")
+    try:
+        table = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    except (OSError, ValueError) as err:
+        raise ConfigurationError(f"cannot read chain table {path}: {err}") from None
     names = _strings(sidecar.get("parameter_names"), "sidecar parameter_names", table.shape[1] - 1)
-    step, initial, cap = sidecar.get("step_scale"), sidecar.get("initial"), sidecar.get("history_cap")
-    config = SamplerConfig(
-        n_samples=_integer(sidecar.get("n_samples"), "sidecar n_samples"),
-        burn_in=_integer(sidecar.get("burn_in"), "sidecar burn_in"),
-        step_scale=None if step is None else _number(step, "sidecar step_scale"),
-        initial=None if initial is None else _numbers(initial, "sidecar initial"),
-        adapt_every=_integer(sidecar.get("adapt_every"), "sidecar adapt_every"),
-        history_cap=None if cap is None else _integer(cap, "sidecar history_cap"),
-        seed=sidecar.get("seed"),
-    )
+    config = _read_config(sidecar, "chain sidecar", required=True)
     if table.shape[0] != config.n_samples:
         warnings.warn(
             f"{path} holds {table.shape[0]} rows but its sidecar records "

@@ -781,15 +781,21 @@ class TestBadSeed:
 _PP_PRIOR = {"mean": [200.0, 0.29], "covariance": [[2500.0, 0.0], [0.0, 2.7778e-4]]}
 
 
+_DROP = object()
+
+
 def _set(payload, path, value):
-    """A deep copy of ``payload`` with the dotted ``path`` set to ``value``,
-    missing blocks on the way created empty."""
+    """A deep copy of ``payload`` with the dotted ``path`` set to ``value``
+    (removed for ``_DROP``), missing blocks on the way created empty."""
     payload = copy.deepcopy(payload)
     *parents, key = path.split(".")
     block = payload
     for part in parents:
         block = block.setdefault(part, {})
-    block[key] = value
+    if value is _DROP:
+        del block[key]
+    else:
+        block[key] = value
     return payload
 
 
@@ -825,9 +831,11 @@ class TestTypedConfigReads:
         },
     }
 
-    def _argv(self, tmp_path, verb, path, bad):
-        base = TestMismatch()._payload() if verb == "mismatch" else self.BASE[verb]
-        config = _write_config(tmp_path, _set(base, path, bad), "bad.json")
+    def _argv(self, tmp_path, verb, changes):
+        payload = TestMismatch()._payload() if verb == "mismatch" else self.BASE[verb]
+        for path, value in changes.items():
+            payload = _set(payload, path, value)
+        config = _write_config(tmp_path, payload, "bad.json")
         out = str(tmp_path / "out")
         if verb in ("generate", "heterogeneity"):
             return [verb, "--config", config, "--output", out]
@@ -881,9 +889,44 @@ class TestTypedConfigReads:
         ),
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, verb, path, bad, shown):
-        assert cli.main(self._argv(tmp_path, verb, path, bad)) == 2
+        assert cli.main(self._argv(tmp_path, verb, {path: bad})) == 2
         err = capsys.readouterr().err
         assert f"{path.rsplit('.', 1)[-1]} must be" in err and f"got {shown!r}" in err
+
+    @pytest.mark.parametrize(
+        "verb, changes, message",
+        [
+            ("identify", {"prior.std": [50.0, 0.0167]}, "either 'covariance' or 'std', not both"),
+            ("identify", {"prior.covariance": _DROP}, "prior needs 'covariance' or 'std'"),
+            ("identify", {"prior": {"mean": [200.0], "std": [50.0]}}, "prior has dimension 1, the model needs 2"),
+            (
+                "prior-sweep",
+                {"noise": {"stress_std": 0.01, "strain_std": 1e-4}, "allow_regime_change": True},
+                "the prior sweep uses the closed-form stress-only posterior",
+            ),
+            (
+                "heterogeneity",
+                {"prior": _DROP, "fit": {"model": "LE-PP", "prior": _PP_PRIOR, "sampler": {"n_samples": 50}}},
+                "the pooled fit uses the population model; got LE-PP vs LE",
+            ),
+        ],
+    )
+    def test_inconsistent_block_exits_2(self, tmp_path, capsys, verb, changes, message):
+        assert cli.main(self._argv(tmp_path, verb, changes)) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "cannot read config"), ('{"model": "LE"', "malformed config"), ("[1, 2]", "must contain a JSON object")],
+        ids=["missing", "malformed", "not-an-object"],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content, message):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(content)
+        assert cli.main(["generate", "--config", str(config), "--output", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(config) in err
 
     def _identify(self, tmp_path, sampler=None, **top):
         data = _make_dataset(tmp_path)

@@ -179,6 +179,27 @@ class TestDoubleNoiseGenerator:
         np.testing.assert_array_equal(a.stresses, b.stresses)
 
 
+class TestStrainGrid:
+    """Both generators check the true strain grid before drawing."""
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([], "empty strain grid"),
+            ([-1e-3, 1e-3], "strain grid must be finite and >= 0"),
+            ([1e-3, np.inf], "strain grid must be finite and >= 0"),
+            ([2e-3, 1e-3], "strain grid must be strictly increasing"),
+        ],
+    )
+    @pytest.mark.parametrize("double", [False, True], ids=["stress-only", "stress-and-strain"])
+    def test_bad_grid_rejected(self, grid, message, double):
+        with pytest.raises(ConfigurationError, match=message):
+            if double:
+                generate_double_noise(X_LE, ModelKind.LINEAR_ELASTIC, grid, 0.01, 1e-4, seed=0)
+            else:
+                generate_single_noise(X_LE, ModelKind.LINEAR_ELASTIC, grid, 0.01, seed=0)
+
+
 class TestDrawSpecimens:
     def test_zero_covariance_collapses(self):
         pop = SpecimenPopulation(
@@ -241,6 +262,21 @@ class TestDrawSpecimens:
                 count=5,
             )
 
+    @pytest.mark.parametrize(
+        "mean, covariance, count, message",
+        [
+            ([210.0], [[100.0]], 5, "population mean has 1 entries, LE-PP needs 2"),
+            ([210.0, 0.25], [[100.0]], 5, "covariance must be 2x2"),
+            ([210.0, 0.25], [[1.0, 2.0], [2.0, 1.0]], 5, "positive semi-definite"),
+            ([210.0, 0.25], [[100.0, 0.0], [0.0, 1e-4]], 0, "count must be >= 1"),
+        ],
+    )
+    def test_bad_population_rejected(self, mean, covariance, count, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SpecimenPopulation(
+                kind=ModelKind.PERFECT_PLASTICITY, mean=mean, covariance=covariance, count=count
+            )
+
 
 class TestMeasurementFiles:
     def test_round_trip_single(self, tmp_path):
@@ -287,6 +323,28 @@ class TestMeasurementFiles:
         path.write_text("strain,stress\n1e-3,0.21\noops\n")
         with pytest.raises(ConfigurationError, match=":3"):
             read_measurements(path)
+
+    def test_bad_header_names_line(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("stress,strain\n1e-3,0.21\n")
+        with pytest.raises(ConfigurationError, match=":1: expected header"):
+            read_measurements(path)
+
+    def test_non_numeric_value_names_line(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("strain,stress\n1e-3,0.21\n2e-3,abc\n")
+        with pytest.raises(ConfigurationError, match=":3: non-numeric value"):
+            read_measurements(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        mset = generate_single_noise(X_LE, ModelKind.LINEAR_ELASTIC, GRID_12[:2], 0.01, seed=1)
+        path = tmp_path / "blank.csv"
+        write_measurements(mset, path)
+        header, first, second = path.read_text().splitlines()
+        path.write_text(f"{header}\n\n{first}\n  \n{second}\n\n")
+        back = read_measurements(path)
+        np.testing.assert_array_equal(back.strains, mset.strains)
+        np.testing.assert_array_equal(back.stresses, mset.stresses)
 
     def test_non_increasing_strains_name_line(self, tmp_path):
         path = tmp_path / "order.csv"

@@ -693,6 +693,16 @@ class TestGuards:
         with pytest.raises(ConfigurationError):
             likelihood._lenh_kernel(mset, QuadratureSpec())
 
+    def test_nonfinite_quadrature_is_reported(self, monkeypatch):
+        """A NaN plastic-window sum is a NumericalError naming the
+        measurement and the row, never a NaN log-likelihood."""
+        kind = ModelKind.NONLINEAR_HARDENING
+        x = ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57)
+        mset = generate_double_noise(x, kind, GRID_12, 0.01, 1e-4, seed=4)
+        monkeypatch.setattr(likelihood, "_log_window_sums", lambda h, weights: np.full(h.shape[:-1], np.nan))
+        with pytest.raises(NumericalError, match=r"non-finite quadrature for measurement \(strain="):
+            log_likelihood(x, kind, mset)
+
     def test_quadrature_spec_validation(self):
         with pytest.raises(ConfigurationError):
             QuadratureSpec(panels=7)

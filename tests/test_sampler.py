@@ -21,7 +21,9 @@ from plastinfer import (
     Chain,
     ConfigurationError,
     LogPosterior,
+    MeasurementSet,
     ModelKind,
+    NoiseSpec,
     NumericalError,
     SamplerConfig,
     TruncatedNormalPrior,
@@ -36,6 +38,7 @@ from plastinfer import (
     run_mh,
     save_chain,
     summarize,
+    write_measurements,
 )
 from plastinfer import sampler as sampler_module
 from plastinfer.models import ParameterVector, stress
@@ -736,25 +739,68 @@ class TestChainStorage:
         assert loaded.config.seed == chain.config.seed
 
     @pytest.mark.parametrize(
-        "rows",
+        "rows, measurements",
         [
-            [[0.0, -1.0], [1e-300, -2.5e300], [1e300, -0.0], [-1e-320, -np.inf], [123.456, -7.0e-5]],
-            [[1e300, -3.25]],
+            pytest.param(
+                [[0.0, -1.0], [1e-300, -2.5e300], [1e300, -0.0], [-1e-320, -np.inf], [123.456, -7.0e-5]],
+                False,
+                id="rows0",
+            ),
+            pytest.param([[1e300, -3.25]], False, id="rows1"),
+            pytest.param([[-0.0, 1e300], [5e-324, -0.0], [1e300, 5e-324]], True, id="measurements"),
         ],
     )
-    def test_table_bytes_equal_savetxt(self, tmp_path, rows):
+    def test_table_bytes_equal_savetxt(self, tmp_path, rows, measurements):
+        """The chain table, and the measurement table written by the same
+        writer, hold the bytes of ``np.savetxt``."""
         table = np.array(rows)
-        chain = Chain(
-            samples=table[:, :1],
-            log_densities=table[:, 1],
-            n_accepted=0,
-            config=SamplerConfig(n_samples=len(rows)),
-        )
-        path = tmp_path / "chain.csv"
-        save_chain(chain, path, parameter_names=["E"])
+        path = tmp_path / "table.csv"
+        if measurements:
+            write_measurements(MeasurementSet(table[:, 0], table[:, 1], NoiseSpec(stress_std=0.01)), path)
+            header = "strain,stress"
+        else:
+            chain = Chain(
+                samples=table[:, :1],
+                log_densities=table[:, 1],
+                n_accepted=0,
+                config=SamplerConfig(n_samples=len(rows)),
+            )
+            save_chain(chain, path, parameter_names=["E"])
+            header = "E,log_density"
         reference = tmp_path / "reference.csv"
-        np.savetxt(reference, table, fmt="%.17g", delimiter=",", header="E,log_density", comments="")
+        np.savetxt(reference, table, fmt="%.17g", delimiter=",", header=header, comments="")
         assert path.read_bytes() == reference.read_bytes()
+
+    def test_malformed_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "chain.csv"
+        save_chain(self._small_chain(), path)
+        path.with_suffix(".json").write_text('{"n_samples": 50,')
+        with pytest.raises(ConfigurationError, match=r"malformed chain sidecar .*chain\.json"):
+            load_chain(path)
+
+    def test_non_numeric_cell_rejected(self, tmp_path):
+        path = tmp_path / "chain.csv"
+        save_chain(self._small_chain(), path)
+        lines = path.read_text().splitlines()
+        lines[3] = "x," + lines[3].split(",")[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=r"chain\.csv.*could not convert"):
+            load_chain(path)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["n_samples", "burn_in", "step_scale", "initial", "adapt_every", "history_cap", "seed", "n_accepted"],
+    )
+    def test_missing_setting_rejected(self, tmp_path, key):
+        """Every setting is required: the loader never falls back to the
+        command line's defaults for a key that ``save_chain`` always writes."""
+        path = tmp_path / "chain.csv"
+        save_chain(self._small_chain(), path)
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        del sidecar[key]
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        with pytest.raises(ConfigurationError, match=key):
+            load_chain(path)
 
     def test_missing_parameter_names_rejected(self, tmp_path):
         path = tmp_path / "chain.csv"
