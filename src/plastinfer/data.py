@@ -310,15 +310,26 @@ def draw_specimens(pop: SpecimenPopulation, seed) -> list[ParameterVector]:
     return [ParameterVector.from_array(pop.kind, row) for row in accepted[: pop.count]]
 
 
-def _read_object(path, label: str) -> dict:
-    """The JSON object in file ``path``: a missing, unreadable or malformed
-    file, or one holding anything but an object, is a configuration error
+def _read_text(path, label: str) -> str:
+    """The text of file ``path``: a missing or unreadable file (a directory,
+    say), or one whose bytes are not UTF-8 text, is a configuration error
     naming ``label`` and the path."""
     try:
-        value = json.loads(Path(path).read_text())
+        return Path(path).read_text()
     except OSError as err:
         raise ConfigurationError(f"cannot read {label} {path}: {err.strerror}") from None
-    except ValueError as err:  # malformed JSON, or bytes that are not text
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"malformed {label} {path}: {err}") from None
+
+
+def _read_object(path, label: str) -> dict:
+    """The JSON object in file ``path``: a file ``_read_text`` rejects, a
+    malformed one, or one holding anything but an object, is a
+    configuration error naming ``label`` and the path."""
+    text = _read_text(path, label)
+    try:
+        value = json.loads(text)
+    except ValueError as err:
         raise ConfigurationError(f"malformed {label} {path}: {err}") from None
     if not isinstance(value, dict):
         raise ConfigurationError(f"{label} {path} must contain a JSON object")
@@ -369,15 +380,12 @@ def read_measurements(path) -> MeasurementSet:
     """Read a measurement CSV plus sidecar written by :func:`write_measurements`.
 
     Raises:
-        ConfigurationError: on malformed rows or ordering problems; the
-            message names the offending line number.
+        ConfigurationError: on a file that cannot be read as text (missing,
+            a directory, not UTF-8), naming the path; on malformed rows or
+            ordering problems, naming the offending line number.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise ConfigurationError(f"no such measurement file: {path}") from None
-    lines = text.splitlines()
+    lines = _read_text(path, "measurement file").splitlines()
     if not lines:
         raise ConfigurationError(f"{path}: empty file")
     if lines[0].strip() != "strain,stress":

@@ -43,7 +43,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, roots_legendre
+from scipy.special import eval_legendre, log_ndtr
 
 from .data import MeasurementSet
 from .errors import ConfigurationError, NumericalError
@@ -206,16 +206,42 @@ def _cluster_map(u: np.ndarray) -> np.ndarray:
     return u**5 * (6.0 - 5.0 * u)
 
 
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1] of the n-point Gauss-Legendre rule by
+    scipy's ``roots_legendre`` recipe (``_gen_roots_and_weights``, after
+    Golub and Welsch 1969): eigenvalues of the Jacobi matrix, one Newton
+    step, log-normalised weights, symmetrised and scaled to sum to 2. The
+    eigenvalues come from numpy, not ``scipy.linalg``; both solvers end in
+    LAPACK's ``dsterf``, and ``TestLegendreRule`` checks that the result
+    equals ``roots_legendre``'s bit for bit."""
+    k = np.arange(1.0, n)
+    u = np.linalg.eigvalsh(np.diag(k * np.sqrt(1.0 / (4 * k * k - 1)), 1), UPLO="U")
+    p_n = eval_legendre(n, u)
+    dp_n = (-n * u * p_n + n * eval_legendre(n - 1, u)) / (1 - u**2)
+    u -= p_n / dp_n
+    p_prev = eval_legendre(n - 1, u)
+    log_p, log_dp = np.log(np.abs(p_prev)), np.log(np.abs(dp_n))
+    p_prev /= np.exp((log_p.max() + log_p.min()) / 2.0)
+    dp_n /= np.exp((log_dp.max() + log_dp.min()) / 2.0)
+    w = 1.0 / (p_prev * dp_n)
+    w = (w + w[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return (u - u[::-1]) / 2, w
+
+
 @functools.lru_cache(maxsize=8)
 def _gauss_table(panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1] of the ``panels // 4 + 1``-point
-    Gauss-Legendre rule, row 0 plain and row 1 through ``_cluster_map``
-    (weights times 30 u^4 (1 - u)), so a window picks its row by index.
+    Gauss-Legendre rule (``_legendre_rule``: scipy's ``roots_legendre``
+    recipe on numpy's eigensolver, equal to ``roots_legendre`` bit for bit
+    by ``TestLegendreRule``), row 0 plain and row 1 through
+    ``_cluster_map`` (weights times 30 u^4 (1 - u)), so a window picks its
+    row by index.
 
     Cached per ``panels``; the arrays are shared between callers and
     therefore read-only.
     """
-    u, w = roots_legendre(panels // 4 + 1)
+    u, w = _legendre_rule(panels // 4 + 1)
     u, w = 0.5 * (u + 1.0), 0.5 * w
     nodes = np.stack([u, _cluster_map(u)])
     weights = np.stack([w, w * 30.0 * u**4 * (1.0 - u)])

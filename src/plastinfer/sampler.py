@@ -528,17 +528,22 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     Returns the chain and the parameter names from the sidecar, whose
     settings go through the reader of the CLI's sampler block, every key
     required: a missing or mistyped one is a configuration error naming its
-    key, and so is a sidecar or table that cannot be read. A table whose
-    row count differs from the sidecar's ``n_samples`` is loaded as it
-    stands, with ``burn_in`` reset to 0, and a ``UserWarning`` names both
-    counts.
+    key, and so is a sidecar or table that cannot be read, or a table
+    without rows. A table whose row count differs from the sidecar's
+    ``n_samples`` is loaded as it stands, with ``burn_in`` reset to 0, and
+    a ``UserWarning`` names both counts.
     """
     path = Path(path)
     sidecar = _read_object(path.with_suffix(".json"), "chain sidecar")
     try:
-        table = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+        with warnings.catch_warnings():
+            # numpy warns on a table without rows, which is reported below.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
     except (OSError, ValueError) as err:
         raise ConfigurationError(f"cannot read chain table {path}: {err}") from None
+    if table.size == 0:
+        raise ConfigurationError(f"chain table {path} has no rows")
     names = _strings(sidecar.get("parameter_names"), "sidecar parameter_names", table.shape[1] - 1)
     config = _read_config(sidecar, "chain sidecar", required=True)
     if table.shape[0] != config.n_samples:

@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +311,23 @@ class TestAnalytic:
         )
         config = _write_config(tmp_path, {"prior": {"mean": [200.0], "std": [50.0]}})
         assert cli.main(["analytic", "--config", config, "--data", str(data_path)]) == 2
+
+
+@pytest.mark.parametrize("verb", ["analytic", "identify"])
+@pytest.mark.parametrize("binary", [False, True], ids=["directory", "not-utf8"])
+def test_unreadable_data_exits_2(tmp_path, capsys, verb, binary):
+    """A --data path that is a directory or not UTF-8 text exited 1 with
+    a traceback."""
+    data_path = tmp_path / "data.csv"
+    if binary:
+        data_path.write_bytes(b"\x89PNG\r\n\x1a\n\xff")
+    else:
+        data_path.mkdir()
+    config = _identify_config(tmp_path, sampler={"n_samples": 20, "seed": 1})
+    argv = [verb, "--config", config, "--data", str(data_path)]
+    argv += ["--output-dir", str(tmp_path / "run")] if verb == "identify" else []
+    assert cli.main(argv) == 2
+    assert f"measurement file {data_path}" in capsys.readouterr().err
 
 
 class TestPriorSweep:
@@ -1010,3 +1028,52 @@ def test_fresh_import_loads_neither_scipy_linalg_nor_stats():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_fresh_lenh_double_run_loads_neither_scipy_linalg_nor_stats(tmp_path):
+    """An LE-NH stress-and-strain run, through the library and through the
+    command line, loads neither ``scipy.linalg`` nor ``scipy.stats``: the
+    Gauss-Legendre rule of its likelihood comes from numpy's eigensolver,
+    where ``scipy.special.roots_legendre`` imported ``scipy.linalg``."""
+    code = textwrap.dedent(
+        """
+        import json, sys
+        from pathlib import Path
+        import numpy as np
+        from plastinfer import (
+            LogPosterior, ModelKind, ParameterVector, SamplerConfig, TruncatedNormalPrior, cli,
+            generate_double_noise, load_chain, response_band, run_adaptive_mh, save_chain, summarize,
+        )
+        work = Path(sys.argv[1])
+        kind = ModelKind.NONLINEAR_HARDENING
+        strains = np.linspace(2.4e-4, 2.88e-3, 12)
+        truth = ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57)
+        data = generate_double_noise(truth, kind, strains, 0.01, 1e-4, seed=3)
+        std = np.array([50.0, 0.0166667, 0.333333, 0.05])
+        target = LogPosterior(kind, TruncatedNormalPrior([200.0, 0.29, 2.5, 0.57], np.diag(std * std)), data)
+        assert np.all(np.isfinite(target.log_density(np.array([[210.0, 0.25, 2.0, 0.57], [200.0, 0.3, 2.5, 0.6]]))))
+        chain = run_adaptive_mh(target, SamplerConfig(n_samples=30, burn_in=5, step_scale=0.02, seed=4))
+        summarize(chain)
+        response_band(kind, chain.samples, strains)
+        save_chain(chain, work / "chain.csv")
+        load_chain(work / "chain.csv")
+        generate = {"model": "LE-NH", "parameters": {"E": 210.0, "sigma_y0": 0.25, "H": 2.0, "n": 0.57},
+                    "strains": {"start": 2.4e-4, "step": 2.4e-4, "count": 12},
+                    "noise": {"stress_std": 0.01, "strain_std": 1e-4}, "seed": 8}
+        identify = {"model": "LE-NH", "prior": {"mean": [200.0, 0.29, 2.5, 0.57], "std": std.tolist()},
+                    "sampler": {"n_samples": 30, "burn_in": 5, "step_scale": 0.02, "seed": 2}}
+        (work / "generate.json").write_text(json.dumps(generate))
+        (work / "identify.json").write_text(json.dumps(identify))
+        assert cli.main(["generate", "--config", str(work / "generate.json"), "--output", str(work / "data.csv")]) == 0
+        assert cli.main(["identify", "--config", str(work / "identify.json"), "--data", str(work / "data.csv"),
+                         "--output-dir", str(work / "run")]) == 0
+        print([m for m in ("scipy.linalg", "scipy.stats") if m in sys.modules])
+        """
+    )
+    src = str(Path(plastinfer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

@@ -378,3 +378,20 @@ class TestMeasurementFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             read_measurements(tmp_path / "nowhere.csv")
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda path: path.mkdir(), "cannot read measurement file"),
+            (lambda path: path.write_bytes(b"strain,stress\n1e-3,\xff\xfe\n"), "malformed measurement file"),
+        ],
+        ids=["directory", "not-utf8"],
+    )
+    def test_unreadable_file_names_path(self, tmp_path, make, message):
+        """A directory escaped as IsADirectoryError and undecodable bytes as
+        UnicodeDecodeError."""
+        path = tmp_path / "data.csv"
+        make(path)
+        with pytest.raises(ConfigurationError, match=message) as err:
+            read_measurements(path)
+        assert str(path) in str(err.value)

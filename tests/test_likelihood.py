@@ -17,7 +17,7 @@ import zlib
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import log_ndtr, logsumexp, ndtr
+from scipy.special import log_ndtr, logsumexp, ndtr, roots_legendre
 from scipy.stats import norm
 
 from plastinfer import (
@@ -981,6 +981,21 @@ def test_plastic_path_of_one_window_has_the_bits_of_a_batch(n):
     batch = stress_rows(kind, strain, rows)
     for row, want in zip(rows, batch):
         assert np.array_equal(stress_rows(kind, strain, row[None])[0].view(np.int64), want.view(np.int64))
+
+
+class TestLegendreRule:
+    """The LE-NH Gauss-Legendre rule, built on numpy's eigensolver, has the
+    bits of ``scipy.special.roots_legendre`` (whose eigensolve imports
+    ``scipy.linalg``) at every node count the code and these tests use, so
+    no likelihood value depends on which library built it."""
+
+    @pytest.mark.parametrize("panels", [2, 4, 256, 512, 1024, 2048, 8192])
+    def test_equals_roots_legendre_bit_for_bit(self, panels):
+        n = panels // 4 + 1
+        nodes, weights = likelihood._legendre_rule(n)
+        ref_nodes, ref_weights = roots_legendre(n)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
 
 
 class TestBlockedQuadrature:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -786,6 +787,17 @@ class TestChainStorage:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigurationError, match=r"chain\.csv.*could not convert"):
             load_chain(path)
+
+    def test_header_only_table_rejected(self, tmp_path):
+        """numpy's "input contained no data" warning escaped, and the empty
+        table was then reported as a parameter-name count of -1."""
+        path = tmp_path / "chain.csv"
+        save_chain(self._small_chain(), path)
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=r"chain table .*chain\.csv has no rows"):
+                load_chain(path)
 
     @pytest.mark.parametrize(
         "key",
