@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from collections.abc import Callable
@@ -89,6 +90,9 @@ def _parse_strains(block: object) -> np.ndarray:
 
 
 def _parse_prior(block: object, dimension: int) -> TruncatedNormalPrior:
+    """The prior block of every verb: ``mean`` plus either ``covariance`` or
+    ``std``, one std entry > 0 per mean entry; a number stands for a
+    one-entry list."""
     block = _object(block, "prior")
     mean = np.atleast_1d(_numbers(_require(block, "mean", "'prior'"), "prior mean"))
     if "covariance" in block and "std" in block:
@@ -97,6 +101,8 @@ def _parse_prior(block: object, dimension: int) -> TruncatedNormalPrior:
         covariance = _numbers(block["covariance"], "prior covariance")
     elif "std" in block:
         std = np.atleast_1d(_numbers(block["std"], "prior std"))
+        if std.shape != mean.shape or not np.all(std > 0.0):
+            raise ConfigurationError(f"prior std must be > 0, one entry per mean entry, got {block['std']!r}")
         covariance = np.diag(std * std)
     else:
         raise ConfigurationError("prior needs 'covariance' or 'std'")
@@ -106,19 +112,6 @@ def _parse_prior(block: object, dimension: int) -> TruncatedNormalPrior:
             f"prior has dimension {prior.dimension}, the model needs {dimension}"
         )
     return prior
-
-
-def _scalar_prior(block: object) -> tuple[float, float]:
-    """Mean and std of a one-parameter prior block, each a number or a
-    one-entry list."""
-    block = _object(block, "prior")
-    values = []
-    for key in ("mean", "std"):
-        value = _numbers(_require(block, key, "'prior'"), f"prior {key}")
-        if value.size != 1:
-            raise ConfigurationError(f"prior {key} must be one number, got {block[key]!r}")
-        values.append(value.item())
-    return values[0], values[1]
 
 
 def _seed(override: int | None, block: dict) -> int | None:
@@ -209,6 +202,8 @@ def _run_identification(
     quadrature = _parse_quadrature(config)
     band = _object(config.get("band", {}), "band")
     max_strain = _number(band.get("max_strain", data.strains.max().item()), "band max_strain")
+    if max_strain < 0.0:
+        raise ConfigurationError(f"band max_strain must be >= 0, got {max_strain!r}")
     count = _integer(band.get("count", 100), "band count", 1)
     samples = _integer(band.get("samples", 500), "band samples", 1)
     target = LogPosterior(kind, prior, data, quadrature)
@@ -275,9 +270,10 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
             "the closed-form posterior covers stress-only noise; reinterpret "
             "the data or use 'identify'"
         )
-    prior_mean, prior_std = _scalar_prior(_require(config, "prior", "config"))
+    prior = _parse_prior(_require(config, "prior", "config"), 1)
     posterior = analytic_le_posterior(
-        prior_mean, prior_std, data.strains, data.stresses, data.noise.stress_std
+        float(prior.mean[0]), math.sqrt(prior.covariance[0, 0]),
+        data.strains, data.stresses, data.noise.stress_std,
     )
     report = {"mean": posterior.mean, "std": posterior.std}
     if args.output is not None:
@@ -349,7 +345,8 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
     ``prior`` block the closed-form stress-only route is used (linear
     elastic only); a ``fit`` block instead runs a pooled sampled
     identification, each specimen's measurement set contributing its own
-    likelihood term.
+    likelihood term. A seedless run draws its seed and prints it, so
+    ``--seed <printed>`` replays it.
     """
     config = _read_object(args.config, "config")
     pop_block = _object(_require(config, "population", "config"), "population")
@@ -368,7 +365,7 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
     if noise.double:
         raise ConfigurationError("the heterogeneity study uses stress-only noise")
     replicates = _integer(config.get("replicates", 1), "replicates", 1)
-    seed = _seed(args.seed, config)
+    seed = _drawn(_seed(args.seed, config))
     fit = config.get("fit")
     if ("prior" in config) == (fit is not None):
         raise ConfigurationError("give either a 'prior' block (closed form) or a 'fit' block (sampled), not both")
@@ -378,7 +375,7 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 "the closed-form route covers the linear elastic model; use a 'fit' block for the others"
             )
-        prior_mean, prior_std = _scalar_prior(config["prior"])
+        prior = _parse_prior(config["prior"], 1)
     else:
         fit = _object(fit, "fit")
         fit_kind = ModelKind.parse(_require(fit, "model", "'fit'"))
@@ -409,8 +406,8 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
         ]
         if fit is None:
             posterior = analytic_le_posterior(
-                prior_mean,
-                prior_std,
+                float(prior.mean[0]),
+                math.sqrt(prior.covariance[0, 0]),
                 np.concatenate([s.strains for s in sets]),
                 np.concatenate([s.stresses for s in sets]),
                 noise.stress_std,
@@ -428,6 +425,7 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
             _say(args.verbose, f"replicate {rep}: mean {summary.mean}, std {summary.std}")
 
     _write_table(args.output, columns, rows)
+    print(f"seed {seed}")
     print(f"wrote {args.output}")
     return 0
 

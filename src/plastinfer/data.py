@@ -7,9 +7,9 @@ stress-and-strain (independent additive Gaussian noise on both channels).
 Files are a CSV with header ``strain,stress`` (17 significant digits, which
 round-trips float64 exactly) plus a JSON sidecar next to it (same stem,
 ``.json`` suffix) holding the noise specification and provenance. Every
-CSV table of the package goes through one writer, and every JSON file
-through one reader; the sidecars and the command line's configs share one
-set of typed readers.
+CSV table of the package goes through one writer and one reader, and
+every JSON file through one reader; the sidecars and the command line's
+configs share one set of typed readers.
 """
 
 from __future__ import annotations
@@ -347,6 +347,31 @@ def _write_table(path, columns: list[str], rows) -> None:
     Path(path).write_text(",".join(columns) + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
+def _read_table(path, label: str) -> tuple[str, list[tuple[int, list[float]]]]:
+    """The header line of CSV file ``path`` and its data rows, each its line
+    number and values; blank lines are skipped. A file ``_read_text``
+    rejects, an empty one, or a row that does not hold one number per
+    header column, is a configuration error naming the path and the line.
+    The mirror of :func:`_write_table`: ``float`` reads its 17 digits back
+    to the same bits."""
+    lines = _read_text(path, label).splitlines()
+    if not lines:
+        raise ConfigurationError(f"{path}: empty file")
+    width = lines[0].count(",") + 1
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ConfigurationError(f"{path}:{lineno}: expected {width} comma-separated values, got {line!r}")
+        try:
+            rows.append((lineno, [float(cell) for cell in cells]))
+        except ValueError as err:
+            raise ConfigurationError(f"{path}:{lineno}: non-numeric value in {line!r} ({err})") from None
+    return lines[0], rows
+
+
 def write_measurements(mset: MeasurementSet, path) -> None:
     """Write the CSV file and its JSON sidecar."""
     path = Path(path)
@@ -385,32 +410,15 @@ def read_measurements(path) -> MeasurementSet:
             ordering problems, naming the offending line number.
     """
     path = Path(path)
-    lines = _read_text(path, "measurement file").splitlines()
-    if not lines:
-        raise ConfigurationError(f"{path}: empty file")
-    if lines[0].strip() != "strain,stress":
-        raise ConfigurationError(f"{path}:1: expected header 'strain,stress', got {lines[0]!r}")
-
-    strains: list[float] = []
-    stresses: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigurationError(f"{path}:{lineno}: expected two comma-separated values")
-        try:
-            eps, sig = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ConfigurationError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
-        if strains and eps <= strains[-1]:
-            raise ConfigurationError(f"{path}:{lineno}: strains must be strictly increasing")
-        strains.append(eps)
-        stresses.append(sig)
-    if not strains:
+    header, rows = _read_table(path, "measurement file")
+    if header.strip() != "strain,stress":
+        raise ConfigurationError(f"{path}:1: expected header 'strain,stress', got {header!r}")
+    if not rows:
         raise ConfigurationError(f"{path}: k >= 1 required, found no data rows")
+    for (_, (previous, _)), (lineno, (strain, _)) in zip(rows, rows[1:]):
+        if strain <= previous:
+            raise ConfigurationError(f"{path}:{lineno}: strains must be strictly increasing")
 
     noise, provenance = _parse_sidecar(path.with_suffix(".json"))
-    return MeasurementSet(
-        strains=np.array(strains), stresses=np.array(stresses), noise=noise, provenance=provenance
-    )
+    strains, stresses = np.array([values for _, values in rows]).T.copy()
+    return MeasurementSet(strains=strains, stresses=stresses, noise=noise, provenance=provenance)

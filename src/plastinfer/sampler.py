@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaincinv
 
-from .data import _integer, _number, _numbers, _read_object, _strings, _write_table
+from .data import _integer, _number, _numbers, _read_object, _read_table, _strings, _write_table
 from .errors import ConfigurationError, DomainError, NumericalError
 from .models import ModelKind, _as_strain_array, stress_rows
 from .posterior import LogPosterior
@@ -535,15 +535,10 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     """
     path = Path(path)
     sidecar = _read_object(path.with_suffix(".json"), "chain sidecar")
-    try:
-        with warnings.catch_warnings():
-            # numpy warns on a table without rows, which is reported below.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
-    except (OSError, ValueError) as err:
-        raise ConfigurationError(f"cannot read chain table {path}: {err}") from None
-    if table.size == 0:
+    _, rows = _read_table(path, "chain table")
+    if not rows:
         raise ConfigurationError(f"chain table {path} has no rows")
+    table = np.array([values for _, values in rows])
     names = _strings(sidecar.get("parameter_names"), "sidecar parameter_names", table.shape[1] - 1)
     config = _read_config(sidecar, "chain sidecar", required=True)
     if table.shape[0] != config.n_samples:

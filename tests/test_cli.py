@@ -504,6 +504,20 @@ class TestHeterogeneity:
         first, second = (self._run(tmp_path, payload, name)[1] for name in ("a.csv", "b.csv"))
         assert first.read_bytes() == second.read_bytes()
 
+    def test_seedless_sampled_route_replays_from_its_printed_seed(self, tmp_path, capsys):
+        """A seedless run seeded from OS entropy that it did not record, so
+        it could not be replayed; now it prints the seed it drew."""
+        payload = self._sampled({"n_samples": 300, "burn_in": 50})
+        del payload["seed"]
+        argv = ["heterogeneity", "--config", _write_config(tmp_path, payload, "het.json"), "--output"]
+        assert cli.main([*argv, str(tmp_path / "a.csv")]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("seed ")
+        seed = line.removeprefix("seed ")
+        assert cli.main([*argv, str(tmp_path / "b.csv"), "--seed", seed]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == line
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_replicate_chain_seeds(self, tmp_path, monkeypatch):
         """Unpinned, the replicates' chains get distinct seeds that repeat
         run to run; a pinned fit.sampler.seed is used as it stands."""
@@ -1000,6 +1014,60 @@ class TestTypedConfigReads:
             assert load_chain(tmp_path / "run" / "chain.csv")[0].samples.shape == (300, 2)
         assert chains[False] != chains[True]
 
+
+
+class TestOnePriorReader:
+    """Every verb reads its prior block through one reader: ``mean`` plus
+    ``covariance`` or ``std``, each std entry > 0. ``analytic`` and the
+    closed-form ``heterogeneity`` route had a reader of their own, and
+    ``identify`` squared a negative std and sampled, exit 0."""
+
+    @pytest.mark.parametrize("bad", [0.0, -50.0])
+    @pytest.mark.parametrize(
+        "verb, extra, path, mean",
+        [
+            pytest.param("identify", {}, "prior", [200.0, 0.29], id="identify"),
+            pytest.param("mismatch", {}, "fit.prior", [200.0, 0.29], id="mismatch"),
+            pytest.param(
+                "heterogeneity", {"prior": _DROP, "fit": {"model": "LE", "sampler": {"n_samples": 50}}},
+                "fit.prior", [200.0], id="heterogeneity-fit",
+            ),
+            pytest.param("analytic", {}, "prior", [200.0], id="analytic"),
+            pytest.param("heterogeneity", {}, "prior", [200.0], id="heterogeneity"),
+        ],
+    )
+    def test_nonpositive_std_exits_2(self, tmp_path, capsys, verb, extra, path, mean, bad):
+        std = [bad, 0.0167][: len(mean)]
+        argv = TestTypedConfigReads()._argv(tmp_path, verb, {**extra, path: {"mean": mean, "std": std}})
+        assert cli.main(argv) == 2
+        assert f"prior std must be > 0, one entry per mean entry, got {std!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "chain.csv").exists()
+
+    def test_one_std_entry_per_mean_entry(self, tmp_path, capsys):
+        """A one-entry std under a two-entry mean was reported as a 1x1
+        covariance."""
+        changes = {"prior": {"mean": [200.0, 0.29], "std": [50.0]}}
+        assert cli.main(TestTypedConfigReads()._argv(tmp_path, "identify", changes)) == 2
+        assert "prior std must be > 0, one entry per mean entry, got [50.0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["analytic", "heterogeneity"])
+    def test_covariance_and_std_write_the_same_bytes(self, tmp_path, verb):
+        """The closed form takes the std back from the covariance: the root
+        of 2500.0 is 50.0 exactly."""
+        written = []
+        for prior in ({"mean": 200.0, "std": 50.0}, {"mean": 200.0, "covariance": [[2500.0]]}):
+            assert cli.main(TestTypedConfigReads()._argv(tmp_path, verb, {"prior": prior})) == 0
+            written.append((tmp_path / "out").read_bytes())
+        assert written[0] == written[1]
+
+
+def test_negative_band_max_strain_exits_2_before_sampling(tmp_path, capsys):
+    """identify sampled the whole chain and wrote chain.csv, chain.json and
+    summary.json before the band failed with a message naming no key."""
+    argv = TestTypedConfigReads()._argv(tmp_path, "identify", {"band.max_strain": -0.001})
+    assert cli.main(argv) == 2
+    assert "band max_strain must be >= 0, got -0.001" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "chain.csv").exists()
 
 
 def test_fresh_import_loads_no_heavy_scipy_subpackage():

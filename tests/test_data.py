@@ -27,6 +27,7 @@ from plastinfer import (
     read_measurements,
     write_measurements,
 )
+from plastinfer.data import _read_table
 
 X_LE = ParameterVector(E=210.0)
 X_LEPP = ParameterVector(E=210.0, sigma_y0=0.25)
@@ -345,6 +346,20 @@ class TestMeasurementFiles:
         back = read_measurements(path)
         np.testing.assert_array_equal(back.strains, mset.strains)
         np.testing.assert_array_equal(back.stresses, mset.stresses)
+
+    def test_table_reader_numbers_its_rows(self, tmp_path):
+        """The one CSV reader gives the header line and each data row with
+        its line number, blank lines skipped; a row of the wrong width names
+        its line."""
+        path = tmp_path / "table.csv"
+        path.write_text("a,b,log_density\n1,2,-inf\n\n 3.5 ,-0,5e-324\n")
+        header, rows = _read_table(path, "table")
+        assert header == "a,b,log_density"
+        assert rows == [(2, [1.0, 2.0, -math.inf]), (4, [3.5, -0.0, 5e-324])]
+        assert math.copysign(1.0, rows[1][1][1]) == -1.0
+        path.write_text("a,b\n1,2\n3,4,5\n")
+        with pytest.raises(ConfigurationError, match=r"table\.csv:3: expected 2 comma-separated values"):
+            _read_table(path, "table")
 
     def test_non_increasing_strains_name_line(self, tmp_path):
         path = tmp_path / "order.csv"

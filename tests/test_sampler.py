@@ -785,8 +785,24 @@ class TestChainStorage:
         lines = path.read_text().splitlines()
         lines[3] = "x," + lines[3].split(",")[1]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError, match=r"chain\.csv.*could not convert"):
+        with pytest.raises(ConfigurationError, match=r"chain\.csv:4: non-numeric value in 'x,.*could not convert"):
             load_chain(path)
+
+    def test_round_trip_is_bitwise_from_subnormals_to_huge(self, tmp_path):
+        """Every value, signed zeros, subnormals, the largest magnitudes
+        and a log-density of -inf included, comes back with its bits."""
+        rng = np.random.default_rng(5)
+        samples = np.ldexp(rng.random((2_000, 2)), rng.integers(-1074, 1024, (2_000, 2)))
+        log_densities = -np.ldexp(rng.random(2_000), rng.integers(-1074, 1024, 2_000))
+        samples[:3] = [[-0.0, 5e-324], [np.finfo(float).max, 0.0], [2.2250738585072014e-308, 1e-320]]
+        log_densities[:2] = [-np.inf, -0.0]
+        chain = Chain(samples, log_densities, 17, SamplerConfig(n_samples=2_000, burn_in=100, seed=3))
+        path = tmp_path / "chain.csv"
+        save_chain(chain, path, parameter_names=["a", "b"])
+        loaded, names = load_chain(path)
+        assert names == ["a", "b"]
+        assert loaded.samples.tobytes() == samples.tobytes()
+        assert loaded.log_densities.tobytes() == log_densities.tobytes()
 
     def test_header_only_table_rejected(self, tmp_path):
         """numpy's "input contained no data" warning escaped, and the empty
