@@ -7,10 +7,10 @@ measurement sets, ``identify`` samples a posterior for one dataset,
 ``heterogeneity`` pools specimens drawn from a population, and
 ``mismatch`` fits a deliberately wrong model to generated data.
 
-Every subcommand reads one JSON config; command-line flags carry only
-paths, the seed and verbosity. Exit codes: 0 on success, 2 for
-configuration or domain errors (argparse uses the same code for bad
-flags), 3 for numerical failures.
+Every subcommand reads one JSON config, which ``main`` reads and passes
+on; command-line flags carry only paths and the seed. Exit codes: 0 on
+success, 2 for configuration or domain errors (argparse uses the same
+code for bad flags), 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .data import (
 from .errors import ConfigurationError, DomainError, NumericalError
 from .likelihood import QuadratureSpec
 from .models import ModelKind, ParameterVector
-from .posterior import LogPosterior, analytic_le_posterior
+from .posterior import AnalyticLEPosterior, LogPosterior, analytic_le_posterior
 from .priors import TruncatedNormalPrior
 from .sampler import (
     SamplerConfig,
@@ -128,12 +128,12 @@ def _drawn(seed: int | None) -> int:
     return np.random.SeedSequence().entropy if seed is None else seed
 
 
-def _parse_sampler(block: object, seed: int | None) -> tuple[SamplerConfig, Callable]:
+def _parse_sampler(block: object) -> tuple[SamplerConfig, Callable]:
     """The sampler settings and the run function, ``run_adaptive_mh`` or
     ``run_mh`` as ``adaptive`` selects."""
     block = _object(block, "sampler")
     run = run_adaptive_mh if _flag(block.get("adaptive", True), "sampler adaptive") else run_mh
-    return _read_config(block, "sampler", seed), run
+    return _read_config(block, "sampler"), run
 
 
 def _parse_quadrature(config: dict) -> QuadratureSpec | None:
@@ -175,30 +175,36 @@ def _generate(block: dict, seed: int, context: str) -> MeasurementSet:
     return generate_single_noise(x, kind, strains, noise.stress_std, seed)
 
 
-def _say(verbose: bool, message: str) -> None:
-    if verbose:
-        print(message)
+def _closed_form(prior: TruncatedNormalPrior, sets: list[MeasurementSet]) -> AnalyticLEPosterior:
+    """The closed-form linear-elastic posterior of the one-entry ``prior``
+    given the stress-only ``sets`` pooled, which share one stress std."""
+    return analytic_le_posterior(
+        float(prior.mean[0]),
+        math.sqrt(prior.covariance[0, 0]),
+        np.concatenate([s.strains for s in sets]),
+        np.concatenate([s.stresses for s in sets]),
+        sets[0].noise.stress_std,
+    )
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    config = _read_object(args.config, "config")
+def _cmd_generate(args: argparse.Namespace, config: dict) -> int:
     data = _generate(config, _drawn(_seed(args.seed, config)), "config")
     write_measurements(data, args.output)
-    _say(args.verbose, f"{len(data)} points, {data.provenance}")
     print(f"wrote {args.output}")
     return 0
 
 
 def _run_identification(
-    data: MeasurementSet, config: dict, out_dir: Path, seed: int | None, verbose: bool, fallback: int | None = None
+    data: MeasurementSet, config: dict, out_dir: Path, seed: int | None, fallback: int | None = None
 ) -> int:
     """Sample and write the chain, summary and band. ``seed`` overrides the
     sampler block's seed; ``fallback`` (drawn if None) serves if neither is set."""
     kind = ModelKind.parse(_require(config, "model", "config"))
     prior = _parse_prior(_require(config, "prior", "config"), kind.dimension)
-    sampler_config, run = _parse_sampler(_require(config, "sampler", "config"), seed)
-    if sampler_config.seed is None:
-        sampler_config = replace(sampler_config, seed=_drawn(fallback))
+    block = _require(config, "sampler", "config")
+    sampler_config, run = _parse_sampler(block)
+    seed = _seed(seed, block)
+    sampler_config = replace(sampler_config, seed=_drawn(fallback if seed is None else seed))
     quadrature = _parse_quadrature(config)
     band = _object(config.get("band", {}), "band")
     max_strain = _number(band.get("max_strain", data.strains.max().item()), "band max_strain")
@@ -208,7 +214,6 @@ def _run_identification(
     samples = _integer(band.get("samples", 500), "band samples", 1)
     target = LogPosterior(kind, prior, data, quadrature)
 
-    _say(verbose, f"sampling {kind.value}, {sampler_config.n_samples} steps, {run.__name__}")
     chain = run(target, sampler_config)
     summary = summarize(chain)
     retained, _ = chain.retained()
@@ -256,25 +261,19 @@ def _run_identification(
     return 0
 
 
-def _cmd_identify(args: argparse.Namespace) -> int:
-    config = _read_object(args.config, "config")
+def _cmd_identify(args: argparse.Namespace, config: dict) -> int:
     data = _apply_noise_override(read_measurements(args.data), config)
-    return _run_identification(data, config, Path(args.output_dir), args.seed, args.verbose)
+    return _run_identification(data, config, Path(args.output_dir), args.seed)
 
 
-def _cmd_analytic(args: argparse.Namespace) -> int:
-    config = _read_object(args.config, "config")
+def _cmd_analytic(args: argparse.Namespace, config: dict) -> int:
     data = _apply_noise_override(read_measurements(args.data), config)
     if data.noise.double:
         raise ConfigurationError(
             "the closed-form posterior covers stress-only noise; reinterpret "
             "the data or use 'identify'"
         )
-    prior = _parse_prior(_require(config, "prior", "config"), 1)
-    posterior = analytic_le_posterior(
-        float(prior.mean[0]), math.sqrt(prior.covariance[0, 0]),
-        data.strains, data.stresses, data.noise.stress_std,
-    )
+    posterior = _closed_form(_parse_prior(_require(config, "prior", "config"), 1), [data])
     report = {"mean": posterior.mean, "std": posterior.std}
     if args.output is not None:
         Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
@@ -283,8 +282,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_prior_sweep(args: argparse.Namespace) -> int:
-    config = _read_object(args.config, "config")
+def _cmd_prior_sweep(args: argparse.Namespace, config: dict) -> int:
     data = _apply_noise_override(read_measurements(args.data), config)
     if data.noise.double:
         raise ConfigurationError("the prior sweep uses the closed-form stress-only posterior")
@@ -305,7 +303,7 @@ def _cmd_prior_sweep(args: argparse.Namespace) -> int:
 
     means, stds = _axis("mean"), _axis("std")
     if np.any(stds <= 0.0):
-        raise ConfigurationError("prior stds must be > 0")
+        raise ConfigurationError(f"prior_grid std must be > 0, got {float(stds.min())!r}")
     counts = _require(config, "counts", "config")
     if not isinstance(counts, list):
         raise ConfigurationError(f"counts must be a list of integers, got {counts!r}")
@@ -329,14 +327,13 @@ def _cmd_prior_sweep(args: argparse.Namespace) -> int:
             ]
         maps = np.maximum(np.asarray(locations), 0.0)
         rows.append((count, float(maps.min()), float(maps.max()), float(maps.max() - maps.min())))
-        _say(args.verbose, f"k={count}: map spread {rows[-1][3]:.6g}")
 
     _write_table(args.output, ["count", "map_min", "map_max", "map_spread"], rows)
     print(f"wrote {args.output}")
     return 0
 
 
-def _cmd_heterogeneity(args: argparse.Namespace) -> int:
+def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
     """Pooled identification of specimens drawn from a population.
 
     All specimens are described by one parameter vector during
@@ -348,7 +345,6 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
     likelihood term. A seedless run draws its seed and prints it, so
     ``--seed <printed>`` replays it.
     """
-    config = _read_object(args.config, "config")
     pop_block = _object(_require(config, "population", "config"), "population")
     kind = ModelKind.parse(pop_block.get("model", "LE"))
     population = SpecimenPopulation(
@@ -376,6 +372,12 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
                 "the closed-form route covers the linear elastic model; use a 'fit' block for the others"
             )
         prior = _parse_prior(config["prior"], 1)
+        columns = ["replicate", "posterior_mean", "posterior_std"]
+
+        def estimate(sets: list[MeasurementSet], chain_stream: np.random.Generator) -> tuple:
+            posterior = _closed_form(prior, sets)
+            return posterior.mean, posterior.std
+
     else:
         fit = _object(fit, "fit")
         fit_kind = ModelKind.parse(_require(fit, "model", "'fit'"))
@@ -384,15 +386,21 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
                 f"the pooled fit uses the population model; got {fit_kind.value} vs {kind.value}"
             )
         prior = _parse_prior(_require(fit, "prior", "'fit'"), kind.dimension)
-        sampler_config, run = _parse_sampler(_require(fit, "sampler", "'fit'"), None)
-
-    names = list(kind.parameter_names)
-    pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
-    if fit is None:
-        columns = ["replicate", "posterior_mean", "posterior_std"]
-    else:
+        sampler_config, run = _parse_sampler(_require(fit, "sampler", "'fit'"))
+        names = list(kind.parameter_names)
+        pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
         means, stds = [f"mean_{p}" for p in names], [f"std_{p}" for p in names]
         columns = ["replicate", *means, *stds, *(f"corr_{names[i]}_{names[j]}" for i, j in pairs)]
+
+        def estimate(sets: list[MeasurementSet], chain_stream: np.random.Generator) -> tuple:
+            chain_config = sampler_config
+            if chain_config.seed is None:  # a pinned fit.sampler.seed is kept
+                chain_config = replace(chain_config, seed=int(chain_stream.integers(2**63)))
+            summary = summarize(run(LogPosterior(kind, prior, sets), chain_config))
+            scale = np.maximum(summary.std, np.finfo(float).tiny)
+            corr = summary.covariance / np.outer(scale, scale)
+            return (*summary.mean, *summary.std, *(corr[i, j] for i, j in pairs))
+
     root = np.random.default_rng(seed)
     rows = []
     for rep in range(replicates):
@@ -404,25 +412,7 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
             generate_single_noise(x, kind, strains, noise.stress_std, child)
             for x, child in zip(specimens, child_seeds)
         ]
-        if fit is None:
-            posterior = analytic_le_posterior(
-                float(prior.mean[0]),
-                math.sqrt(prior.covariance[0, 0]),
-                np.concatenate([s.strains for s in sets]),
-                np.concatenate([s.stresses for s in sets]),
-                noise.stress_std,
-            )
-            rows.append((rep, posterior.mean, posterior.std))
-            _say(args.verbose, f"replicate {rep}: mean {posterior.mean:.6g}, std {posterior.std:.6g}")
-        else:
-            chain_config = sampler_config
-            if chain_config.seed is None:  # a pinned fit.sampler.seed is kept
-                chain_config = replace(chain_config, seed=int(chain_stream.integers(2**63)))
-            summary = summarize(run(LogPosterior(kind, prior, sets), chain_config))
-            scale = np.maximum(summary.std, np.finfo(float).tiny)
-            corr = summary.covariance / np.outer(scale, scale)
-            rows.append((rep, *summary.mean, *summary.std, *(corr[i, j] for i, j in pairs)))
-            _say(args.verbose, f"replicate {rep}: mean {summary.mean}, std {summary.std}")
+        rows.append((rep, *estimate(sets, chain_stream)))
 
     _write_table(args.output, columns, rows)
     print(f"seed {seed}")
@@ -430,11 +420,10 @@ def _cmd_heterogeneity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_mismatch(args: argparse.Namespace) -> int:
+def _cmd_mismatch(args: argparse.Namespace, config: dict) -> int:
     """Generate from ``truth`` and fit ``fit``. A seedless run draws one
     seed for the data, which the sampler also uses unless the fit's
     sampler block pins its own, so ``--seed <recorded>`` replays it."""
-    config = _read_object(args.config, "config")
     if not _flag(config.get("allow_mismatch", False), "allow_mismatch"):
         raise ConfigurationError(
             'fitting a model other than the generating one requires "allow_mismatch": true'
@@ -448,8 +437,7 @@ def _cmd_mismatch(args: argparse.Namespace) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_measurements(data, out_dir / "data.csv")
-    _say(args.verbose, f"generated {len(data)} points, {data.provenance}")
-    return _run_identification(data, fit, out_dir, override, args.verbose, seed)
+    return _run_identification(data, fit, out_dir, override, seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -462,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def _common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--verbose", action="store_true", help="print progress details")
 
     p = sub.add_parser("generate", help="synthesize a noisy measurement set")
     _common(p)
@@ -502,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _read_object(args.config, "config"))
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 from dataclasses import dataclass, replace
 
@@ -347,18 +348,19 @@ def _write_table(path, columns: list[str], rows) -> None:
     Path(path).write_text(",".join(columns) + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def _read_table(path, label: str) -> tuple[str, list[tuple[int, list[float]]]]:
-    """The header line of CSV file ``path`` and its data rows, each its line
-    number and values; blank lines are skipped. A file ``_read_text``
-    rejects, an empty one, or a row that does not hold one number per
-    header column, is a configuration error naming the path and the line.
-    The mirror of :func:`_write_table`: ``float`` reads its 17 digits back
-    to the same bits."""
+def _read_table(path, label: str) -> Iterator:
+    """Yield the header line of CSV file ``path``, then its data rows, each
+    its line number and values; blank lines are skipped. A row is parsed
+    only when it is drawn, so a caller can check the header first. A file
+    ``_read_text`` rejects, an empty one, or a row that does not hold one
+    number per header column, is a configuration error naming the path and
+    the line. The mirror of :func:`_write_table`: ``float`` reads its 17
+    digits back to the same bits."""
     lines = _read_text(path, label).splitlines()
     if not lines:
         raise ConfigurationError(f"{path}: empty file")
+    yield lines[0]
     width = lines[0].count(",") + 1
-    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -366,10 +368,10 @@ def _read_table(path, label: str) -> tuple[str, list[tuple[int, list[float]]]]:
         if len(cells) != width:
             raise ConfigurationError(f"{path}:{lineno}: expected {width} comma-separated values, got {line!r}")
         try:
-            rows.append((lineno, [float(cell) for cell in cells]))
+            values = [float(cell) for cell in cells]
         except ValueError as err:
             raise ConfigurationError(f"{path}:{lineno}: non-numeric value in {line!r} ({err})") from None
-    return lines[0], rows
+        yield lineno, values
 
 
 def write_measurements(mset: MeasurementSet, path) -> None:
@@ -410,9 +412,11 @@ def read_measurements(path) -> MeasurementSet:
             ordering problems, naming the offending line number.
     """
     path = Path(path)
-    header, rows = _read_table(path, "measurement file")
+    table = _read_table(path, "measurement file")
+    header = next(table)
     if header.strip() != "strain,stress":
         raise ConfigurationError(f"{path}:1: expected header 'strain,stress', got {header!r}")
+    rows = list(table)
     if not rows:
         raise ConfigurationError(f"{path}: k >= 1 required, found no data rows")
     for (_, (previous, _)), (lineno, (strain, _)) in zip(rows, rows[1:]):

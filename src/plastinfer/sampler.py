@@ -111,12 +111,11 @@ _SETTING_READERS = {
 }
 
 
-def _read_config(block: dict, name: str, seed: int | None = None, required: bool = False) -> SamplerConfig:
+def _read_config(block: dict, name: str, required: bool = False) -> SamplerConfig:
     """The ``SamplerConfig`` that the JSON object ``block`` holds, each value
     read by its field's typed reader (null stands for a None default) and
     named ``name`` and its key in an error. A key left out takes its field's
-    default, unless ``required`` or the field has none. ``seed``, when not
-    None, overrides the block's seed, which is still checked."""
+    default, unless ``required`` or the field has none."""
     values = {}
     for field in fields(SamplerConfig):
         if field.name not in block and (required or field.default is MISSING):
@@ -125,8 +124,6 @@ def _read_config(block: dict, name: str, seed: int | None = None, required: bool
         if value is not None or field.default is not None:
             value = _SETTING_READERS[field.name](value, f"{name} {field.name}")
         values[field.name] = value
-    if seed is not None:
-        values["seed"] = _check_seed(seed)
     return SamplerConfig(**values)
 
 
@@ -535,7 +532,7 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     """
     path = Path(path)
     sidecar = _read_object(path.with_suffix(".json"), "chain sidecar")
-    _, rows = _read_table(path, "chain table")
+    _, *rows = _read_table(path, "chain table")
     if not rows:
         raise ConfigurationError(f"chain table {path} has no rows")
     table = np.array([values for _, values in rows])

@@ -398,12 +398,14 @@ class TestPriorSweep:
         )
         assert code == 2
 
-    def test_nonpositive_std_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("std, bad", [([0.0], 0.0), ([30.0, -5.0], -5.0)])
+    def test_nonpositive_std_is_rejected(self, tmp_path, capsys, std, bad):
         code, _ = self._sweep(
             tmp_path,
-            {"prior_grid": {"mean": [200.0], "std": [0.0]}, "counts": [12]},
+            {"prior_grid": {"mean": [200.0], "std": std}, "counts": [12]},
         )
         assert code == 2
+        assert f"error: prior_grid std must be > 0, got {bad!r}" in capsys.readouterr().err
 
 
 class TestHeterogeneity:

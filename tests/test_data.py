@@ -78,6 +78,15 @@ class TestMeasurementSet:
                 noise=NoiseSpec(stress_std=0.01),
             )
 
+    @pytest.mark.parametrize(
+        "strains, stresses",
+        [([1e-3], [math.nan]), ([math.inf], [0.2]), ([1e-3, 2e-3], [0.2, -math.inf])],
+        ids=["nan-stress", "inf-strain", "inf-stress"],
+    )
+    def test_non_finite_measurement_rejected(self, strains, stresses):
+        with pytest.raises(ConfigurationError, match="measurements must be finite"):
+            MeasurementSet(strains=strains, stresses=stresses, noise=NoiseSpec(stress_std=0.01))
+
     def test_with_noise_reinterprets(self):
         mset = generate_single_noise(X_LE, ModelKind.LINEAR_ELASTIC, GRID_12, 0.01, seed=3)
         double = mset.with_noise(NoiseSpec(stress_std=0.01, strain_std=1e-4))
@@ -325,10 +334,15 @@ class TestMeasurementFiles:
         with pytest.raises(ConfigurationError, match=":3"):
             read_measurements(path)
 
-    def test_bad_header_names_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "header", ["stress,strain", "strain", "strain,stress,extra"], ids=["swapped", "short", "long"]
+    )
+    def test_bad_header_names_line(self, tmp_path, header):
+        """A wrong header is reported at line 1, before any row is read,
+        also when its column count differs from the rows'."""
         path = tmp_path / "header.csv"
-        path.write_text("stress,strain\n1e-3,0.21\n")
-        with pytest.raises(ConfigurationError, match=":1: expected header"):
+        path.write_text(f"{header}\n1e-3,0.21\n")
+        with pytest.raises(ConfigurationError, match=f":1: expected header 'strain,stress', got '{header}'"):
             read_measurements(path)
 
     def test_non_numeric_value_names_line(self, tmp_path):
@@ -348,18 +362,18 @@ class TestMeasurementFiles:
         np.testing.assert_array_equal(back.stresses, mset.stresses)
 
     def test_table_reader_numbers_its_rows(self, tmp_path):
-        """The one CSV reader gives the header line and each data row with
+        """The one CSV reader yields the header line, then each data row with
         its line number, blank lines skipped; a row of the wrong width names
         its line."""
         path = tmp_path / "table.csv"
         path.write_text("a,b,log_density\n1,2,-inf\n\n 3.5 ,-0,5e-324\n")
-        header, rows = _read_table(path, "table")
+        header, *rows = _read_table(path, "table")
         assert header == "a,b,log_density"
         assert rows == [(2, [1.0, 2.0, -math.inf]), (4, [3.5, -0.0, 5e-324])]
         assert math.copysign(1.0, rows[1][1][1]) == -1.0
         path.write_text("a,b\n1,2\n3,4,5\n")
         with pytest.raises(ConfigurationError, match=r"table\.csv:3: expected 2 comma-separated values"):
-            _read_table(path, "table")
+            list(_read_table(path, "table"))
 
     def test_non_increasing_strains_name_line(self, tmp_path):
         path = tmp_path / "order.csv"

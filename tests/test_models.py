@@ -115,6 +115,18 @@ class TestLinearElastic:
         with pytest.raises(DomainError):
             stress(-1e-3, ParameterVector(E=210.0), ModelKind.LINEAR_ELASTIC)
 
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            (ModelKind.PERFECT_PLASTICITY, "LE-PP requires E, sigma_y0"),
+            (ModelKind.NONLINEAR_HARDENING, "LE-NH requires E, sigma_y0, H, n"),
+        ],
+        ids=["LE-PP", "LE-NH"],
+    )
+    def test_missing_component_rejected(self, kind, message):
+        with pytest.raises(DomainError, match=message):
+            stress(1e-3, ParameterVector(E=210.0), kind)
+
 
 class TestPerfectPlasticity:
     def test_boundary_belongs_to_elastic_branch(self):

@@ -123,11 +123,19 @@ class TestAnalyticPosterior:
         with pytest.warns(UserWarning, match="truncation"):
             analytic_le_posterior(10.0, 50.0, [], [], NOISE_STD)
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            analytic_le_posterior(PRIOR_MEAN, 0.0, [STRAIN_1], [STRESS_1], NOISE_STD)
-        with pytest.raises(ConfigurationError):
-            analytic_le_posterior(PRIOR_MEAN, PRIOR_STD, [STRAIN_1], [STRESS_1], 0.0)
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((PRIOR_MEAN, 0.0, [STRAIN_1], [STRESS_1], NOISE_STD), "prior std must be > 0"),
+            ((PRIOR_MEAN, PRIOR_STD, [STRAIN_1], [STRESS_1], 0.0), "stress std must be > 0"),
+            ((math.nan, PRIOR_STD, [STRAIN_1], [STRESS_1], NOISE_STD), "prior mean must be finite"),
+            ((PRIOR_MEAN, PRIOR_STD, [STRAIN_1], [math.inf], NOISE_STD), "measurements must be finite"),
+        ],
+        ids=["prior-std", "stress-std", "prior-mean", "measurement"],
+    )
+    def test_validation(self, args, message):
+        with pytest.raises(ConfigurationError, match=message):
+            analytic_le_posterior(*args)
         with pytest.raises(ConfigurationError):
             analytic_le_posterior(PRIOR_MEAN, PRIOR_STD, [1e-3, 2e-3], [0.2], NOISE_STD)
 

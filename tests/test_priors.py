@@ -81,6 +81,10 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             TruncatedNormalPrior(mean=[1.0, 2.0], covariance=[[1.0]])
 
+    def test_matrix_mean_rejected(self):
+        with pytest.raises(ConfigurationError, match="prior mean must be a vector"):
+            TruncatedNormalPrior(mean=[[1.0]], covariance=[[1.0]])
+
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigurationError):
             TruncatedNormalPrior(mean=[np.inf], covariance=[[1.0]])

@@ -21,6 +21,7 @@ from scipy import stats
 from plastinfer import (
     Chain,
     ConfigurationError,
+    DomainError,
     LogPosterior,
     MeasurementSet,
     ModelKind,
@@ -708,6 +709,11 @@ class TestResponseBand:
         else:
             assert np.array_equal(lower, curves.min(axis=0))
             assert np.array_equal(upper, curves.max(axis=0))
+
+    @pytest.mark.parametrize("rows", [[[-1.0]], [[1.0, 2.0]], [[np.nan]]], ids=["negative", "too-wide", "nan"])
+    def test_bad_rows_rejected(self, rows):
+        with pytest.raises(DomainError, match="needs finite, nonnegative rows"):
+            response_band(ModelKind.LINEAR_ELASTIC, rows, self.GRID)
 
     def test_with_plastic_model_uses_full_parameter_rows(self):
         lower, upper = response_band(
