@@ -8,9 +8,10 @@ measurement sets, ``identify`` samples a posterior for one dataset,
 ``mismatch`` fits a deliberately wrong model to generated data.
 
 Every subcommand reads one JSON config, which ``main`` reads and passes
-on; command-line flags carry only paths and the seed. Exit codes: 0 on
-success, 2 for configuration or domain errors (argparse uses the same
-code for bad flags), 3 for numerical failures.
+on; command-line flags carry only paths and, on the four verbs that draw
+random numbers (all but ``analytic`` and ``prior-sweep``), the seed. Exit
+codes: 0 on success, 2 for configuration or domain errors (argparse uses
+the same code for bad flags), 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -141,10 +142,10 @@ def _parse_quadrature(config: dict) -> QuadratureSpec | None:
     if block is None:
         return None
     block = _object(block, "quadrature")
-    return QuadratureSpec(
-        panels=_integer(block.get("panels", QuadratureSpec.panels), "quadrature panels"),
-        width=_number(block.get("width", QuadratureSpec.width), "quadrature width"),
-    )
+    for key in block:
+        if key != "panels":
+            raise ConfigurationError(f"quadrature takes only 'panels', got {key!r}")
+    return QuadratureSpec(panels=_integer(block.get("panels", QuadratureSpec.panels), "quadrature panels"))
 
 
 def _apply_noise_override(data: MeasurementSet, config: dict) -> MeasurementSet:
@@ -447,9 +448,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _common(p: argparse.ArgumentParser) -> None:
+    def _common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
         p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p = sub.add_parser("generate", help="synthesize a noisy measurement set")
     _common(p)
@@ -463,13 +465,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("analytic", help="closed-form linear-elastic posterior")
-    _common(p)
+    _common(p, seeded=False)
     p.add_argument("--data", required=True, help="measurement CSV")
     p.add_argument("--output", default=None, help="optional JSON result path")
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("prior-sweep", help="map spread over a prior grid vs data count")
-    _common(p)
+    _common(p, seeded=False)
     p.add_argument("--data", required=True, help="measurement CSV")
     p.add_argument("--output", required=True, help="CSV of spreads to write")
     p.set_defaults(func=_cmd_prior_sweep)

@@ -74,21 +74,15 @@ class QuadratureSpec:
     """Quadrature settings for the implicit-model marginalization.
 
     Attributes:
-        panels: resolution, even and >= 2: ``panels // 4 + 1``
-            Gauss-Legendre nodes per window.
-        width: half-width of the window in strain-noise stds, and the bound
-            of its stress band (``_lenh_kernel``); Gaussian mass beyond 8
-            sigma is below 1e-15, far under every tolerance used here.
+        panels: resolution, even and >= 4: ``panels // 4 + 1`` nodes per
+            window (``_gauss_table``), 97 at the default 384.
     """
 
-    panels: int = 512
-    width: float = 8.0
+    panels: int = 384
 
     def __post_init__(self) -> None:
-        if self.panels < 2 or self.panels % 2 != 0:
-            raise ConfigurationError(f"panels must be an even integer >= 2, got {self.panels!r}")
-        if not np.isfinite(self.width) or self.width < 4.0:
-            raise ConfigurationError(f"width must be >= 4, got {self.width!r}")
+        if self.panels < 4 or self.panels % 2 != 0:
+            raise ConfigurationError(f"panels must be an even integer >= 4, got {self.panels!r}")
 
 
 def _noise_stds(data: MeasurementSet, double: bool) -> tuple[float, float | None, float]:
@@ -196,16 +190,6 @@ def _affine_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
     return kernel
 
 
-# Smooth clustering map for the nodes when the integration window starts
-# exactly at the yield strain: the plastic response behaves like a
-# fractional power of the distance to yield there, which a rule on a plain
-# mesh resolves slowly. The map 6u^5 - 5u^6 has four vanishing derivatives
-# at u = 0, smoothing the pulled-back integrand, while its interior
-# stretch stays below 2.5 so the rest of the window is not starved.
-def _cluster_map(u: np.ndarray) -> np.ndarray:
-    return u**5 * (6.0 - 5.0 * u)
-
-
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1] of the n-point Gauss-Legendre rule by
     scipy's ``roots_legendre`` recipe (``_gen_roots_and_weights``, after
@@ -231,20 +215,25 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=8)
 def _gauss_table(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0, 1] of the ``panels // 4 + 1``-point
-    Gauss-Legendre rule (``_legendre_rule``: scipy's ``roots_legendre``
-    recipe on numpy's eigensolver, equal to ``roots_legendre`` bit for bit
-    by ``TestLegendreRule``), row 0 plain and row 1 through
-    ``_cluster_map`` (weights times 30 u^4 (1 - u)), so a window picks its
-    row by index.
+    """Nodes and weights on [0, 1] of one composite rule of ``panels // 4 +
+    1`` nodes, which every plastic window uses: a third of them (at least
+    one) graded into [0, 0.05] by u = 0.05 s^4 (weights 0.2 s^3 times the
+    rule's), the rest plain on [0.05, 1], each part a Gauss-Legendre rule
+    (``_legendre_rule``). A window that starts at yield has an integrand
+    like a fractional power of the distance to yield there, which a plain
+    rule resolves slowly; the grading, with three vanishing derivatives of
+    the map at s = 0, resolves it, and elsewhere the integrand is smooth.
 
     Cached per ``panels``; the arrays are shared between callers and
     therefore read-only.
     """
-    u, w = _legendre_rule(panels // 4 + 1)
-    u, w = 0.5 * (u + 1.0), 0.5 * w
-    nodes = np.stack([u, _cluster_map(u)])
-    weights = np.stack([w, w * 30.0 * u**4 * (1.0 - u)])
+    n = panels // 4 + 1
+    graded = max(1, n // 3)
+    s, ws = _legendre_rule(graded)
+    u, wu = _legendre_rule(n - graded)
+    s = 0.5 * (s + 1.0)
+    nodes = np.concatenate([0.05 * s**4, 0.05 + 0.475 * (u + 1.0)])
+    weights = np.concatenate([0.1 * s**3 * ws, 0.475 * wu])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -261,12 +250,18 @@ def _log_window_sums(h: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.log((np.exp(shift - h) * weights).sum(axis=-1)) - shift[..., 0]
 
 
-# Most quadrature nodes evaluated together in the LE-NH node stage. At 512
-# panels (129 nodes) a block is 127 windows, each float64 temporary just
+# Most quadrature nodes evaluated together in the LE-NH node stage. At 384
+# panels (97 nodes) a block is 168 windows, each float64 temporary just
 # under 128 KiB and a block's working set within a 2 MiB L2. On a 2-vCPU
-# host 8-row calls ran 11% slower at 2**13 and 21% at 2**12, the per-block
-# overhead counting more often, and 16-row calls 40% slower at 2**15.
+# host, with 129-node windows, 8-row calls ran 11% slower at 2**13 and 21%
+# at 2**12, the per-block overhead counting more often, and 16-row calls
+# 40% slower at 2**15.
 _BLOCK_NODES = 2**14
+
+# Half-width of an LE-NH plastic window in strain-noise stds, and the bound
+# of its stress band (``_lenh_kernel``); Gaussian mass beyond 8 sigma is
+# below 1e-15, far under every tolerance used here.
+_WIDTH = 8.0
 
 # A plastic window is dropped when a bound on its integral lies this far
 # (in log) below the point's elastic term: it would move their logaddexp
@@ -276,12 +271,12 @@ _SCREEN_MARGIN = 60.0
 
 def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
     """Closed-form elastic branch; the plastic branch by Gauss-Legendre in
-    the plastic coordinate of ``_plastic_path`` on a window of ``width``
+    the plastic coordinate of ``_plastic_path`` on a window of ``_WIDTH``
     strain-noise stds around each measured strain, clipped to the plastic
     range, the tester limit and the stress band |stress - measured| <=
-    s_sig sqrt(G + width^2), G the least z_strain^2 + z_stress^2 at the
+    s_sig sqrt(G + _WIDTH^2), G the least z_strain^2 + z_stress^2 at the
     window ends and where the stress meets the measurement: outside it the
-    integrand is below exp(-width^2 / 2) times its value at the best of
+    integrand is below exp(-_WIDTH^2 / 2) times its value at the best of
     those points. H = 0 has no band, and a band that misses the window (by
     rounding) leaves it whole.
 
@@ -302,8 +297,7 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
     nor the screen of another row changes a single bit of a row."""
     s_sig, s_eps, a = _noise_stds(data, True)
     sm, em = data.stresses, data.strains
-    width = quadrature.width
-    window_lo, window_hi = em - width * s_eps, np.minimum(a, em + width * s_eps)
+    window_lo, window_hi = em - _WIDTH * s_eps, np.minimum(a, em + _WIDTH * s_eps)
     unit_nodes, unit_weights = _gauss_table(quadrature.panels)
     log_norm = -_LOG_2PI - math.log(s_sig) - math.log(s_eps)
     log_peak = -0.5 * _LOG_2PI - math.log(s_sig)
@@ -316,30 +310,26 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
         """log of the plastic-branch integral over windows [lo, hi], one per
         (parameter row, measurement) pair; ``x`` holds the pairs' parameter
         components."""
-        _, _, H, n = x
+        H = x[2]
         s_m, e_m, em_c, sm_c = point_table[:, points]
         t_lo, t_hi = _plastic_coordinate(np.array([lo, hi]), x, excess)
         t_s = np.minimum(np.maximum(_stress_coordinate(s_m, x, excess), t_lo), t_hi)
         sigma, strain, _ = _plastic_path(np.array([t_lo, t_s, t_hi]), x, excess)
         z2 = ((e_m - strain) / s_eps) ** 2 + ((s_m - sigma) / s_sig) ** 2
-        reach = s_sig * np.sqrt(z2.min(axis=0) + width * width)
+        reach = s_sig * np.sqrt(z2.min(axis=0) + _WIDTH * _WIDTH)
         band_lo, band_hi = _stress_coordinate(s_m - np.array([reach, -reach]), x, excess)
         band_lo, band_hi = np.fmax(t_lo, band_lo), np.fmin(t_hi, band_hi)
-        hardening = H > 0.0
-        clip = hardening & (band_lo < band_hi)
+        clip = (H > 0.0) & (band_lo < band_hi)
         t_lo = np.where(clip, band_lo, t_lo)
         span = np.where(clip, band_hi, t_hi) - t_lo
-        # Only a window still starting at yield (t = 0) needs the clustered
-        # mesh; with n = 1 or H = 0 the integrand is smooth.
-        mesh = ((t_lo == 0.0) & hardening & (n != 1.0)).astype(np.intp)
         out = np.empty(len(lo))
-        step = max(1, _BLOCK_NODES // unit_nodes.shape[1])
+        step = max(1, _BLOCK_NODES // unit_nodes.size)
         for start in range(0, len(lo), step):
             b = slice(start, start + step)
-            t = t_lo[b, None] + span[b, None] * unit_nodes[mesh[b]]
+            t = t_lo[b, None] + span[b, None] * unit_nodes
             sigma, strain, slope = _plastic_path(t, [c[b, None] for c in x], excess)
             h = (em_c[b, None] - strain * c_eps) ** 2 + (sm_c[b, None] - sigma * c_sig) ** 2
-            out[b] = _log_window_sums(h, unit_weights[mesh[b]] * slope)
+            out[b] = _log_window_sums(h, unit_weights * slope)
             # The block's temporaries go before the next block makes its own,
             # so a call holds about one block. h alone lives on until then:
             # made after the others, it keeps the heap under it from being

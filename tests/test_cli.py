@@ -725,9 +725,10 @@ class TestMismatch:
 
 class TestQuadratureBlock:
     """identify's 'quadrature' block for LE-NH stress-and-strain data:
-    panels must be an integer and width a finite number; anything else
-    exits 2 naming the value, where a float panel count was truncated and
-    a string raised ValueError (exit 1)."""
+    panels must be an integer; anything else exits 2 naming the value,
+    where a float panel count was truncated and a string raised ValueError
+    (exit 1). The block takes no other key: a 'width' exits 2 naming the
+    key, as the window's half-width is fixed at 8 strain stds."""
 
     def _argv(self, tmp_path, block):
         data = _make_dataset(
@@ -744,19 +745,21 @@ class TestQuadratureBlock:
         return ["identify", "--config", config, "--data", str(data), "--output-dir", str(tmp_path / "run")]
 
     @pytest.mark.parametrize(
-        "key, bad",
-        [
-            ("panels", 512.7), ("panels", 512.0), ("panels", "abc"), ("panels", "512"), ("panels", True),
-            ("width", "x"), ("width", "8"), ("width", False), ("width", float("inf")), ("width", float("nan")),
-        ],
+        "key, bad", [("panels", 512.7), ("panels", 512.0), ("panels", "abc"), ("panels", "512"), ("panels", True)]
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, key, bad):
         assert cli.main(self._argv(tmp_path, {key: bad})) == 2
         err = capsys.readouterr().err
         assert f"{key} must be" in err and f"got {bad!r}" in err
 
+    @pytest.mark.parametrize("block", [{"width": 6}, {"panels": 256, "width": 8.0}, {"panel": 256}])
+    def test_other_key_exits_2(self, tmp_path, capsys, block):
+        assert cli.main(self._argv(tmp_path, block)) == 2
+        key = next(k for k in block if k != "panels")
+        assert f"quadrature takes only 'panels', got {key!r}" in capsys.readouterr().err
+
     def test_valid_block_runs(self, tmp_path):
-        assert cli.main(self._argv(tmp_path, {"panels": 256, "width": 6})) == 0
+        assert cli.main(self._argv(tmp_path, {"panels": 256})) == 0
 
 
 class TestBadSeed:
@@ -810,6 +813,18 @@ class TestBadSeed:
         argv = self._argv(tmp_path, where, 1)
         assert cli.main(argv + ["--seed", "-3"]) == 2
         assert "got -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["analytic", "prior-sweep"])
+    def test_seed_flag_on_a_deterministic_verb_exits_2(self, tmp_path, capsys, verb):
+        """analytic and prior-sweep draw no random numbers and take no
+        --seed; a valid run given one exits 2, where the flag was accepted
+        and ignored (exit 0, even with --seed -5)."""
+        argv = TestTypedConfigReads()._argv(tmp_path, verb, {})
+        assert cli.main(argv) == 0
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv + ["--seed", "5"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 _PP_PRIOR = {"mean": [200.0, 0.29], "covariance": [[2500.0, 0.0], [0.0, 2.7778e-4]]}

@@ -533,10 +533,11 @@ class TestNonlinearReductions:
 
         The probe window is clipped at the yield strain with n = 1, so the
         integrand is smooth but the window ends where it is not small. The
-        Gauss-Legendre rule (panels // 4 + 1 nodes) converges geometrically
-        there: from 16 panels (5 nodes) on each doubling cuts the error by
-        60x or more, and 128 panels reach roundoff. At 8 panels (3 nodes)
-        the rule is not yet in that regime; 16 panels are 9x better.
+        rule (panels // 4 + 1 nodes, a third of them graded towards the
+        window start) converges geometrically there: from 16 panels (5
+        nodes) on each doubling cuts the error by 380x or more, and 128
+        panels reach roundoff. At 8 panels (3 nodes) the rule is not yet in
+        that regime; 16 panels are 4x better.
         """
         x = ParameterVector(E=210.0, sigma_y0=0.25, H=50.0, n=1.0)
         em = x.sigma_y0 / x.E + 2e-5
@@ -709,7 +710,7 @@ class TestGuards:
         with pytest.raises(ConfigurationError):
             QuadratureSpec(panels=0)
         with pytest.raises(ConfigurationError):
-            QuadratureSpec(width=2.0)
+            QuadratureSpec(panels=2)
 
     def test_quadrature_only_for_implicit_double(self):
         mset = _double_set([1e-3], [0.21])
@@ -984,18 +985,35 @@ def test_plastic_path_of_one_window_has_the_bits_of_a_batch(n):
 
 
 class TestLegendreRule:
-    """The LE-NH Gauss-Legendre rule, built on numpy's eigensolver, has the
-    bits of ``scipy.special.roots_legendre`` (whose eigensolve imports
-    ``scipy.linalg``) at every node count the code and these tests use, so
-    no likelihood value depends on which library built it."""
+    """The Gauss-Legendre rules of the LE-NH table's graded and plain parts,
+    built on numpy's eigensolver, have the bits of
+    ``scipy.special.roots_legendre`` (whose eigensolve imports
+    ``scipy.linalg``) at every panel count the code and these tests use, so
+    no likelihood value depends on which library built them."""
 
-    @pytest.mark.parametrize("panels", [2, 4, 256, 512, 1024, 2048, 8192])
+    @pytest.mark.parametrize("panels", [4, 256, 384, 512, 1024, 2048, 8192])
     def test_equals_roots_legendre_bit_for_bit(self, panels):
         n = panels // 4 + 1
-        nodes, weights = likelihood._legendre_rule(n)
-        ref_nodes, ref_weights = roots_legendre(n)
-        assert nodes.tobytes() == ref_nodes.tobytes()
-        assert weights.tobytes() == ref_weights.tobytes()
+        graded = max(1, n // 3)
+        for size in (graded, n - graded):
+            nodes, weights = likelihood._legendre_rule(size)
+            ref_nodes, ref_weights = roots_legendre(size)
+            assert nodes.tobytes() == ref_nodes.tobytes()
+            assert weights.tobytes() == ref_weights.tobytes()
+
+
+def test_default_rule_integrates_powers_of_the_distance_to_yield():
+    """The default table holds 97 increasing nodes in (0, 1), 32 of them
+    graded into [0, 0.05]. It integrates u**p over [0, 1] to roundoff for
+    the fractional powers a window starting at yield meets, where a plain
+    Gauss-Legendre rule of as many nodes misses sqrt(u) by over 1e-7."""
+    nodes, weights = likelihood._gauss_table(QuadratureSpec.panels)
+    assert nodes.size == weights.size == 97 and np.sum(nodes < 0.05) == 32
+    assert 0.0 < nodes[0] and np.all(np.diff(nodes) > 0.0) and nodes[-1] < 1.0
+    for p in (0.0, 0.25, 0.5, 0.75, 1.5, 3.0, 7.0):
+        assert abs(weights @ nodes**p * (p + 1.0) - 1.0) < 1e-14, p
+    u, w = likelihood._legendre_rule(nodes.size)
+    assert abs(0.5 * w @ np.sqrt(0.5 * (u + 1.0)) * 1.5 - 1.0) > 1e-7
 
 
 class TestBlockedQuadrature:
@@ -1006,7 +1024,7 @@ class TestBlockedQuadrature:
     S_EPS = 1e-4
     TRUTH = ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57)
 
-    def _kernel(self, panels=512):
+    def _kernel(self, panels=QuadratureSpec.panels):
         kind = ModelKind.NONLINEAR_HARDENING
         mset = generate_double_noise(self.TRUTH, kind, GRID_12, 0.01, self.S_EPS, seed=4)
         return likelihood_kernel(kind, mset, QuadratureSpec(panels=panels)), mset.strains
@@ -1044,16 +1062,27 @@ class TestBlockedQuadrature:
             alone = np.concatenate([kernel(row[None, :]) for row in batch])
             assert np.array_equal(alone.view(np.int64), want.view(np.int64))
 
-    def test_peak_memory_of_a_call_does_not_grow_with_the_rows(self):
-        kernel, strains = self._kernel()
-        # Twice the rows whose windows would fill one block if every point
-        # had one, so the smaller batch fills at least one block.
-        nodes = likelihood._gauss_table(512)[0].shape[1]
-        small = 2 * -(-likelihood._BLOCK_NODES // (nodes * strains.size))
+    def test_peak_memory_of_a_call_does_not_grow_with_the_rows(self, monkeypatch):
+        kernel, _ = self._kernel()
         rng = np.random.default_rng(8)
         center = self.TRUTH.to_array()
-        rows = center * (1.0 + 0.02 * rng.standard_normal((4 * small, 4)))
-        kernel(rows[:1])  # caches the Gauss-Legendre table
+        rows = center * (1.0 + 0.02 * rng.standard_normal((400, 4)))
+        live = []
+        groups = likelihood._plastic_groups
+
+        def counting(values, plastic):
+            live.append(plastic.sum(axis=1))
+            return groups(values, plastic)
+
+        # The smaller batch: the fewest rows whose live (unscreened) windows
+        # fill one block. This call also caches the Gauss-Legendre table.
+        with monkeypatch.context() as patch:
+            patch.setattr(likelihood, "_plastic_groups", counting)
+            kernel(rows)
+        nodes = likelihood._gauss_table(QuadratureSpec.panels)[0].size
+        small = int(np.searchsorted(np.cumsum(live[0]), likelihood._BLOCK_NODES // nodes)) + 1
+        assert 4 * small <= len(rows)
+        rows = rows[: 4 * small]
 
         def peak(batch):
             tracemalloc.start()
@@ -1112,11 +1141,11 @@ class TestScreen:
 
 class TestYieldWindow:
     """A window that starts at the yield strain has the plastic coordinate
-    0 there, exactly, and so the clustered mesh."""
+    0 there, exactly, where the rule's graded part resolves the integrand."""
 
     # Rows whose point's window starts at yield, one per coordinate: the
-    # plastic strain (n > 1) and the stress excess (n < 1). A plain mesh
-    # misses their point's value by 2.0e-8 and 4.5e-6.
+    # plastic strain (n > 1) and the stress excess (n < 1). A plain
+    # 97-node rule misses their point's value by 4.0e-8 and 1.4e-5.
     AT_YIELD = [
         ([196.45894639966838, 0.2298746798064551, 4.253811536254689, 1.2407599998607057],
          0.0011138178939702514, 0.2822656938944069),
@@ -1141,8 +1170,9 @@ class TestYieldWindow:
     def test_window_at_yield_keeps_the_clustered_mesh(self, monkeypatch):
         """In a batch with rows of both coordinates, H = 0 and n = 1, each
         row whose window starts at yield matches the strain-space
-        reference to 1e-12; with the clustered nodes replaced by the plain
-        ones it would miss by more than 1e-9."""
+        reference to 1e-12; with the default rule replaced by a plain
+        Gauss-Legendre rule of as many nodes it would miss by more than
+        1e-9."""
         kind = ModelKind.NONLINEAR_HARDENING
         strains = np.array([em for _, em, _ in self.AT_YIELD] + [3e-3])
         stresses = np.array([sm for _, _, sm in self.AT_YIELD] + [0.33])
@@ -1154,8 +1184,10 @@ class TestYieldWindow:
         got = likelihood_kernel(kind, mset)(rows)
         for value, ref in zip(got, want):
             assert abs(math.expm1(value - ref)) < 1e-12
-        nodes, weights = likelihood._gauss_table(512)
-        plain = (np.stack([nodes[0], nodes[0]]), np.stack([weights[0], weights[0]]))
+        size = likelihood._gauss_table(QuadratureSpec.panels)[0].size
+        u, w = likelihood._legendre_rule(size)
+        plain = (0.5 * (u + 1.0), 0.5 * w)
+        assert plain[0].size == plain[1].size == size == 97
         monkeypatch.setattr(likelihood, "_gauss_table", lambda panels: plain)
         unclustered = likelihood_kernel(kind, mset)(rows)
         for value, ref in zip(unclustered, want):
