@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import warnings
-from collections.abc import Callable
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -115,26 +115,36 @@ def _parse_prior(block: object, dimension: int) -> TruncatedNormalPrior:
     return prior
 
 
-def _seed(override: int | None, block: dict) -> int | None:
-    """The seed a verb runs with: ``override`` if given, else ``block``'s
-    ``seed``. Each must be None or a nonnegative integer, else it is a
-    configuration error, the block's seed even when it is overridden."""
-    seed = _check_seed(block.get("seed"))
-    return seed if override is None else _check_seed(override)
+def _seed(override: int | None, pinned: object, stream: np.random.Generator | None = None) -> int:
+    """The seed rule of the seeded verbs. A run seed (no ``stream``) is
+    ``override`` (``--seed``), else ``pinned``, the seed of the verb's own
+    config (``identify``'s ``sampler.seed``, else the top-level ``seed``),
+    else one drawn here from OS entropy, so that the run can record it. A
+    chain seed of ``mismatch`` or ``heterogeneity`` (no ``override``) is
+    ``pinned``, the ``fit.sampler.seed``, else one drawn from ``stream``, a
+    stream that no data draw uses. Each given value must be None or a
+    nonnegative integer, else it is a configuration error, the config's
+    seed even when it is overridden."""
+    seed = _check_seed(pinned)
+    seed = seed if override is None else _check_seed(override)
+    if seed is not None:
+        return seed
+    return np.random.SeedSequence().entropy if stream is None else int(stream.integers(2**63))
 
 
-def _drawn(seed: int | None) -> int:
-    """``seed``, or one drawn from OS entropy when it is None: drawn here,
-    not by a generator or sampler, so that the run can record it."""
-    return np.random.SeedSequence().entropy if seed is None else seed
+_Fit = namedtuple("_Fit", "kind prior sampler run")
 
 
-def _parse_sampler(block: object) -> tuple[SamplerConfig, Callable]:
-    """The sampler settings and the run function, ``run_adaptive_mh`` or
-    ``run_mh`` as ``adaptive`` selects."""
-    block = _object(block, "sampler")
-    run = run_adaptive_mh if _flag(block.get("adaptive", True), "sampler adaptive") else run_mh
-    return _read_config(block, "sampler"), run
+def _parse_fit(block: dict, context: str) -> _Fit:
+    """The model kind, prior and ``SamplerConfig`` of a sampled verb's fit
+    block (``identify``'s config, the ``fit`` block of ``mismatch`` and
+    ``heterogeneity``), and the ``run`` function, ``run_adaptive_mh`` or
+    ``run_mh`` as the sampler's ``adaptive`` selects."""
+    kind = ModelKind.parse(_require(block, "model", context))
+    prior = _parse_prior(_require(block, "prior", context), kind.dimension)
+    sampler = _object(_require(block, "sampler", context), "sampler")
+    run = run_adaptive_mh if _flag(sampler.get("adaptive", True), "sampler adaptive") else run_mh
+    return _Fit(kind, prior, _read_config(sampler, "sampler"), run)
 
 
 def _parse_quadrature(config: dict) -> QuadratureSpec | None:
@@ -189,23 +199,20 @@ def _closed_form(prior: TruncatedNormalPrior, sets: list[MeasurementSet]) -> Ana
 
 
 def _cmd_generate(args: argparse.Namespace, config: dict) -> int:
-    data = _generate(config, _drawn(_seed(args.seed, config)), "config")
+    data = _generate(config, _seed(args.seed, config.get("seed")), "config")
     write_measurements(data, args.output)
     print(f"wrote {args.output}")
     return 0
 
 
 def _run_identification(
-    data: MeasurementSet, config: dict, out_dir: Path, seed: int | None, fallback: int | None = None
+    data: MeasurementSet, config: dict, fit: _Fit, out_dir: Path, seed: int, chain_seed: int
 ) -> int:
-    """Sample and write the chain, summary and band. ``seed`` overrides the
-    sampler block's seed; ``fallback`` (drawn if None) serves if neither is set."""
-    kind = ModelKind.parse(_require(config, "model", "config"))
-    prior = _parse_prior(_require(config, "prior", "config"), kind.dimension)
-    block = _require(config, "sampler", "config")
-    sampler_config, run = _parse_sampler(block)
-    seed = _seed(seed, block)
-    sampler_config = replace(sampler_config, seed=_drawn(fallback if seed is None else seed))
+    """Sample ``fit``'s posterior given ``data`` with ``chain_seed`` and write
+    the chain, summary and band; ``config`` holds the optional
+    ``quadrature`` and ``band`` blocks, and ``summary.json`` records the run
+    seed ``seed``."""
+    kind = fit.kind
     quadrature = _parse_quadrature(config)
     band = _object(config.get("band", {}), "band")
     max_strain = _number(band.get("max_strain", data.strains.max().item()), "band max_strain")
@@ -213,9 +220,9 @@ def _run_identification(
         raise ConfigurationError(f"band max_strain must be >= 0, got {max_strain!r}")
     count = _integer(band.get("count", 100), "band count", 1)
     samples = _integer(band.get("samples", 500), "band samples", 1)
-    target = LogPosterior(kind, prior, data, quadrature)
+    target = LogPosterior(kind, fit.prior, data, quadrature)
 
-    chain = run(target, sampler_config)
+    chain = fit.run(target, replace(fit.sampler, seed=chain_seed))
     summary = summarize(chain)
     retained, _ = chain.retained()
     trace = convergence_trace(retained)
@@ -245,7 +252,7 @@ def _run_identification(
         "credible_radius_sq": summary.credible.radius_sq,
         "hpd_threshold": summary.credible.hpd_threshold,
         "drift_score": trace.score,
-        "seed": sampler_config.seed,
+        "seed": seed,
     }
     (out_dir / "summary.json").write_text(json.dumps(report, indent=2) + "\n")
 
@@ -264,7 +271,9 @@ def _run_identification(
 
 def _cmd_identify(args: argparse.Namespace, config: dict) -> int:
     data = _apply_noise_override(read_measurements(args.data), config)
-    return _run_identification(data, config, Path(args.output_dir), args.seed)
+    fit = _parse_fit(config, "config")
+    seed = _seed(args.seed, fit.sampler.seed)
+    return _run_identification(data, config, fit, Path(args.output_dir), seed, seed)
 
 
 def _cmd_analytic(args: argparse.Namespace, config: dict) -> int:
@@ -362,7 +371,7 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
     if noise.double:
         raise ConfigurationError("the heterogeneity study uses stress-only noise")
     replicates = _integer(config.get("replicates", 1), "replicates", 1)
-    seed = _drawn(_seed(args.seed, config))
+    seed = _seed(args.seed, config.get("seed"))
     fit = config.get("fit")
     if ("prior" in config) == (fit is not None):
         raise ConfigurationError("give either a 'prior' block (closed form) or a 'fit' block (sampled), not both")
@@ -380,24 +389,19 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
             return posterior.mean, posterior.std
 
     else:
-        fit = _object(fit, "fit")
-        fit_kind = ModelKind.parse(_require(fit, "model", "'fit'"))
-        if fit_kind is not kind:
+        fit = _parse_fit(_object(fit, "fit"), "'fit'")
+        if fit.kind is not kind:
             raise ConfigurationError(
-                f"the pooled fit uses the population model; got {fit_kind.value} vs {kind.value}"
+                f"the pooled fit uses the population model; got {fit.kind.value} vs {kind.value}"
             )
-        prior = _parse_prior(_require(fit, "prior", "'fit'"), kind.dimension)
-        sampler_config, run = _parse_sampler(_require(fit, "sampler", "'fit'"))
         names = list(kind.parameter_names)
         pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
         means, stds = [f"mean_{p}" for p in names], [f"std_{p}" for p in names]
         columns = ["replicate", *means, *stds, *(f"corr_{names[i]}_{names[j]}" for i, j in pairs)]
 
         def estimate(sets: list[MeasurementSet], chain_stream: np.random.Generator) -> tuple:
-            chain_config = sampler_config
-            if chain_config.seed is None:  # a pinned fit.sampler.seed is kept
-                chain_config = replace(chain_config, seed=int(chain_stream.integers(2**63)))
-            summary = summarize(run(LogPosterior(kind, prior, sets), chain_config))
+            chain_config = replace(fit.sampler, seed=_seed(None, fit.sampler.seed, chain_stream))
+            summary = summarize(fit.run(LogPosterior(kind, fit.prior, sets), chain_config))
             scale = np.maximum(summary.std, np.finfo(float).tiny)
             corr = summary.covariance / np.outer(scale, scale)
             return (*summary.mean, *summary.std, *(corr[i, j] for i, j in pairs))
@@ -422,23 +426,25 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_mismatch(args: argparse.Namespace, config: dict) -> int:
-    """Generate from ``truth`` and fit ``fit``. A seedless run draws one
-    seed for the data, which the sampler also uses unless the fit's
-    sampler block pins its own, so ``--seed <recorded>`` replays it."""
+    """Generate from ``truth`` and fit ``fit``. The data are drawn from
+    children 0 and 1 of the run seed, and an unpinned chain seed from
+    child 2, so data and chain share no stream and ``--seed <recorded>``
+    replays the run."""
     if not _flag(config.get("allow_mismatch", False), "allow_mismatch"):
         raise ConfigurationError(
             'fitting a model other than the generating one requires "allow_mismatch": true'
         )
     truth = _object(_require(config, "truth", "config"), "truth")
-    fit = _object(_require(config, "fit", "config"), "fit")
-    override = _seed(args.seed, config)
-    seed = _drawn(override)
+    block = _object(_require(config, "fit", "config"), "fit")
+    fit = _parse_fit(block, "'fit'")
+    seed = _seed(args.seed, config.get("seed"))
     data = _generate(truth, seed, "'truth'")
+    chain_seed = _seed(None, fit.sampler.seed, np.random.default_rng(seed).spawn(3)[2])
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_measurements(data, out_dir / "data.csv")
-    return _run_identification(data, fit, out_dir, override, seed)
+    return _run_identification(data, block, fit, out_dir, seed, chain_seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:

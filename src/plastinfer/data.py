@@ -287,27 +287,23 @@ def draw_specimens(pop: SpecimenPopulation, seed) -> list[ParameterVector]:
     """Draw specimen parameter vectors, rejecting negative components.
 
     Draws are i.i.d. multivariate normal; rows with any negative component
-    are discarded and redrawn. A rejection rate above 99.9% aborts with a
-    configuration error: such a population is incompatible with the
-    nonnegativity support.
+    are discarded and redrawn. A rejection rate above 99.9% while specimens
+    are still missing aborts with a configuration error: such a population
+    is incompatible with the nonnegativity support.
     """
     rng = np.random.default_rng(seed)
-    accepted: list[np.ndarray] = []
+    accepted = np.empty((0, pop.mean.size))
     proposed = 0
     batch = max(pop.count, 16)
     while len(accepted) < pop.count:
-        rows = rng.multivariate_normal(pop.mean, pop.covariance, size=batch)
-        proposed += batch
-        for row in rows:
-            if np.all(row >= 0.0):
-                accepted.append(row)
-                if len(accepted) == pop.count:
-                    break
         if proposed >= 1000 * pop.count and len(accepted) < 0.001 * proposed:
             raise ConfigurationError(
                 f"specimen rejection rate above 99.9% ({len(accepted)}/{proposed} accepted); "
                 "population mass is almost entirely outside the nonnegative support"
             )
+        rows = rng.multivariate_normal(pop.mean, pop.covariance, size=batch)
+        proposed += batch
+        accepted = np.concatenate([accepted, rows[(rows >= 0.0).all(axis=1)]])
     return [ParameterVector.from_array(pop.kind, row) for row in accepted[: pop.count]]
 
 

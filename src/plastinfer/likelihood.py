@@ -85,17 +85,13 @@ class QuadratureSpec:
             raise ConfigurationError(f"panels must be an even integer >= 4, got {self.panels!r}")
 
 
-def _noise_stds(data: MeasurementSet, double: bool) -> tuple[float, float | None, float]:
-    """The stress std, strain std and strain limit of ``data``, whose regime
-    must be the one ``double`` names and whose stds must be positive."""
-    noise, regimes = data.noise, ("stress-only", "stress-and-strain")
-    if noise.double != double:
-        raise ConfigurationError(
-            f"{regimes[noise.double]} data passed to a {regimes[double]} likelihood; "
-            "reinterpret the set explicitly if that is intended"
-        )
-    if noise.stress_std <= 0.0 or (double and noise.strain_std <= 0.0):
-        raise ConfigurationError(f"{regimes[double]} likelihood requires positive noise stds")
+def _noise_stds(data: MeasurementSet) -> tuple[float, float | None, float]:
+    """The stress std, strain std and strain limit of ``data``, whose stds
+    must be positive."""
+    noise = data.noise
+    if noise.stress_std <= 0.0 or (noise.double and noise.strain_std <= 0.0):
+        regime = "stress-and-strain" if noise.double else "stress-only"
+        raise ConfigurationError(f"{regime} likelihood requires positive noise stds")
     return noise.stress_std, noise.strain_std, noise.strain_limit
 
 
@@ -104,7 +100,7 @@ Kernel = Callable[[np.ndarray], np.ndarray]
 
 
 def _single_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
-    s, _, _ = _noise_stds(data, False)
+    s, _, _ = _noise_stds(data)
     strains, stresses = data.strains, data.stresses
     offset = len(data) * (0.5 * _LOG_2PI + math.log(s))
 
@@ -171,7 +167,7 @@ def _affine_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
     plastic one on [ey, a] (empty when ey = inf), each an (intercept, slope,
     strain interval) per parameter row, go through one (branches x rows x
     points) pass and each point's two terms are combined with logaddexp."""
-    s_sig, s_eps, a = _noise_stds(data, True)
+    s_sig, s_eps, a = _noise_stds(data)
     sm, em = data.stresses, data.strains
 
     def kernel(values: np.ndarray) -> np.ndarray:
@@ -295,7 +291,7 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
     log is taken per window (``_log_window_sums``). As every node operation
     is elementwise or reduces over one window's nodes, neither the blocking
     nor the screen of another row changes a single bit of a row."""
-    s_sig, s_eps, a = _noise_stds(data, True)
+    s_sig, s_eps, a = _noise_stds(data)
     sm, em = data.stresses, data.strains
     window_lo, window_hi = em - _WIDTH * s_eps, np.minimum(a, em + _WIDTH * s_eps)
     unit_nodes, unit_weights = _gauss_table(quadrature.panels)

@@ -650,6 +650,7 @@ class TestMismatch:
         assert cli.main(["mismatch", "--config", config, "--output-dir", str(out_dir)]) == 0
 
         data_path = _make_dataset(tmp_path, model="LE", parameters={"E": 210.0}, seed=6)
+        chain_seed = json.loads((out_dir / "chain.json").read_text())["seed"]
         identify = _write_config(
             tmp_path,
             {
@@ -663,7 +664,7 @@ class TestMismatch:
         code = cli.main(
             [
                 "identify", "--config", identify, "--data", str(data_path),
-                "--output-dir", str(pipeline_dir), "--seed", "6",
+                "--output-dir", str(pipeline_dir), "--seed", str(chain_seed),
             ]
         )
         assert code == 0
@@ -694,14 +695,18 @@ class TestMismatch:
         assert code == 0
         assert read_measurements(out_dir / "data.csv").noise.double
 
-    @pytest.mark.parametrize("seed", [None, 0])
-    def test_recorded_seed_replays_the_run(self, tmp_path, seed):
-        """The data and an unpinned sampler share one seed, drawn when none
-        is given (0 is kept, not redrawn) and recorded in both data.json
-        and summary.json; --seed <recorded> rewrites every file bit for bit.
-        A seedless run generated its data from OS entropy (seed=None)."""
+    @pytest.mark.parametrize(
+        "seed, pinned",
+        [pytest.param(None, None, id="None"), pytest.param(0, None, id="0"), pytest.param(None, 4, id="None-pinned")],
+    )
+    def test_recorded_seed_replays_the_run(self, tmp_path, seed, pinned):
+        """The run seed, drawn when none is given (0 is kept, not redrawn),
+        is recorded in both data.json and summary.json; --seed <recorded>
+        rewrites every file bit for bit, whether the chain seed is drawn or
+        pinned. A seedless run with a pinned chain seed recorded that seed,
+        which could not replay its data."""
         payload = self._payload(seed=seed)
-        del payload["fit"]["sampler"]["seed"]
+        payload["fit"]["sampler"]["seed"] = pinned
         config = _write_config(tmp_path, payload)
         first, replay = tmp_path / "first", tmp_path / "replay"
         assert cli.main(["mismatch", "--config", config, "--output-dir", str(first)]) == 0
@@ -716,11 +721,68 @@ class TestMismatch:
             assert (replay / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_seedless_run_keeps_a_pinned_sampler_seed(self, tmp_path):
+        """chain.json records the pinned chain seed, summary.json the run
+        seed that the data were drawn with."""
         config = _write_config(tmp_path, self._payload(seed=None))
         out_dir = tmp_path / "m"
         assert cli.main(["mismatch", "--config", config, "--output-dir", str(out_dir)]) == 0
-        assert json.loads((out_dir / "summary.json").read_text())["seed"] == 4
-        assert read_measurements(out_dir / "data.csv").provenance.rsplit("seed=", 1)[1].isdigit()
+        assert json.loads((out_dir / "chain.json").read_text())["seed"] == 4
+        data_seed = read_measurements(out_dir / "data.csv").provenance.rsplit("seed=", 1)[1]
+        assert json.loads((out_dir / "summary.json").read_text())["seed"] == int(data_seed)
+
+
+class TestSeedRule:
+    """One run seed per seeded verb, recorded in summary.json (mismatch) or
+    printed (heterogeneity); a pinned fit.sampler.seed is the chain's seed
+    whatever the run seed, and an unpinned one is drawn from a stream that
+    no data draw uses."""
+
+    def test_data_noise_and_chain_proposals_share_no_stream(self, tmp_path):
+        """The data's stress noise / s_sig is not the unpinned chain's first
+        proposal normals; both came from child 0 of the run seed, equal to
+        4.4e-15, when the run seed also seeded the chain."""
+        payload = TestMismatch()._payload()
+        del payload["fit"]["sampler"]["seed"]
+        config = _write_config(tmp_path, payload)
+        out_dir = tmp_path / "m"
+        assert cli.main(["mismatch", "--config", config, "--output-dir", str(out_dir)]) == 0
+        data = read_measurements(out_dir / "data.csv")
+        truth = ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57)
+        noise = (data.stresses - stress(data.strains, truth, ModelKind.NONLINEAR_HARDENING)) / 0.01
+        stress_stream = np.random.default_rng(6).spawn(2)[0]
+        np.testing.assert_allclose(noise, stress_stream.standard_normal(15), rtol=0.0, atol=1e-9)
+        chain_seed = json.loads((out_dir / "chain.json").read_text())["seed"]
+        z_stream = np.random.default_rng(np.random.SeedSequence(chain_seed).spawn(2)[0])
+        assert np.abs(noise[:12] - z_stream.standard_normal(12)).max() > 0.1
+
+    @pytest.mark.parametrize("given", ["config", "flag"])
+    @pytest.mark.parametrize("verb", ["mismatch", "heterogeneity"])
+    def test_pinned_chain_seed_survives_a_run_seed(self, tmp_path, monkeypatch, verb, given):
+        seeds = []
+
+        def recording(target, config):
+            seeds.append(config.seed)
+            return run_adaptive_mh(target, config)
+
+        monkeypatch.setattr(cli, "run_adaptive_mh", recording)
+        if verb == "mismatch":
+            payload = TestMismatch()._payload(seed=None)
+            payload["fit"]["sampler"] = {"n_samples": 200, "seed": 7}
+            out = tmp_path / "m"
+            argv = ["mismatch", "--output-dir", str(out)]
+        else:
+            payload = TestHeterogeneity()._sampled({"n_samples": 50, "seed": 7})
+            del payload["seed"]
+            argv = ["heterogeneity", "--output", str(tmp_path / "het.csv")]
+        if given == "config":
+            payload["seed"] = 5
+        else:
+            argv += ["--seed", "5"]
+        assert cli.main([*argv, "--config", _write_config(tmp_path, payload)]) == 0
+        assert seeds and set(seeds) == {7}
+        if verb == "mismatch":
+            assert json.loads((out / "chain.json").read_text())["seed"] == 7
+            assert json.loads((out / "summary.json").read_text())["seed"] == 5
 
 
 class TestQuadratureBlock:
@@ -790,8 +852,8 @@ class TestBadSeed:
             }
             config = _write_config(tmp_path, payload, "het.json")
             return ["heterogeneity", "--config", config, "--output", str(tmp_path / "het.csv")]
-        # "mismatch-fit-overridden": a top-level seed overrides the fit's
-        # sampler seed, which is still checked.
+        # "mismatch-fit-overridden": a top-level seed does not override the
+        # fit's sampler seed, which is checked either way.
         payload = TestMismatch()._payload(seed=None if where == "mismatch-fit" else top)
         payload["fit"]["sampler"]["seed"] = fit_seed
         config = _write_config(tmp_path, payload, "mismatch.json")

@@ -255,6 +255,17 @@ class TestDrawSpecimens:
         with pytest.raises(ConfigurationError):
             draw_specimens(pop, seed=0)
 
+    def test_rate_is_checked_only_while_specimens_are_missing(self):
+        """Seed 172 accepts one of its first 1,008 draws, in the last batch
+        of 16: a rate below 0.1%, but nothing is missing, so the draw stands."""
+        pop = SpecimenPopulation(
+            kind=ModelKind.LINEAR_ELASTIC, mean=[-3.1], covariance=[[1.0]], count=1
+        )
+        (specimen,) = draw_specimens(pop, seed=172)
+        rows = np.random.default_rng(172).multivariate_normal(pop.mean, pop.covariance, size=1008)
+        assert np.flatnonzero(rows[:, 0] >= 0.0).tolist() == [995]
+        assert specimen.E == rows[995, 0]
+
     def test_determinism(self):
         pop = SpecimenPopulation(
             kind=ModelKind.LINEAR_ELASTIC, mean=[210.0], covariance=[[100.0]], count=50

@@ -255,13 +255,6 @@ class TestSingleNoise:
             rel=1e-14,
         )
 
-    def test_double_data_rejected(self):
-        """``log_likelihood`` dispatches on the regime; the stress-only
-        kernel itself refuses stress-and-strain data."""
-        mset = _double_set([1e-3], [0.21])
-        with pytest.raises(ConfigurationError):
-            likelihood._single_kernel(ModelKind.LINEAR_ELASTIC, mset)
-
     def test_zero_noise_rejected(self):
         mset = _single_set([1e-3], [0.21], s=0.0)
         with pytest.raises(ConfigurationError):
@@ -687,13 +680,6 @@ class TestDoubleNoiseAdditivity:
 
 
 class TestGuards:
-    def test_single_data_rejected_by_double_forms(self):
-        mset = _single_set([1e-3], [0.21])
-        with pytest.raises(ConfigurationError):
-            likelihood._affine_kernel(ModelKind.LINEAR_ELASTIC, mset)
-        with pytest.raises(ConfigurationError):
-            likelihood._lenh_kernel(mset, QuadratureSpec())
-
     def test_nonfinite_quadrature_is_reported(self, monkeypatch):
         """A NaN plastic-window sum is a NumericalError naming the
         measurement and the row, never a NaN log-likelihood."""
