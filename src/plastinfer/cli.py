@@ -51,6 +51,7 @@ from .models import ModelKind, ParameterVector
 from .posterior import AnalyticLEPosterior, LogPosterior, analytic_le_posterior
 from .priors import TruncatedNormalPrior
 from .sampler import (
+    CREDIBLE_LEVEL,
     SamplerConfig,
     _check_seed,
     _read_config,
@@ -64,6 +65,9 @@ from .sampler import (
 )
 
 __all__ = ["main"]
+
+# Below this acceptance rate a sampled run warns that its chain hardly moved.
+_ACCEPTANCE_FLOOR = 0.05
 
 
 def _parse_parameters(kind: ModelKind, block: object) -> ParameterVector:
@@ -232,6 +236,12 @@ def _run_identification(
             "consider a longer chain or more burn-in",
             file=sys.stderr,
         )
+    if chain.acceptance_rate < _ACCEPTANCE_FLOOR:
+        print(
+            f"warning: acceptance rate {chain.acceptance_rate:.3f} is below {_ACCEPTANCE_FLOOR}; "
+            "the chain hardly moved, consider a smaller step_scale",
+            file=sys.stderr,
+        )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     names = list(kind.parameter_names)
@@ -247,7 +257,7 @@ def _run_identification(
         "acceptance_rate": summary.acceptance_rate,
         "n_retained": summary.n_retained,
         "effective_sample_size": [effective_sample_size(retained[:, j]) for j in range(kind.dimension)],
-        "credible_level": summary.credible.level,
+        "credible_level": CREDIBLE_LEVEL,
         "credible_ellipsoid_available": summary.credible.ellipsoid_available,
         "credible_radius_sq": summary.credible.radius_sq,
         "hpd_threshold": summary.credible.hpd_threshold,

@@ -107,6 +107,10 @@ class LogPosterior:
     specimens pooled into one identification: their log-likelihoods add),
     or ``None`` for the bare truncated prior; the last is the cheapest way
     to exercise a sampler against a distribution with known moments.
+    ``quadrature`` goes to the kernels of the stress-and-strain sets of the
+    nonlinear hardening model, which ``likelihood_kernel`` gives its
+    default when it is None; given to any other target, it is a
+    configuration error.
     """
 
     def __init__(
@@ -129,20 +133,15 @@ class LogPosterior:
             sets = tuple(data)
             if not sets:
                 raise ConfigurationError("an empty sequence of measurement sets is ambiguous; pass None for a prior-only target")
-        needs_quadrature = kind is ModelKind.NONLINEAR_HARDENING and any(
-            s.noise.double for s in sets
-        )
+        needs_quadrature = kind is ModelKind.NONLINEAR_HARDENING and any(s.noise.double for s in sets)
         if quadrature is not None and not needs_quadrature:
             raise ConfigurationError(
                 "quadrature settings only apply to the nonlinear hardening "
                 "model with stress-and-strain data"
             )
-        if needs_quadrature and quadrature is None:
-            quadrature = QuadratureSpec()
         self.kind = kind
         self.prior = prior
         self.data = sets
-        self.quadrature = quadrature
         self._kernels = tuple(
             likelihood_kernel(kind, s, quadrature if s.noise.double else None) for s in sets
         )

@@ -153,17 +153,12 @@ class Chain:
     def acceptance_rate(self) -> float:
         return self.n_accepted / self.samples.shape[0]
 
-    def retained(self, burn_in: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Samples and log-densities with the burn-in prefix dropped.
-
-        ``burn_in`` overrides the configured value; it must leave at least
-        one sample.
-        """
-        b = self.config.burn_in if burn_in is None else burn_in
-        if not 0 <= b < self.samples.shape[0]:
-            raise ConfigurationError(
-                f"burn_in must satisfy 0 <= burn_in < {self.samples.shape[0]}, got {b!r}"
-            )
+    def retained(self) -> tuple[np.ndarray, np.ndarray]:
+        """Samples and log-densities with the configured burn-in prefix
+        dropped, which must leave at least one sample."""
+        b = self.config.burn_in
+        if b >= len(self):
+            raise ConfigurationError(f"burn_in {b} leaves none of the chain's {len(self)} samples")
         return self.samples[b:], self.log_densities[b:]
 
 
@@ -183,8 +178,6 @@ def _history_factor(history: np.ndarray, scale: float) -> np.ndarray | None:
 
 # Most proposals scored in one batched target call.
 _MAX_LOOKAHEAD = 8
-# Steps drawn at once per stream: 128 KiB of normals for 4 parameters.
-_DRAW_BLOCK = 4096
 
 
 def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> Chain:
@@ -194,9 +187,9 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
     child 0 gives each step's standard normals z for the proposal
     ``x + z A``, child 1 its ``u`` from (0, 1], so ``log ratio >= log u`` is
     always well-defined and a proposal off the support (log-density
-    ``-inf``) is never accepted. Both are drawn in blocks of
-    ``_DRAW_BLOCK`` steps, which changes no draw. The step scale defaults
-    to 2.38 / sqrt(dim).
+    ``-inf``) is never accepted. Each stream is drawn once, for the whole
+    chain, so z is the size of the samples and log u of the log-densities.
+    The step scale defaults to 2.38 / sqrt(dim).
 
     The next k proposals of the all-reject path are built from the current
     state by one elementwise product summed per row (a row has the same
@@ -206,10 +199,9 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
     ceil(2 (i + 4) / (accepted + 1)) at step i (``_MAX_LOOKAHEAD`` at the
     start), as one more row costs little next to one more call; it is
     clipped to [1, ``_MAX_LOOKAHEAD``], and a batch never crosses an
-    adaptation step, a draw block or the end of the chain. When a batch
-    raises, its rows are scored again one at a time, in order, so an error
-    or a NaN stops the chain only at a proposal a step uses, as with one
-    call per step.
+    adaptation step or the end of the chain. When a batch raises, its rows
+    are scored again one at a time, in order, so an error or a NaN stops
+    the chain only at a proposal a step uses, as with one call per step.
     """
     x = np.array(target.prior.mean, dtype=float) if config.initial is None else config.initial
     if x.size != target.dimension:
@@ -230,16 +222,14 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
     n = config.n_samples
     samples = np.empty((n, dim))
     log_densities = np.empty(n)
+    z = z_stream.standard_normal(samples.shape)
+    log_u = np.log(1.0 - u_stream.random(log_densities.shape)).tolist()
     n_accepted = 0
     x0 = x
     factor = fixed
     i = 0
     while i < n:
-        j = i % _DRAW_BLOCK
-        if j == 0:
-            z = z_stream.standard_normal((min(_DRAW_BLOCK, n - i), dim))
-            log_u = np.log(1.0 - u_stream.random(len(z))).tolist()
-        end = i - j + len(z)  # the block's end
+        end = n
         if adaptive:
             if i > 0 and i % config.adapt_every == 0:
                 history = np.vstack([x0, samples[:i]])
@@ -249,7 +239,7 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
                 factor = fixed if adapted is None else adapted
             end = min(end, (i // config.adapt_every + 1) * config.adapt_every)
         k = min(_MAX_LOOKAHEAD, end - i, -(-2 * (i + 4) // (n_accepted + 1)))
-        proposals = x + (z[j : j + k, :, None] * factor).sum(axis=1)
+        proposals = x + (z[i : i + k, :, None] * factor).sum(axis=1)
         try:
             scores = target.log_density(proposals).tolist()
         except (DomainError, NumericalError):
@@ -260,7 +250,7 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
                 raise NumericalError(
                     f"target log-density is NaN at proposal {proposal!r} from state {x!r}"
                 )
-            accepted = lp_prop - lp >= log_u[j + r]
+            accepted = lp_prop - lp >= log_u[i]
             if accepted:
                 x, lp = proposal, lp_prop
                 n_accepted += 1
@@ -296,18 +286,21 @@ def run_adaptive_mh(target: LogPosterior, config: SamplerConfig) -> Chain:
     return _metropolis(target, config, adaptive=True)
 
 
+# The share of the posterior mass that every credible region holds.
+CREDIBLE_LEVEL = 0.95
+
+
 @dataclass(frozen=True, eq=False)
 class CredibleRegion:
-    """Two views of a credible set at one level.
+    """Two views of a credible set at ``CREDIBLE_LEVEL``.
 
     The ellipsoid view fits a Gaussian to the samples and takes the
-    chi-squared contour holding ``level`` of that Gaussian's mass; it is
+    chi-squared contour holding that share of the Gaussian's mass; it is
     unavailable when the sample covariance is singular. The
-    highest-density view keeps the ``level`` fraction of samples with the
-    largest recorded log-density, no shape assumption involved.
+    highest-density view keeps that share of the samples with the largest
+    recorded log-density, no shape assumption involved.
     """
 
-    level: float
     center: np.ndarray
     covariance: np.ndarray
     radius_sq: float
@@ -328,19 +321,16 @@ class CredibleRegion:
         return self.mahalanobis_sq(points) <= self.radius_sq
 
 
-def credible_region(
-    samples: np.ndarray, log_densities: np.ndarray, level: float = 0.95
-) -> CredibleRegion:
-    """Build both credible views from retained samples at ``level``.
+def credible_region(samples: np.ndarray, log_densities: np.ndarray) -> CredibleRegion:
+    """Build both credible views from retained samples.
 
-    The ellipsoid's squared radius is the chi-squared quantile of ``level``
-    with ``dim`` degrees of freedom, computed as
-    ``2 * gammaincinv(dim / 2, level)`` (the inverse of the regularized
-    lower incomplete gamma function): the expression ``scipy.stats.chi2.ppf``
-    evaluates, with the same bits, without importing ``scipy.stats``.
+    The ellipsoid's squared radius is the chi-squared quantile of
+    ``CREDIBLE_LEVEL`` with ``dim`` degrees of freedom, computed as
+    ``2 * gammaincinv(dim / 2, CREDIBLE_LEVEL)`` (the inverse of the
+    regularized lower incomplete gamma function): the expression
+    ``scipy.stats.chi2.ppf`` evaluates, with the same bits, without
+    importing ``scipy.stats``.
     """
-    if not 0.0 < level <= 1.0:
-        raise ConfigurationError(f"level must be in (0, 1], got {level!r}")
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     log_densities = np.asarray(log_densities, dtype=float).reshape(-1)
     if samples.shape[0] != log_densities.size:
@@ -354,11 +344,10 @@ def credible_region(
         available = True
     except np.linalg.LinAlgError:
         available = False
-    radius_sq = float(2.0 * gammaincinv(samples.shape[1] / 2, level))
-    threshold = float(np.quantile(log_densities, 1.0 - level))
+    radius_sq = float(2.0 * gammaincinv(samples.shape[1] / 2, CREDIBLE_LEVEL))
+    threshold = float(np.quantile(log_densities, 1.0 - CREDIBLE_LEVEL))
     mask = log_densities >= threshold
     return CredibleRegion(
-        level=level,
         center=center,
         covariance=covariance,
         radius_sq=radius_sq,
@@ -385,17 +374,17 @@ class ChainSummary:
         return np.sqrt(np.diag(self.covariance))
 
 
-def summarize(chain: Chain, level: float = 0.95, burn_in: int | None = None) -> ChainSummary:
-    """Mean, covariance, maximum-density state and credible region.
+def summarize(chain: Chain) -> ChainSummary:
+    """Mean, covariance, maximum-density state and credible region of the
+    chain's states past its configured burn-in.
 
     The covariance divides by the retained count, not count minus one;
     with chains of thousands of states the difference is far below the
     Monte Carlo error, and the convention matches the estimator the
-    credible ellipsoid is built from. ``burn_in`` overrides the chain's
-    configured value.
+    credible ellipsoid is built from.
     """
-    samples, log_densities = chain.retained(burn_in)
-    region = credible_region(samples, log_densities, level)
+    samples, log_densities = chain.retained()
+    region = credible_region(samples, log_densities)
     best = int(np.argmax(log_densities))
     return ChainSummary(
         mean=region.center,
@@ -493,17 +482,15 @@ def response_band(
     )
 
 
-def save_chain(chain: Chain, path: str | Path, parameter_names: list[str] | None = None) -> None:
+def save_chain(chain: Chain, path: str | Path, parameter_names: list[str]) -> None:
     """Write a chain as CSV plus a JSON sidecar with the run settings.
 
-    The CSV holds one row per state, parameter columns first and the
-    log-density last; the sidecar (same stem, .json) records the sampler
-    configuration, seed and acceptance count so the run can be identified
-    and reloaded later.
+    The CSV holds one row per state, the parameter columns under
+    ``parameter_names`` first and the log-density last; the sidecar (same
+    stem, .json) records the names, the sampler configuration, seed and
+    acceptance count so the run can be identified and reloaded later.
     """
     path = Path(path)
-    if parameter_names is None:
-        parameter_names = [f"x{i}" for i in range(chain.dimension)]
     if len(parameter_names) != chain.dimension:
         raise ConfigurationError(
             f"expected {chain.dimension} parameter names, got {len(parameter_names)}"

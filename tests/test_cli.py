@@ -188,6 +188,22 @@ class TestIdentify:
         assert np.all(band[:, 1] <= band[:, 2])
         assert band[0, 0] == 0.0
 
+    @pytest.mark.parametrize("step_scale, warned", [(2.0, False), (500.0, True)])
+    def test_acceptance_below_the_floor_warns(self, tmp_path, capsys, step_scale, warned):
+        """A chain that accepts under 5% of its proposals exits 0 and names
+        its rate on stderr; a chain that mixes prints no such warning."""
+        data_path = _make_dataset(tmp_path, model="LE", parameters={"E": 210.0}, seed=42)
+        sampler = {"n_samples": 2_000, "burn_in": 200, "step_scale": step_scale, "seed": 10}
+        config = _identify_config(tmp_path, sampler=sampler)
+        out_dir = tmp_path / "run"
+        argv = ["identify", "--config", config, "--data", str(data_path), "--output-dir", str(out_dir)]
+        assert cli.main(argv) == 0
+        rate = json.loads((out_dir / "summary.json").read_text())["acceptance_rate"]
+        assert (rate < 0.05) is warned
+        err = capsys.readouterr().err
+        assert (f"warning: acceptance rate {rate:.3f} is below 0.05" in err) is warned
+        assert ("acceptance rate" in err) is warned
+
     def test_nonlinear_hardening_run_completes(self, tmp_path):
         data_path = _make_dataset(
             tmp_path,
@@ -720,6 +736,22 @@ class TestMismatch:
         for name in names:
             assert (replay / name).read_bytes() == (first / name).read_bytes(), name
 
+    def test_stuck_chain_warns_but_succeeds(self, tmp_path, capsys):
+        """An LE-PP fit of LE-NH data at the default step scale, 2.38 /
+        sqrt(2) in both coordinates against a sigma_y0 prior std of 0.0167,
+        accepts 3 of 500 proposals under run seed 3: the run exits 0,
+        writes every file and names its rate on stderr."""
+        payload = self._payload(seed=3)
+        payload["fit"]["sampler"] = {"n_samples": 500, "burn_in": 100}
+        config = _write_config(tmp_path, payload)
+        out_dir = tmp_path / "m"
+        assert cli.main(["mismatch", "--config", config, "--output-dir", str(out_dir)]) == 0
+        assert "warning: acceptance rate 0.006 is below 0.05" in capsys.readouterr().err
+        assert json.loads((out_dir / "summary.json").read_text())["acceptance_rate"] == 0.006
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "band.csv", "chain.csv", "chain.json", "data.csv", "data.json", "summary.json"
+        ]
+
     def test_seedless_run_keeps_a_pinned_sampler_seed(self, tmp_path):
         """chain.json records the pinned chain seed, summary.json the run
         seed that the data were drawn with."""
@@ -1202,7 +1234,7 @@ def test_fresh_lenh_double_run_loads_neither_scipy_linalg_nor_stats(tmp_path):
         chain = run_adaptive_mh(target, SamplerConfig(n_samples=30, burn_in=5, step_scale=0.02, seed=4))
         summarize(chain)
         response_band(kind, chain.samples, strains)
-        save_chain(chain, work / "chain.csv")
+        save_chain(chain, work / "chain.csv", list(kind.parameter_names))
         load_chain(work / "chain.csv")
         generate = {"model": "LE-NH", "parameters": {"E": 210.0, "sigma_y0": 0.25, "H": 2.0, "n": 0.57},
                     "strains": {"start": 2.4e-4, "step": 2.4e-4, "count": 12},

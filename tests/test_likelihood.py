@@ -16,6 +16,7 @@ import zlib
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import quad
 from scipy.special import log_ndtr, logsumexp, ndtr, roots_legendre
 from scipy.stats import norm
@@ -763,11 +764,11 @@ class TestGaussMass:
         self._assert_close(lo[keep], hi[keep])
 
     def test_narrow_interval_straddling_zero(self):
-        """Neither form resolves an interval much narrower than 1 around
-        zero: each subtracts two numbers near 1/2 (the one form their logs),
-        so the mass keeps about eps / width of relative precision, and the
-        two forms differ by as much. Both stay within that of the midpoint
-        expansion w phi(m) (1 + w^2 (m^2 - 1) / 24), which is good to O(w^4)."""
+        """The two-form reference does not resolve an interval much narrower
+        than 1 around zero: it subtracts two numbers near 1/2, so its mass
+        keeps about eps / width of relative precision. Both forms stay
+        within that of the midpoint expansion w phi(m) (1 + w^2 (m^2 - 1) /
+        24), which is good to O(w^4)."""
         lo = np.array([-5e-10, -1e-10, -1e-3])
         hi = np.array([5e-10, 9e-10, 1e-3])
         w, m = hi - lo, 0.5 * (lo + hi)
@@ -775,6 +776,39 @@ class TestGaussMass:
         reference = np.log(w * density * (1.0 + w * w * (m * m - 1.0) / 24.0))
         for form in (_log_gauss_mass, _two_form_log_gauss_mass):
             assert np.all(np.abs(np.expm1(form(lo, hi) - reference)) <= 4e-16 / w + w**4)
+
+    def test_narrow_interval_straddling_zero_at_full_precision(self):
+        """Across zero and narrower than 0.3, the mass is a sum of two erf
+        terms with no cancellation: at widths 1e-9 to 0.1 the log-mass is
+        within 2 ulps of the midpoint expansion carried to w^16, where the
+        subtraction of two numbers near 1/2 was 1.7e-7 off at width 1e-9.
+        The expansion is w phi(m) sum_k (w / 2)^(2k) He_2k(m) / (2k + 1)!,
+        with He the probabilists' Hermite polynomials, summed in linear
+        space; its first two terms are the ones above."""
+        fractions = np.linspace(0.001, 0.999, 41)
+        for w in np.logspace(-9.0, -1.0, 17):
+            lo, hi = -fractions * w, (1.0 - fractions) * w
+            width, m = hi - lo, 0.5 * (lo + hi)
+            series = sum(
+                (0.5 * width) ** (2 * k) * hermeval(m, [0.0] * (2 * k) + [1.0]) / math.factorial(2 * k + 1)
+                for k in range(8, -1, -1)
+            )
+            reference = np.log(width * np.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi) * series)
+            got = _log_gauss_mass(lo, hi)
+            assert np.all(np.abs(got - reference) <= 2.0 * np.spacing(np.abs(reference))), w
+
+    def test_wide_or_one_sided_intervals_keep_the_one_form(self):
+        """Only intervals across zero narrower than 0.3 take the erf sum;
+        every other element has the bits of the one form alone."""
+        lo = np.array([-0.2, -1e-9, 0.0, 1e-9, -0.3, -2.0, -0.15])
+        hi = np.array([0.1, 1e-9, 1e-9, 2e-9, 0.0, 1.0, 0.15000000000000002])
+        a, b = np.minimum(lo, -hi), np.minimum(hi, -lo)
+        log_b = log_ndtr(b)
+        one_form = log_b + np.log1p(-np.exp(np.fmin(log_ndtr(a) - log_b, 0.0)))
+        got = _log_gauss_mass(lo, hi)
+        narrow = np.array([True, True, False, False, False, False, False])
+        assert np.array_equal(got[~narrow], one_form[~narrow])
+        assert not np.array_equal(got[narrow], one_form[narrow])
 
 
 class TestExtremeParameters:

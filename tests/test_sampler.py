@@ -44,7 +44,7 @@ from plastinfer import (
 )
 from plastinfer import sampler as sampler_module
 from plastinfer.models import ParameterVector, stress
-from plastinfer.sampler import _history_factor
+from plastinfer.sampler import CREDIBLE_LEVEL, _history_factor
 
 
 def _half_normal_target() -> LogPosterior:
@@ -366,7 +366,7 @@ class TestLookahead:
         """After the starting state's one-row call the first batch is
         ``_MAX_LOOKAHEAD`` rows; the batch at step i is
         ceil(2 (i + 4) / (accepted + 1)) rows, clipped to [1, 8] and to the
-        draw block."""
+        chain's end."""
         target = _elastoplastic_target()
         sizes = []
         score = target.log_density
@@ -377,11 +377,11 @@ class TestLookahead:
 
         target.log_density = recording
         chain = run_mh(target, SamplerConfig(n_samples=3_000, seed=12))
-        most, block = sampler_module._MAX_LOOKAHEAD, sampler_module._DRAW_BLOCK
+        most = sampler_module._MAX_LOOKAHEAD
         assert sizes[:2] == [1, most]
         i, accepted = 0, 0
         for size in sizes[1:]:
-            assert size == min(most, -(-2 * (i + 4) // (accepted + 1)), block - i % block, 3_000 - i)
+            assert size == min(most, -(-2 * (i + 4) // (accepted + 1)), 3_000 - i)
             state = chain.samples[i - 1] if i else target.prior.mean
             moved = np.any(chain.samples[i : i + size] != state, axis=1)
             i += int(np.argmax(moved)) + 1 if moved.any() else size
@@ -446,7 +446,7 @@ def _by_hand(target: LogPosterior, config: SamplerConfig) -> Chain:
 
 
 class TestStreams:
-    """Two seeded streams per chain, drawn in blocks."""
+    """Two seeded streams per chain, each drawn once for the whole chain."""
 
     @pytest.mark.parametrize("make_target", [_elastoplastic_target, _half_normal_target])
     def test_run_mh_is_the_loop_by_hand(self, make_target):
@@ -461,14 +461,16 @@ class TestStreams:
         assert np.array_equal(chain.log_densities[:1_200], reference.log_densities)
 
     @pytest.mark.parametrize("sampler", [run_mh, run_adaptive_mh])
-    def test_block_size_changes_no_chain(self, sampler, monkeypatch):
-        """A chain longer than one draw block equals the same chain drawn in
-        smaller blocks, aligned with the adaptation steps or not."""
-        config = SamplerConfig(n_samples=sampler_module._DRAW_BLOCK + 900, adapt_every=1_000, seed=3)
-        reference = sampler(_half_normal_target(), config)
-        for block in (7, 1_000):
-            monkeypatch.setattr(sampler_module, "_DRAW_BLOCK", block)
-            _assert_same_chain(sampler(_half_normal_target(), config), reference)
+    def test_long_chain_is_one_proposal_per_step(self, sampler, monkeypatch):
+        """A 5,000-step chain, longer than the 4,096-step blocks in which the
+        streams were once drawn, equals its one-proposal-per-step replay bit
+        for bit; the fixed-proposal one also equals the loop by hand, which
+        draws each step's normals and uniform on their own."""
+        config = SamplerConfig(n_samples=5_000, adapt_every=1_000, seed=3)
+        chain = sampler(_half_normal_target(), config)
+        _assert_same_chain(chain, _one_per_step(sampler, _half_normal_target(), config, monkeypatch).chain)
+        if sampler is run_mh:
+            _assert_same_chain(chain, _by_hand(_half_normal_target(), config))
 
 
 class TestSummarize:
@@ -510,13 +512,18 @@ class TestSummarize:
         summary = summarize(chain)
         assert summary.map_log_density >= chain.retained()[1].mean()
 
-    def test_burn_in_override(self):
-        chain = self._chain([[1.0], [2.0], [3.0], [4.0]], [-4.0, -3.0, -2.0, -1.0])
-        summary = summarize(chain, burn_in=2)
+    def test_burn_in_comes_from_the_config(self):
+        chain = self._chain([[1.0], [2.0], [3.0], [4.0]], [-4.0, -3.0, -2.0, -1.0], burn_in=2)
+        summary = summarize(chain)
         assert summary.n_retained == 2
         assert summary.mean[0] == pytest.approx(3.5)
-        with pytest.raises(ConfigurationError):
-            summarize(chain, burn_in=4)
+
+    def test_burn_in_past_the_stored_states_rejected(self):
+        """A hand-built chain shorter than its configured burn-in has no
+        retained state to summarize."""
+        chain = Chain(np.ones((3, 1)), np.zeros(3), 0, SamplerConfig(n_samples=10, burn_in=3))
+        with pytest.raises(ConfigurationError, match="burn_in 3 leaves none of the chain's 3 samples"):
+            summarize(chain)
 
     def test_matches_analytic_linear_elastic_posterior(self):
         # One-parameter linear fit has a closed-form Gaussian posterior;
@@ -544,7 +551,7 @@ class TestCredibleRegion:
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
         draws = rng.multivariate_normal(mean, cov, size=100_000)
         logd = stats.multivariate_normal.logpdf(draws, mean, cov)
-        region = credible_region(draws, logd, level=0.95)
+        region = credible_region(draws, logd)
         inside = region.contains(draws)
         assert abs(inside.mean() - 0.95) < 0.01
         assert abs(region.hpd_mask.mean() - 0.95) < 0.001
@@ -552,21 +559,13 @@ class TestCredibleRegion:
         # to the radius estimate, so they should rarely disagree.
         assert np.mean(inside == region.hpd_mask) > 0.97
 
-    def test_full_level_contains_everything(self):
-        rng = np.random.default_rng(8)
-        draws = rng.normal(size=(500, 2))
-        logd = -0.5 * np.sum(draws**2, axis=1)
-        region = credible_region(draws, logd, level=1.0)
-        assert np.all(region.hpd_mask)
-        assert np.all(region.contains(draws + 100.0))
-
     def test_one_dimensional_interval_matches_normal_quantiles(self):
         # The 95% ellipsoid in one dimension is the familiar mean plus or
         # minus 1.96 standard deviations.
         rng = np.random.default_rng(3)
         draws = rng.normal(100.0, 15.0, size=(20_000, 1))
         logd = stats.norm.logpdf(draws[:, 0], 100.0, 15.0)
-        region = credible_region(draws, logd, level=0.95)
+        region = credible_region(draws, logd)
         assert np.sqrt(region.radius_sq) == pytest.approx(1.959964, abs=1e-5)
         sigma = float(np.sqrt(region.covariance[0, 0]))
         just_inside = region.center + np.array([1.9599 * sigma])
@@ -577,22 +576,15 @@ class TestCredibleRegion:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_radius_is_the_chi_squared_quantile_bit_for_bit(self, dim):
         """radius_sq comes from gammaincinv, not scipy.stats; it must equal
-        chi2.ppf exactly at the usual levels, at 1 (inf) and at 200
-        seeded random levels."""
+        chi2.ppf at the 0.95 credible level exactly."""
         rng = np.random.default_rng(dim)
         draws = rng.normal(size=(50, dim))
         logd = -0.5 * np.sum(draws**2, axis=1)
-        levels = [0.5, 0.6827, 0.9, 0.95, 0.99, 1.0, *rng.uniform(1e-6, 1.0, 200)]
-        for level in levels:
-            got = credible_region(draws, logd, level=float(level)).radius_sq
-            assert got == stats.chi2.ppf(level, dim), level
+        assert CREDIBLE_LEVEL == 0.95
+        assert credible_region(draws, logd).radius_sq == stats.chi2.ppf(0.95, dim)
 
-    def test_rejects_bad_levels_and_shapes(self):
+    def test_rejects_mismatched_lengths(self):
         draws = np.zeros((5, 2))
-        logd = np.zeros(5)
-        for bad in (0.0, -0.5, 1.5, float("nan")):
-            with pytest.raises(ConfigurationError):
-                credible_region(draws, logd, level=bad)
         with pytest.raises(ConfigurationError, match="matching"):
             credible_region(draws, np.zeros(4))
 
@@ -780,14 +772,14 @@ class TestChainStorage:
 
     def test_malformed_sidecar_rejected(self, tmp_path):
         path = tmp_path / "chain.csv"
-        save_chain(self._small_chain(), path)
+        save_chain(self._small_chain(), path, ["E"])
         path.with_suffix(".json").write_text('{"n_samples": 50,')
         with pytest.raises(ConfigurationError, match=r"malformed chain sidecar .*chain\.json"):
             load_chain(path)
 
     def test_non_numeric_cell_rejected(self, tmp_path):
         path = tmp_path / "chain.csv"
-        save_chain(self._small_chain(), path)
+        save_chain(self._small_chain(), path, ["E"])
         lines = path.read_text().splitlines()
         lines[3] = "x," + lines[3].split(",")[1]
         path.write_text("\n".join(lines) + "\n")
@@ -814,7 +806,7 @@ class TestChainStorage:
         """numpy's "input contained no data" warning escaped, and the empty
         table was then reported as a parameter-name count of -1."""
         path = tmp_path / "chain.csv"
-        save_chain(self._small_chain(), path)
+        save_chain(self._small_chain(), path, ["E"])
         path.write_text(path.read_text().splitlines()[0] + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -829,7 +821,7 @@ class TestChainStorage:
         """Every setting is required: the loader never falls back to the
         command line's defaults for a key that ``save_chain`` always writes."""
         path = tmp_path / "chain.csv"
-        save_chain(self._small_chain(), path)
+        save_chain(self._small_chain(), path, ["E"])
         sidecar = json.loads(path.with_suffix(".json").read_text())
         del sidecar[key]
         path.with_suffix(".json").write_text(json.dumps(sidecar))
@@ -838,19 +830,12 @@ class TestChainStorage:
 
     def test_missing_parameter_names_rejected(self, tmp_path):
         path = tmp_path / "chain.csv"
-        save_chain(self._small_chain(), path)
+        save_chain(self._small_chain(), path, ["E"])
         sidecar = json.loads(path.with_suffix(".json").read_text())
         del sidecar["parameter_names"]
         path.with_suffix(".json").write_text(json.dumps(sidecar))
         with pytest.raises(ConfigurationError, match="parameter_names"):
             load_chain(path)
-
-    def test_default_parameter_names(self, tmp_path):
-        chain = self._small_chain()
-        path = tmp_path / "chain.csv"
-        save_chain(chain, path)
-        _, names = load_chain(path)
-        assert names == ["x0"]
 
     def test_wrong_name_count_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="parameter names"):
@@ -859,7 +844,7 @@ class TestChainStorage:
     def test_missing_sidecar_rejected(self, tmp_path):
         chain = self._small_chain()
         path = tmp_path / "chain.csv"
-        save_chain(chain, path)
+        save_chain(chain, path, ["E"])
         path.with_suffix(".json").unlink()
         with pytest.raises(ConfigurationError, match="sidecar"):
             load_chain(path)
@@ -869,7 +854,7 @@ class TestChainStorage:
         # the loader keeps the rows it sees, clears the burn-in and says so.
         chain = self._small_chain()
         path = tmp_path / "chain.csv"
-        save_chain(chain, path)
+        save_chain(chain, path, ["E"])
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:11]) + "\n")
         with pytest.warns(UserWarning, match=rf"10 rows .*n_samples={chain.config.n_samples}"):
@@ -902,7 +887,7 @@ class TestChainStorage:
         parsed, truncated or cast, and the error names the key. The
         parameter names are a list of one string per parameter column."""
         path = tmp_path / "chain.csv"
-        save_chain(self._small_chain(), path)
+        save_chain(self._small_chain(), path, ["E"])
         sidecar = json.loads(path.with_suffix(".json").read_text())
         sidecar[key] = value
         path.with_suffix(".json").write_text(json.dumps(sidecar))
