@@ -70,6 +70,17 @@ __all__ = ["main"]
 _ACCEPTANCE_FLOOR = 0.05
 
 
+def _warn_low_acceptance(rate: float, where: str = "") -> None:
+    """Warn on stderr when a chain (``where``, as " in replicate 2") accepted
+    under ``_ACCEPTANCE_FLOOR`` of its proposals; the run still succeeds."""
+    if rate < _ACCEPTANCE_FLOOR:
+        print(
+            f"warning: acceptance rate {rate:.3f}{where} is below {_ACCEPTANCE_FLOOR}; "
+            "the chain hardly moved, consider a smaller step_scale",
+            file=sys.stderr,
+        )
+
+
 def _parse_parameters(kind: ModelKind, block: object) -> ParameterVector:
     block = _object(block, "parameters")
     extra = set(block) - set(kind.parameter_names)
@@ -236,12 +247,7 @@ def _run_identification(
             "consider a longer chain or more burn-in",
             file=sys.stderr,
         )
-    if chain.acceptance_rate < _ACCEPTANCE_FLOOR:
-        print(
-            f"warning: acceptance rate {chain.acceptance_rate:.3f} is below {_ACCEPTANCE_FLOOR}; "
-            "the chain hardly moved, consider a smaller step_scale",
-            file=sys.stderr,
-        )
+    _warn_low_acceptance(chain.acceptance_rate)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     names = list(kind.parameter_names)
@@ -362,7 +368,7 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
     ``prior`` block the closed-form stress-only route is used (linear
     elastic only); a ``fit`` block instead runs a pooled sampled
     identification, each specimen's measurement set contributing its own
-    likelihood term. A seedless run draws its seed and prints it, so
+    likelihood term, and records each replicate's acceptance rate. A seedless run draws its seed and prints it, so
     ``--seed <printed>`` replays it.
     """
     pop_block = _object(_require(config, "population", "config"), "population")
@@ -394,7 +400,7 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
         prior = _parse_prior(config["prior"], 1)
         columns = ["replicate", "posterior_mean", "posterior_std"]
 
-        def estimate(sets: list[MeasurementSet], chain_stream: np.random.Generator) -> tuple:
+        def estimate(rep: int, sets: list[MeasurementSet], chain_stream: np.random.Generator) -> tuple:
             posterior = _closed_form(prior, sets)
             return posterior.mean, posterior.std
 
@@ -407,14 +413,16 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
         names = list(kind.parameter_names)
         pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
         means, stds = [f"mean_{p}" for p in names], [f"std_{p}" for p in names]
-        columns = ["replicate", *means, *stds, *(f"corr_{names[i]}_{names[j]}" for i, j in pairs)]
+        corrs = [f"corr_{names[i]}_{names[j]}" for i, j in pairs]
+        columns = ["replicate", *means, *stds, *corrs, "acceptance_rate"]
 
-        def estimate(sets: list[MeasurementSet], chain_stream: np.random.Generator) -> tuple:
+        def estimate(rep: int, sets: list[MeasurementSet], chain_stream: np.random.Generator) -> tuple:
             chain_config = replace(fit.sampler, seed=_seed(None, fit.sampler.seed, chain_stream))
             summary = summarize(fit.run(LogPosterior(kind, fit.prior, sets), chain_config))
+            _warn_low_acceptance(summary.acceptance_rate, f" in replicate {rep}")
             scale = np.maximum(summary.std, np.finfo(float).tiny)
             corr = summary.covariance / np.outer(scale, scale)
-            return (*summary.mean, *summary.std, *(corr[i, j] for i, j in pairs))
+            return (*summary.mean, *summary.std, *(corr[i, j] for i, j in pairs), summary.acceptance_rate)
 
     root = np.random.default_rng(seed)
     rows = []
@@ -427,7 +435,7 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
             generate_single_noise(x, kind, strains, noise.stress_std, child)
             for x, child in zip(specimens, child_seeds)
         ]
-        rows.append((rep, *estimate(sets, chain_stream)))
+        rows.append((rep, *estimate(rep, sets, chain_stream)))
 
     _write_table(args.output, columns, rows)
     print(f"seed {seed}")

@@ -43,7 +43,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, eval_legendre, log_ndtr
 
 from .data import MeasurementSet
 from .errors import ConfigurationError, NumericalError
@@ -68,6 +67,18 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on the first call (about 0.24 s and 24 MB
+    of a fresh process on a 2-core host): only the stress-and-strain
+    kernels, the LE-NH quadrature rule and the credible radius use it, so
+    the package import, the closed-form verbs and the other targets load
+    no scipy."""
+    import scipy.special
+
+    return scipy.special
 
 
 @dataclass(frozen=True)
@@ -132,16 +143,17 @@ def _log_gauss_mass(lo_z: np.ndarray, hi_z: np.ndarray) -> np.ndarray:
     """
     a = np.minimum(lo_z, -hi_z)
     b = np.minimum(hi_z, -lo_z)
+    special = _special()
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_b = log_ndtr(b)
+        log_b = special.log_ndtr(b)
         # fmin: two bounds far in one tail both give -inf, and their
         # difference is NaN where the mass is 0.
-        out = log_b + np.log1p(-np.exp(np.fmin(log_ndtr(a) - log_b, 0.0)))
+        out = log_b + np.log1p(-np.exp(np.fmin(special.log_ndtr(a) - log_b, 0.0)))
         # b - a is the width; the straddle test runs only once one is narrow.
         narrow = b - a < 0.3
     if narrow.any():
         narrow &= b > 0.0
-        out[narrow] = np.log(0.5 * (erf(b[narrow] * _SQRT_HALF) + erf(-a[narrow] * _SQRT_HALF)))
+        out[narrow] = np.log(0.5 * (special.erf(b[narrow] * _SQRT_HALF) + special.erf(-a[narrow] * _SQRT_HALF)))
     return np.where(hi_z > lo_z, out, -np.inf)
 
 
@@ -205,6 +217,7 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     LAPACK's ``dsterf``, and ``TestLegendreRule`` checks that the result
     equals ``roots_legendre``'s bit for bit."""
     k = np.arange(1.0, n)
+    eval_legendre = _special().eval_legendre
     u = np.linalg.eigvalsh(np.diag(k * np.sqrt(1.0 / (4 * k * k - 1)), 1), UPLO="U")
     p_n = eval_legendre(n, u)
     dp_n = (-n * u * p_n + n * eval_legendre(n - 1, u)) / (1 - u**2)
@@ -354,7 +367,8 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
             elastic = _log_affine_branch(sm, em, s_sig, s_eps, 0.0, E, 0.0, np.minimum(ey, a))
             lo = np.maximum(ey, window_lo)
             # The screen's bound, less log_peak.
-            cap = log_ndtr((em - ey) / s_eps) - np.maximum(sy - sm, 0.0) ** 2 * (0.5 / (s_sig * s_sig))
+            cap = _special().log_ndtr((em - ey) / s_eps)
+            cap -= np.maximum(sy - sm, 0.0) ** 2 * (0.5 / (s_sig * s_sig))
             # A NaN elastic term drops the window, and its point is reported.
             live = (window_hi > lo) & (elastic - (_SCREEN_MARGIN + log_peak) <= cap)
             plastic = np.full(lo.shape, -np.inf)

@@ -26,10 +26,10 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .data import _integer, _number, _numbers, _read_object, _read_table, _strings, _write_table
 from .errors import ConfigurationError, DomainError, NumericalError
+from .likelihood import _special
 from .models import ModelKind, _as_strain_array, stress_rows
 from .posterior import LogPosterior
 
@@ -344,7 +344,7 @@ def credible_region(samples: np.ndarray, log_densities: np.ndarray) -> CredibleR
         available = True
     except np.linalg.LinAlgError:
         available = False
-    radius_sq = float(2.0 * gammaincinv(samples.shape[1] / 2, CREDIBLE_LEVEL))
+    radius_sq = float(2.0 * _special().gammaincinv(samples.shape[1] / 2, CREDIBLE_LEVEL))
     threshold = float(np.quantile(log_densities, 1.0 - CREDIBLE_LEVEL))
     mask = log_densities >= threshold
     return CredibleRegion(
@@ -512,10 +512,10 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     Returns the chain and the parameter names from the sidecar, whose
     settings go through the reader of the CLI's sampler block, every key
     required: a missing or mistyped one is a configuration error naming its
-    key, and so is a sidecar or table that cannot be read, or a table
-    without rows. A table whose row count differs from the sidecar's
-    ``n_samples`` is loaded as it stands, with ``burn_in`` reset to 0, and
-    a ``UserWarning`` names both counts.
+    key, and so is an ``n_accepted`` above ``n_samples``, a sidecar or table
+    that cannot be read, or a table without rows. A table whose row count
+    differs from the sidecar's ``n_samples`` is loaded as it stands, with
+    ``burn_in`` reset to 0, and a ``UserWarning`` names both counts.
     """
     path = Path(path)
     sidecar = _read_object(path.with_suffix(".json"), "chain sidecar")
@@ -525,6 +525,9 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     table = np.array([values for _, values in rows])
     names = _strings(sidecar.get("parameter_names"), "sidecar parameter_names", table.shape[1] - 1)
     config = _read_config(sidecar, "chain sidecar", required=True)
+    n_accepted = _integer(sidecar.get("n_accepted"), "sidecar n_accepted", 0)
+    if n_accepted > config.n_samples:
+        raise ConfigurationError(f"sidecar n_accepted must be <= n_samples={config.n_samples}, got {n_accepted}")
     if table.shape[0] != config.n_samples:
         warnings.warn(
             f"{path} holds {table.shape[0]} rows but its sidecar records "
@@ -533,5 +536,4 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
             stacklevel=2,
         )
         config = replace(config, n_samples=table.shape[0], burn_in=0)
-    n_accepted = _integer(sidecar.get("n_accepted"), "sidecar n_accepted", 0)
     return Chain(table[:, :-1], table[:, -1], n_accepted, config), names

@@ -499,11 +499,39 @@ class TestHeterogeneity:
         )
         assert code == 0
         header = out.read_text().splitlines()[0]
-        assert header == "replicate,mean_E,mean_sigma_y0,std_E,std_sigma_y0,corr_E_sigma_y0"
+        assert header == "replicate,mean_E,mean_sigma_y0,std_E,std_sigma_y0,corr_E_sigma_y0,acceptance_rate"
         table = np.atleast_2d(np.loadtxt(out, delimiter=",", skiprows=1))
         assert abs(table[0, 1] - 210.0) < 15.0
         assert abs(table[0, 2] - 0.25) < 0.02
         assert abs(table[0, 5]) <= 1.0
+
+    def test_stuck_replicates_warn_but_succeed(self, tmp_path, capsys):
+        """The LE-PP fit of four LE-PP specimens at the default step scale
+        accepts 6 of 1,000 proposals in each replicate: the run exits 0,
+        records the rate and warns once per replicate."""
+        code, out = self._run(
+            tmp_path,
+            {
+                "population": {
+                    "model": "LE-PP", "mean": [210.0, 0.25], "covariance": [[100.0, 0.0], [0.0, 1e-4]], "count": 4
+                },
+                "per_specimen": {"strains": GRID_12, "noise": {"stress_std": 0.01}},
+                "fit": {
+                    "model": "LE-PP",
+                    "prior": {"mean": [200.0, 0.29], "std": [50.0, 0.0167]},
+                    "sampler": {"n_samples": 1_000, "burn_in": 200},
+                },
+                "replicates": 2,
+                "seed": 4,
+            },
+        )
+        assert code == 0
+        table = np.atleast_2d(np.loadtxt(out, delimiter=",", skiprows=1))
+        assert table[:, -1].tolist() == [0.006, 0.006]
+        err = capsys.readouterr().err
+        for rep in (0, 1):
+            assert f"warning: acceptance rate 0.006 in replicate {rep} is below 0.05" in err
+        assert err.count("warning:") == 2
 
     def _sampled(self, sampler):
         return {
@@ -1198,15 +1226,56 @@ def test_fresh_import_loads_no_heavy_scipy_subpackage():
     assert done.stdout.strip() == "[]"
 
 
-def test_fresh_import_loads_neither_scipy_linalg_nor_stats():
+def test_fresh_import_loads_no_scipy_linalg_special_or_stats():
     """The prior's whitening factor comes from numpy, which is loaded
-    anyway; ``scipy.linalg`` took about 75 ms of a 0.55 s import."""
-    code = "import sys, plastinfer; print([m for m in ('scipy.linalg', 'scipy.stats') if m in sys.modules])"
+    anyway; ``scipy.linalg`` took about 75 ms of a 0.55 s import, and
+    ``scipy.special``, now imported on first use, about 0.24 s and 24 MB
+    (2-core host)."""
+    code = (
+        "import sys, plastinfer, plastinfer.cli; "
+        "print([m for m in ('scipy.linalg', 'scipy.special', 'scipy.stats') if m in sys.modules])"
+    )
     src = str(Path(plastinfer.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_fresh_stress_and_strain_target_loads_scipy_special_at_its_first_score(tmp_path):
+    """``generate`` and building an LE-LH stress-and-strain target load no
+    ``scipy.special``; the target's first score loads it and gives the bits
+    that this process, which has it loaded, computes."""
+    generate = {"model": "LE-LH", "parameters": {"E": 210.0, "sigma_y0": 0.25, "H": 50.0},
+                "strains": GRID_12, "noise": {"stress_std": 0.01, "strain_std": 1e-4}, "seed": 8}
+    config = _write_config(tmp_path, generate, "generate.json")
+    data_path = tmp_path / "data.csv"
+    prior = [[200.0, 0.29, 60.0], [[2500.0, 0.0, 0.0], [0.0, 2.7778e-4, 0.0], [0.0, 0.0, 100.0]]]
+    point = [[210.0, 0.25, 50.0], [205.0, 0.26, 55.0]]
+    code = textwrap.dedent(
+        f"""
+        import sys
+        import numpy as np
+        from plastinfer import LogPosterior, ModelKind, TruncatedNormalPrior, cli, read_measurements
+        assert cli.main(["generate", "--config", {config!r}, "--output", {str(data_path)!r}]) == 0
+        loaded = ["scipy.special" in sys.modules]
+        target = LogPosterior(ModelKind.LINEAR_HARDENING, TruncatedNormalPrior(*{prior!r}),
+                              read_measurements({str(data_path)!r}))
+        loaded.append("scipy.special" in sys.modules)
+        values = target.log_density(np.array({point!r}))
+        loaded.append("scipy.special" in sys.modules)
+        print(loaded, [v.hex() for v in values])
+        """
+    )
+    src = str(Path(plastinfer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    target = plastinfer.LogPosterior(
+        ModelKind.LINEAR_HARDENING, plastinfer.TruncatedNormalPrior(*prior), read_measurements(data_path)
+    )
+    expected = [v.hex() for v in target.log_density(np.array(point))]
+    assert done.stdout.strip().splitlines()[-1] == f"{[False, False, True]} {expected}"
 
 
 def test_fresh_lenh_double_run_loads_neither_scipy_linalg_nor_stats(tmp_path):

@@ -863,6 +863,17 @@ class TestChainStorage:
         assert loaded.config.burn_in == 0
         assert loaded.samples.shape == (10, 1)
 
+    def test_more_acceptances_than_steps_rejected(self, tmp_path):
+        """A sidecar counting more acceptances than proposals loaded and
+        reported an acceptance rate above 1."""
+        path = tmp_path / "chain.csv"
+        save_chain(self._small_chain(), path, ["E"])
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        sidecar["n_accepted"] = sidecar["n_samples"] + 1
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        with pytest.raises(ConfigurationError, match=r"sidecar n_accepted must be <= n_samples=50, got 51"):
+            load_chain(path)
+
     @pytest.mark.parametrize(
         "key, value",
         [
