@@ -22,7 +22,7 @@ import math
 import sys
 import warnings
 from collections import namedtuple
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -154,10 +154,15 @@ def _parse_fit(block: dict, context: str) -> _Fit:
     """The model kind, prior and ``SamplerConfig`` of a sampled verb's fit
     block (``identify``'s config, the ``fit`` block of ``mismatch`` and
     ``heterogeneity``), and the ``run`` function, ``run_adaptive_mh`` or
-    ``run_mh`` as the sampler's ``adaptive`` selects."""
+    ``run_mh`` as the sampler's ``adaptive`` selects; any other sampler key
+    is a configuration error naming it."""
     kind = ModelKind.parse(_require(block, "model", context))
     prior = _parse_prior(_require(block, "prior", context), kind.dimension)
     sampler = _object(_require(block, "sampler", context), "sampler")
+    known = [field.name for field in fields(SamplerConfig)] + ["adaptive"]
+    for key in sampler:
+        if key not in known:
+            raise ConfigurationError(f"sampler takes only {', '.join(map(repr, known))}; got {key!r}")
     run = run_adaptive_mh if _flag(sampler.get("adaptive", True), "sampler adaptive") else run_mh
     return _Fit(kind, prior, _read_config(sampler, "sampler"), run)
 
@@ -367,9 +372,10 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
     population's heterogeneity the pooled data can recover. With a
     ``prior`` block the closed-form stress-only route is used (linear
     elastic only); a ``fit`` block instead runs a pooled sampled
-    identification, each specimen's measurement set contributing its own
-    likelihood term, and records each replicate's acceptance rate. A seedless run draws its seed and prints it, so
-    ``--seed <printed>`` replays it.
+    identification, whose likelihood scores the points of all specimens
+    (one noise spec) in one kernel, and records each replicate's acceptance
+    rate. A seedless run draws its seed and prints it, so ``--seed
+    <printed>`` replays it.
     """
     pop_block = _object(_require(config, "population", "config"), "population")
     kind = ModelKind.parse(pop_block.get("model", "LE"))

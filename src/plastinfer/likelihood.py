@@ -29,7 +29,8 @@ Everything is composed in log space; with ten or more measurements the
 raw products underflow double precision.
 
 Each model and regime is one kernel, a function of raw parameter rows
-with the measurement set bound once (``likelihood_kernel``). A kernel
+with the measured points bound once (``likelihood_kernel``); the sets of a
+target that share a noise spec are scored as one array of points. A kernel
 scores many parameter vectors in one vectorized pass, and every row's
 value is computed from that row alone, so it has the same bits in any
 batch; ``log_likelihood`` is a one-row call.
@@ -39,12 +40,12 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MeasurementSet
+from .data import MeasurementSet, NoiseSpec
 from .errors import ConfigurationError, NumericalError
 from .models import (
     ModelKind,
@@ -97,24 +98,24 @@ class QuadratureSpec:
             raise ConfigurationError(f"panels must be an even integer >= 4, got {self.panels!r}")
 
 
-def _noise_stds(data: MeasurementSet) -> tuple[float, float | None, float]:
-    """The stress std, strain std and strain limit of ``data``, whose stds
+def _noise_stds(noise: NoiseSpec) -> tuple[float, float | None, float]:
+    """The stress std, strain std and strain limit of ``noise``, whose stds
     must be positive."""
-    noise = data.noise
     if noise.stress_std <= 0.0 or (noise.double and noise.strain_std <= 0.0):
         regime = "stress-and-strain" if noise.double else "stress-only"
         raise ConfigurationError(f"{regime} likelihood requires positive noise stds")
     return noise.stress_std, noise.strain_std, noise.strain_limit
 
 
-# Parameter rows, shape (k, dim), to one log-likelihood per row.
+# Parameter rows, shape (k, dim), to one log-likelihood per row. The regime
+# kernels below bind the measured points as two 1-D arrays: one set's, or the
+# concatenated points of the sets that share ``noise``.
 Kernel = Callable[[np.ndarray], np.ndarray]
 
 
-def _single_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
-    s, _, _ = _noise_stds(data)
-    strains, stresses = data.strains, data.stresses
-    offset = len(data) * (0.5 * _LOG_2PI + math.log(s))
+def _single_kernel(kind: ModelKind, strains: np.ndarray, stresses: np.ndarray, noise: NoiseSpec) -> Kernel:
+    s, _, _ = _noise_stds(noise)
+    offset = strains.size * (0.5 * _LOG_2PI + math.log(s))
 
     def kernel(values: np.ndarray) -> np.ndarray:
         if kind is ModelKind.NONLINEAR_HARDENING:
@@ -183,14 +184,13 @@ def _log_affine_branch(sm, em, s_sig, s_eps, intercept, slope, lo, hi) -> np.nda
     return np.where(hi > lo, log_marginal + mass, -np.inf)
 
 
-def _affine_kernel(kind: ModelKind, data: MeasurementSet) -> Kernel:
+def _affine_kernel(kind: ModelKind, em: np.ndarray, sm: np.ndarray, noise: NoiseSpec) -> Kernel:
     """Stress-and-strain kernel of LE, LE-PP and LE-LH from the columns of
     ``models._affine_columns``: the elastic branch on [0, ey] and the
     plastic one on [ey, a] (empty when ey = inf), each an (intercept, slope,
     strain interval) per parameter row, go through one (branches x rows x
     points) pass and each point's two terms are combined with logaddexp."""
-    s_sig, s_eps, a = _noise_stds(data)
-    sm, em = data.stresses, data.strains
+    s_sig, s_eps, a = _noise_stds(noise)
 
     def kernel(values: np.ndarray) -> np.ndarray:
         # (intercept, slope, lo, hi) x branch x row x 1.
@@ -288,7 +288,7 @@ _WIDTH = 8.0
 _SCREEN_MARGIN = 60.0
 
 
-def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
+def _lenh_kernel(em: np.ndarray, sm: np.ndarray, noise: NoiseSpec, quadrature: QuadratureSpec) -> Kernel:
     """Closed-form elastic branch; the plastic branch by Gauss-Legendre in
     the plastic coordinate of ``_plastic_path`` on a window of ``_WIDTH``
     strain-noise stds around each measured strain, clipped to the plastic
@@ -314,8 +314,7 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
     log is taken per window (``_log_window_sums``). As every node operation
     is elementwise or reduces over one window's nodes, neither the blocking
     nor the screen of another row changes a single bit of a row."""
-    s_sig, s_eps, a = _noise_stds(data)
-    sm, em = data.stresses, data.strains
+    s_sig, s_eps, a = _noise_stds(noise)
     window_lo, window_hi = em - _WIDTH * s_eps, np.minimum(a, em + _WIDTH * s_eps)
     unit_nodes, unit_weights = _gauss_table(quadrature.panels)
     log_norm = -_LOG_2PI - math.log(s_sig) - math.log(s_eps)
@@ -390,26 +389,38 @@ def _lenh_kernel(data: MeasurementSet, quadrature: QuadratureSpec) -> Kernel:
 
 
 def likelihood_kernel(
-    kind: ModelKind, data: MeasurementSet, quadrature: QuadratureSpec | None = None
+    kind: ModelKind, sets: Sequence[MeasurementSet], quadrature: QuadratureSpec | None = None
 ) -> Kernel:
-    """The log-likelihood of ``data`` under ``kind`` as a function of raw
-    parameter rows, shape (k, dim): finite, nonnegative, in canonical order
-    (E, sigma_y0, H, n); returns one value per row. Dispatches on the data's
-    noise regime. ``quadrature`` is only
-    meaningful for the nonlinear hardening model in the stress-and-strain
-    regime; passing it anywhere else is a configuration error.
+    """The summed log-likelihood of independent measurement ``sets`` under
+    ``kind`` as a function of raw parameter rows, shape (k, dim): finite,
+    nonnegative, in canonical order (E, sigma_y0, H, n); returns one value
+    per row, zeros when ``sets`` is empty. The sets are grouped by noise
+    spec, and each group's points are scored by one kernel of its regime.
+    ``quadrature`` is only meaningful for the nonlinear hardening model
+    with some stress-and-strain set, whose kernel gets the default when it
+    is None; passing it anywhere else is a configuration error.
     """
-    needs_quadrature = kind is ModelKind.NONLINEAR_HARDENING and data.noise.double
-    if quadrature is not None and not needs_quadrature:
+    groups: dict[NoiseSpec, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for data in sets:
+        groups.setdefault(data.noise, []).append((data.strains, data.stresses))
+    lenh = kind is ModelKind.NONLINEAR_HARDENING
+    if quadrature is not None and not (lenh and any(noise.double for noise in groups)):
         raise ConfigurationError(
             "quadrature settings only apply to the nonlinear hardening model "
             "with stress-and-strain noise"
         )
-    if not data.noise.double:
-        return _single_kernel(kind, data)
-    if needs_quadrature:
-        return _lenh_kernel(data, quadrature or QuadratureSpec())
-    return _affine_kernel(kind, data)
+    kernels = []
+    for noise, group in groups.items():
+        em, sm = np.concatenate(group, axis=1)
+        if not noise.double:
+            kernels.append(_single_kernel(kind, em, sm, noise))
+        elif lenh:
+            kernels.append(_lenh_kernel(em, sm, noise, quadrature or QuadratureSpec()))
+        else:
+            kernels.append(_affine_kernel(kind, em, sm, noise))
+    if len(kernels) == 1:
+        return kernels[0]
+    return lambda values: sum((kernel(values) for kernel in kernels), np.zeros(len(values)))
 
 
 def log_likelihood(
@@ -420,5 +431,5 @@ def log_likelihood(
 ) -> float:
     """Log-likelihood of ``data`` under ``kind`` with parameters ``x``; see
     ``likelihood_kernel``."""
-    kernel = likelihood_kernel(kind, data, quadrature)
+    kernel = likelihood_kernel(kind, [data], quadrature)
     return float(kernel(np.array([_components(x, kind)]))[0])

@@ -99,18 +99,15 @@ class LogPosterior:
     ``log_density`` scores a stack of parameter arrays in one vectorized
     pass; calling the target on one array is a one-row ``log_density``.
     Off the nonnegative orthant the value is ``-inf`` and the likelihood is
-    never touched, so the samplers can propose freely. Each set's
-    likelihood kernel is resolved once, here; a call then works on raw
-    arrays, and each row's value has the same bits in any batch.
+    never touched, so the samplers can propose freely. The likelihood
+    kernel of all the sets is resolved once, here (``likelihood_kernel``,
+    which also judges ``quadrature``); a call then works on raw arrays, and
+    each row's value has the same bits in any batch.
 
     ``data`` may be one measurement set, a sequence of sets (independent
     specimens pooled into one identification: their log-likelihoods add),
     or ``None`` for the bare truncated prior; the last is the cheapest way
     to exercise a sampler against a distribution with known moments.
-    ``quadrature`` goes to the kernels of the stress-and-strain sets of the
-    nonlinear hardening model, which ``likelihood_kernel`` gives its
-    default when it is None; given to any other target, it is a
-    configuration error.
     """
 
     def __init__(
@@ -133,18 +130,10 @@ class LogPosterior:
             sets = tuple(data)
             if not sets:
                 raise ConfigurationError("an empty sequence of measurement sets is ambiguous; pass None for a prior-only target")
-        needs_quadrature = kind is ModelKind.NONLINEAR_HARDENING and any(s.noise.double for s in sets)
-        if quadrature is not None and not needs_quadrature:
-            raise ConfigurationError(
-                "quadrature settings only apply to the nonlinear hardening "
-                "model with stress-and-strain data"
-            )
         self.kind = kind
         self.prior = prior
         self.data = sets
-        self._kernels = tuple(
-            likelihood_kernel(kind, s, quadrature if s.noise.double else None) for s in sets
-        )
+        self._kernel = likelihood_kernel(kind, sets, quadrature)
 
     @property
     def dimension(self) -> int:
@@ -162,13 +151,9 @@ class LogPosterior:
         lp = self.prior.log_density(points)
         live = lp > -np.inf
         if live.all():
-            for kernel in self._kernels:
-                lp += kernel(points)
+            lp += self._kernel(points)
         elif live.any():
-            rows, total = points[live], lp[live]
-            for kernel in self._kernels:
-                total += kernel(rows)
-            lp[live] = total
+            lp[live] += self._kernel(points[live])
         return lp
 
     def __call__(self, values: np.ndarray) -> float:

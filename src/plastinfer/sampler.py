@@ -512,10 +512,11 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     Returns the chain and the parameter names from the sidecar, whose
     settings go through the reader of the CLI's sampler block, every key
     required: a missing or mistyped one is a configuration error naming its
-    key, and so is an ``n_accepted`` above ``n_samples``, a sidecar or table
-    that cannot be read, or a table without rows. A table whose row count
-    differs from the sidecar's ``n_samples`` is loaded as it stands, with
-    ``burn_in`` reset to 0, and a ``UserWarning`` names both counts.
+    key, and so is a sidecar or table that cannot be read, or a table
+    without rows. A table whose row count differs from the sidecar's
+    ``n_samples`` is loaded as it stands, with ``burn_in`` reset to 0, and a
+    ``UserWarning`` names both counts. An ``n_accepted`` above the number
+    of loaded samples is a configuration error.
     """
     path = Path(path)
     sidecar = _read_object(path.with_suffix(".json"), "chain sidecar")
@@ -526,8 +527,6 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     names = _strings(sidecar.get("parameter_names"), "sidecar parameter_names", table.shape[1] - 1)
     config = _read_config(sidecar, "chain sidecar", required=True)
     n_accepted = _integer(sidecar.get("n_accepted"), "sidecar n_accepted", 0)
-    if n_accepted > config.n_samples:
-        raise ConfigurationError(f"sidecar n_accepted must be <= n_samples={config.n_samples}, got {n_accepted}")
     if table.shape[0] != config.n_samples:
         warnings.warn(
             f"{path} holds {table.shape[0]} rows but its sidecar records "
@@ -536,4 +535,6 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
             stacklevel=2,
         )
         config = replace(config, n_samples=table.shape[0], burn_in=0)
+    if n_accepted > config.n_samples:
+        raise ConfigurationError(f"sidecar n_accepted must be <= n_samples={config.n_samples}, got {n_accepted}")
     return Chain(table[:, :-1], table[:, -1], n_accepted, config), names

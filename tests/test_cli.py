@@ -1121,6 +1121,12 @@ class TestTypedConfigReads:
         err = capsys.readouterr().err
         assert f"{key} must be" in err and f"got {bad!r}" in err
 
+    @pytest.mark.parametrize("key", ["burnin", "n_sample", "credible_level"])
+    def test_unknown_sampler_key_exits_2(self, tmp_path, capsys, key):
+        # "burnin" for "burn_in" was dropped: exit 0 with burn_in 0.
+        assert cli.main(self._identify(tmp_path, sampler={key: 200})) == 2
+        assert f"got {key!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None])
     def test_bad_regime_switch_exits_2(self, tmp_path, capsys, bad):
         # Stress-only data under a stress-and-strain noise block: "false"

@@ -583,7 +583,7 @@ class TestNonlinearQuadratureAccuracy:
         is narrow against a window set by the strain noise alone."""
         kind = ModelKind.NONLINEAR_HARDENING
         for mset, rows in self.sets(family):
-            got = likelihood_kernel(kind, mset)(rows)
+            got = likelihood_kernel(kind, [mset])(rows)
             for row, value in zip(rows, got):
                 want = sum(
                     _strain_space_lenh_point(row, sm, em, 0.01, 1e-4)
@@ -713,8 +713,9 @@ class TestGuards:
         double = _double_set([1e-3, 2e-3], [0.20, 0.24])
         kind = ModelKind.PERFECT_PLASTICITY
         row = x.to_array()[None, :]
-        assert log_likelihood(x, kind, single) == likelihood._single_kernel(kind, single)(row)[0]
-        assert log_likelihood(x, kind, double) == likelihood._affine_kernel(kind, double)(row)[0]
+        for mset, regime_kernel in ((single, likelihood._single_kernel), (double, likelihood._affine_kernel)):
+            want = regime_kernel(kind, mset.strains, mset.stresses, mset.noise)(row)[0]
+            assert log_likelihood(x, kind, mset) == want
 
 
 def _two_form_log_gauss_mass(lo_z, hi_z):
@@ -1047,7 +1048,7 @@ class TestBlockedQuadrature:
     def _kernel(self, panels=QuadratureSpec.panels):
         kind = ModelKind.NONLINEAR_HARDENING
         mset = generate_double_noise(self.TRUTH, kind, GRID_12, 0.01, self.S_EPS, seed=4)
-        return likelihood_kernel(kind, mset, QuadratureSpec(panels=panels)), mset.strains
+        return likelihood_kernel(kind, [mset], QuadratureSpec(panels=panels)), mset.strains
 
     def _rows(self, rng, count, strains):
         """Rows mixing both plastic coordinates (n < 1 with H > 0, n >= 1,
@@ -1149,7 +1150,7 @@ class TestScreen:
         monkeypatch.setattr(likelihood, "_plastic_groups", counting)
         dropped = 0
         for mset, rows in self._batches():
-            kernel = likelihood_kernel(ModelKind.NONLINEAR_HARDENING, mset)
+            kernel = likelihood_kernel(ModelKind.NONLINEAR_HARDENING, [mset])
             screened = kernel(rows)
             with monkeypatch.context() as patch:
                 patch.setattr(likelihood, "_SCREEN_MARGIN", math.inf)
@@ -1201,7 +1202,7 @@ class TestYieldWindow:
                         + [[210.0, 0.25, 0.0, 0.5], [200.0, 0.2, 50.0, 1.0], [210.0, 0.25, 2.0, 0.57]])
         want = [sum(_strain_space_lenh_point(row, sm, em, 0.01, 1e-4) for em, sm in zip(strains, stresses))
                 for row in rows[: len(self.AT_YIELD)]]
-        got = likelihood_kernel(kind, mset)(rows)
+        got = likelihood_kernel(kind, [mset])(rows)
         for value, ref in zip(got, want):
             assert abs(math.expm1(value - ref)) < 1e-12
         size = likelihood._gauss_table(QuadratureSpec.panels)[0].size
@@ -1209,6 +1210,6 @@ class TestYieldWindow:
         plain = (0.5 * (u + 1.0), 0.5 * w)
         assert plain[0].size == plain[1].size == size == 97
         monkeypatch.setattr(likelihood, "_gauss_table", lambda panels: plain)
-        unclustered = likelihood_kernel(kind, mset)(rows)
+        unclustered = likelihood_kernel(kind, [mset])(rows)
         for value, ref in zip(unclustered, want):
             assert abs(math.expm1(value - ref)) > 1e-9

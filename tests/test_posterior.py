@@ -180,21 +180,26 @@ class TestLogPosterior:
         )
         assert target(x) == pytest.approx(want, rel=1e-14)
 
-    def test_pooled_sets_sum(self):
-        """Several specimens pool by adding their log-likelihoods."""
-        x_true = ParameterVector(E=210.0)
-        grid = np.linspace(2e-4, 2e-3, 8)
-        sets = [
-            generate_single_noise(x_true, ModelKind.LINEAR_ELASTIC, grid, NOISE_STD, seed=s)
-            for s in (0, 1, 2)
-        ]
-        prior = _prior_le()
-        pooled = LogPosterior(ModelKind.LINEAR_ELASTIC, prior, sets)
-        x = np.array([208.0])
-        parts = sum(
-            log_likelihood(ParameterVector(E=208.0), ModelKind.LINEAR_ELASTIC, s) for s in sets
-        )
-        assert pooled(x) == pytest.approx(prior.log_density(x) + parts, rel=1e-14)
+    @pytest.mark.parametrize("regimes", ["stress-only", "stress-and-strain", "mixed"])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_pooled_sets_sum(self, kind, regimes):
+        """Several specimens pool by adding their log-likelihoods: the
+        pooled target, which scores the sets that share a noise spec as one
+        array of points, equals the prior plus the one-set likelihoods.
+        The mixed pool holds two noise specs of each regime."""
+        x = ParameterVector.from_array(kind, TRUTHS[kind])
+        grid = np.linspace(2.4e-4, 2.88e-3, 8)
+        stds = (NOISE_STD, NOISE_STD, 0.02)
+        single = [generate_single_noise(x, kind, grid, std, seed=s) for s, std in enumerate(stds)]
+        double = [generate_double_noise(x, kind, grid, std, 1e-4, seed=3 + s) for s, std in enumerate(stds)]
+        sets = {"stress-only": single[:2], "stress-and-strain": double[:2], "mixed": single + double}[regimes]
+        prior = _case_target(kind, "prior-only").prior
+        scales = np.array([[1.0, 1.0, 1.0, 1.0], [0.98, 1.04, 0.9, 1.05], [1.02, 0.97, 1.1, 0.95]])
+        rows = np.array(TRUTHS[kind]) * scales[:, : kind.dimension]
+        got = LogPosterior(kind, prior, sets).log_density(rows)
+        for row, value in zip(rows, got):
+            parts = sum(log_likelihood(ParameterVector.from_array(kind, row), kind, s) for s in sets)
+            assert value == pytest.approx(prior.log_density(row) + parts, rel=1e-14, abs=0.0)
 
     def test_pooled_mixed_regimes(self):
         """Stress-only and both-noise specimens can share one posterior."""
@@ -215,11 +220,23 @@ class TestLogPosterior:
         with pytest.raises(ConfigurationError):
             LogPosterior(ModelKind.PERFECT_PLASTICITY, _prior_le(), _single_point_set())
 
-    def test_quadrature_misuse_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LogPosterior(
-                ModelKind.LINEAR_ELASTIC, _prior_le(), _single_point_set(), QuadratureSpec()
-            )
+    @pytest.mark.parametrize("case", ["le-stress-only", "lenh-prior-only", "lenh-stress-only-pool"])
+    def test_quadrature_misuse_rejected(self, case):
+        """A quadrature is rejected by every target without an LE-NH
+        stress-and-strain set."""
+        lenh = ModelKind.NONLINEAR_HARDENING
+        x = ParameterVector.from_array(lenh, TRUTHS[lenh])
+        grid = np.linspace(5e-4, 4e-3, 6)
+        kind, data = {
+            "le-stress-only": (ModelKind.LINEAR_ELASTIC, _single_point_set()),
+            "lenh-prior-only": (lenh, None),
+            "lenh-stress-only-pool": (
+                lenh, [generate_single_noise(x, lenh, grid, NOISE_STD, seed=s) for s in (0, 1)]
+            ),
+        }[case]
+        prior = _case_target(kind, "prior-only").prior
+        with pytest.raises(ConfigurationError, match="quadrature settings only apply"):
+            LogPosterior(kind, prior, data, QuadratureSpec())
 
     def test_implicit_double_gets_default_quadrature(self):
         x_true = ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.5)
@@ -237,6 +254,11 @@ class TestLogPosterior:
         rows = x_true.to_array() * np.array([[1.0, 1.0, 1.0, 1.0], [0.98, 1.04, 0.9, 1.05], [1.02, 0.97, 1.1, 0.95]])
         assert np.array_equal(bare.log_density(rows), explicit.log_density(rows))
         assert not np.array_equal(bare.log_density(rows), coarse.log_density(rows))
+        # In a pool, the quadrature reaches the stress-and-strain group.
+        pool = [generate_single_noise(x_true, ModelKind.NONLINEAR_HARDENING, grid, NOISE_STD, seed=4), mset]
+        mixed = LogPosterior(ModelKind.NONLINEAR_HARDENING, prior, pool)
+        mixed_coarse = LogPosterior(ModelKind.NONLINEAR_HARDENING, prior, pool, QuadratureSpec(panels=8))
+        assert not np.array_equal(mixed.log_density(rows), mixed_coarse.log_density(rows))
 
     def test_grid_argmax_perfect_plasticity(self):
         """2-D grid maximization recovers exact-data truth for LE-PP."""

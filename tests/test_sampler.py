@@ -852,9 +852,13 @@ class TestChainStorage:
     def test_truncated_table_adjusts_config(self, tmp_path):
         # A hand-edited table no longer matches the sidecar's run length;
         # the loader keeps the rows it sees, clears the burn-in and says so.
+        # The sidecar's acceptances must fit in the rows kept.
         chain = self._small_chain()
         path = tmp_path / "chain.csv"
         save_chain(chain, path, ["E"])
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        sidecar["n_accepted"] = 10
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:11]) + "\n")
         with pytest.warns(UserWarning, match=rf"10 rows .*n_samples={chain.config.n_samples}"):
@@ -862,16 +866,21 @@ class TestChainStorage:
         assert loaded.config.n_samples == 10
         assert loaded.config.burn_in == 0
         assert loaded.samples.shape == (10, 1)
+        assert loaded.acceptance_rate == 1.0
 
-    def test_more_acceptances_than_steps_rejected(self, tmp_path):
-        """A sidecar counting more acceptances than proposals loaded and
-        reported an acceptance rate above 1."""
+    @pytest.mark.filterwarnings("ignore:.* rows but its sidecar records:UserWarning")
+    @pytest.mark.parametrize("n_accepted, rows", [(51, 50), (40, 10)], ids=["steps", "loaded-rows"])
+    def test_more_acceptances_than_steps_rejected(self, tmp_path, n_accepted, rows):
+        """A sidecar counting more acceptances than the samples loaded
+        loaded and reported an acceptance rate above 1: 51 over 50 steps,
+        or 4.0 for 40 acceptances once the table was cut to 10 rows."""
         path = tmp_path / "chain.csv"
         save_chain(self._small_chain(), path, ["E"])
         sidecar = json.loads(path.with_suffix(".json").read_text())
-        sidecar["n_accepted"] = sidecar["n_samples"] + 1
+        sidecar["n_accepted"] = n_accepted
         path.with_suffix(".json").write_text(json.dumps(sidecar))
-        with pytest.raises(ConfigurationError, match=r"sidecar n_accepted must be <= n_samples=50, got 51"):
+        path.write_text("\n".join(path.read_text().splitlines()[: rows + 1]) + "\n")
+        with pytest.raises(ConfigurationError, match=rf"sidecar n_accepted must be <= n_samples={rows}, got {n_accepted}"):
             load_chain(path)
 
     @pytest.mark.parametrize(
