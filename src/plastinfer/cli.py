@@ -82,41 +82,42 @@ def _warn_low_acceptance(rate: float, where: str = "") -> None:
 
 
 def _parse_parameters(kind: ModelKind, block: object) -> ParameterVector:
-    block = _object(block, "parameters")
-    extra = set(block) - set(kind.parameter_names)
-    if extra:
-        raise ConfigurationError(
-            f"parameters {sorted(extra)} are not used by {kind.value}; "
-            f"expected {list(kind.parameter_names)}"
-        )
+    block = _object(block, "parameters", kind.parameter_names)
     context = f"parameters for {kind.value}"
     values = [_number(_require(block, name, context), name) for name in kind.parameter_names]
     return ParameterVector.from_array(kind, np.array(values))
 
 
-def _parse_strains(block: object) -> np.ndarray:
+def _grid(block: object, name: str, keys: tuple, make) -> np.ndarray:
+    """The grid that ``block`` describes: a flat list of numbers, or an
+    object of the three ``keys``, two numbers and a count >= 1, from which
+    ``make`` builds it."""
     if isinstance(block, list):
-        return _numbers(block, "strains")
-    if isinstance(block, dict):
-        start = _number(_require(block, "start", "'strains'"), "strains start")
-        step = _number(_require(block, "step", "'strains'"), "strains step")
-        count = _integer(_require(block, "count", "'strains'"), "strains count", 1)
-        return start + step * np.arange(count)
-    raise ConfigurationError(f"strains must be a list or a start/step/count object, got {block!r}")
+        return _numbers(block, name)
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{name} must be a list or a {'/'.join(keys)} object, got {block!r}")
+    block = _object(block, name, keys)
+    first, second = (_number(_require(block, key, name), f"{name} {key}") for key in keys[:2])
+    return make(first, second, _integer(_require(block, keys[2], name), f"{name} {keys[2]}", 1))
+
+
+def _parse_strains(block: object) -> np.ndarray:
+    keys = ("start", "step", "count")
+    return _grid(block, "strains", keys, lambda start, step, count: start + step * np.arange(count))
 
 
 def _parse_prior(block: object, dimension: int) -> TruncatedNormalPrior:
     """The prior block of every verb: ``mean`` plus either ``covariance`` or
     ``std``, one std entry > 0 per mean entry; a number stands for a
     one-entry list."""
-    block = _object(block, "prior")
-    mean = np.atleast_1d(_numbers(_require(block, "mean", "'prior'"), "prior mean"))
+    block = _object(block, "prior", ("mean", "covariance", "std"))
+    mean = _numbers(_require(block, "mean", "'prior'"), "prior mean")
     if "covariance" in block and "std" in block:
         raise ConfigurationError("give the prior either 'covariance' or 'std', not both")
     if "covariance" in block:
-        covariance = _numbers(block["covariance"], "prior covariance")
+        covariance = _numbers(block["covariance"], "prior covariance", 2)
     elif "std" in block:
-        std = np.atleast_1d(_numbers(block["std"], "prior std"))
+        std = _numbers(block["std"], "prior std")
         if std.shape != mean.shape or not np.all(std > 0.0):
             raise ConfigurationError(f"prior std must be > 0, one entry per mean entry, got {block['std']!r}")
         covariance = np.diag(std * std)
@@ -148,42 +149,38 @@ def _seed(override: int | None, pinned: object, stream: np.random.Generator | No
 
 
 _Fit = namedtuple("_Fit", "kind prior sampler run")
+# Keys read by _parse_fit, by it and _run_identification, by _generate and by _apply_noise_override.
+_FIT_KEYS = ("model", "prior", "sampler")
+_RUN_KEYS = (*_FIT_KEYS, "quadrature", "band")
+_SET_KEYS = ("model", "parameters", "strains", "noise")
+_NOISE_OVERRIDE_KEYS = ("noise", "allow_regime_change")
 
 
 def _parse_fit(block: dict, context: str) -> _Fit:
     """The model kind, prior and ``SamplerConfig`` of a sampled verb's fit
     block (``identify``'s config, the ``fit`` block of ``mismatch`` and
     ``heterogeneity``), and the ``run`` function, ``run_adaptive_mh`` or
-    ``run_mh`` as the sampler's ``adaptive`` selects; any other sampler key
-    is a configuration error naming it."""
+    ``run_mh`` as the sampler's ``adaptive`` selects."""
     kind = ModelKind.parse(_require(block, "model", context))
     prior = _parse_prior(_require(block, "prior", context), kind.dimension)
-    sampler = _object(_require(block, "sampler", context), "sampler")
-    known = [field.name for field in fields(SamplerConfig)] + ["adaptive"]
-    for key in sampler:
-        if key not in known:
-            raise ConfigurationError(f"sampler takes only {', '.join(map(repr, known))}; got {key!r}")
+    known = (*(field.name for field in fields(SamplerConfig)), "adaptive")
+    sampler = _object(_require(block, "sampler", context), "sampler", known)
     run = run_adaptive_mh if _flag(sampler.get("adaptive", True), "sampler adaptive") else run_mh
     return _Fit(kind, prior, _read_config(sampler, "sampler"), run)
 
 
-def _parse_quadrature(config: dict) -> QuadratureSpec | None:
-    block = config.get("quadrature")
+def _parse_quadrature(block: object) -> QuadratureSpec | None:
     if block is None:
         return None
-    block = _object(block, "quadrature")
-    for key in block:
-        if key != "panels":
-            raise ConfigurationError(f"quadrature takes only 'panels', got {key!r}")
+    block = _object(block, "quadrature", tuple(field.name for field in fields(QuadratureSpec)))
     return QuadratureSpec(panels=_integer(block.get("panels", QuadratureSpec.panels), "quadrature panels"))
 
 
 def _apply_noise_override(data: MeasurementSet, config: dict) -> MeasurementSet:
     allow = _flag(config.get("allow_regime_change", False), "allow_regime_change")
-    block = config.get("noise")
-    if block is None:
+    if config.get("noise") is None:
         return data
-    override = _parse_noise(block)
+    override = _parse_noise(config["noise"])
     if override.double != data.noise.double and not allow:
         raise ConfigurationError(
             "config noise regime differs from the dataset sidecar; set "
@@ -233,8 +230,8 @@ def _run_identification(
     ``quadrature`` and ``band`` blocks, and ``summary.json`` records the run
     seed ``seed``."""
     kind = fit.kind
-    quadrature = _parse_quadrature(config)
-    band = _object(config.get("band", {}), "band")
+    quadrature = _parse_quadrature(config.get("quadrature"))
+    band = _object(config.get("band", {}), "band", ("max_strain", "count", "samples"))
     max_strain = _number(band.get("max_strain", data.strains.max().item()), "band max_strain")
     if max_strain < 0.0:
         raise ConfigurationError(f"band max_strain must be >= 0, got {max_strain!r}")
@@ -317,22 +314,11 @@ def _cmd_prior_sweep(args: argparse.Namespace, config: dict) -> int:
     data = _apply_noise_override(read_measurements(args.data), config)
     if data.noise.double:
         raise ConfigurationError("the prior sweep uses the closed-form stress-only posterior")
-    grid = _object(_require(config, "prior_grid", "config"), "prior_grid")
-
-    def _axis(key: str) -> np.ndarray:
-        name = f"prior_grid {key}"
-        block = _require(grid, key, "'prior_grid'")
-        if isinstance(block, list):
-            return _numbers(block, name)
-        if isinstance(block, dict):
-            return np.linspace(
-                _number(_require(block, "start", name), f"{name} start"),
-                _number(_require(block, "stop", name), f"{name} stop"),
-                _integer(_require(block, "count", name), f"{name} count", 1),
-            )
-        raise ConfigurationError(f"{name} must be a list or a start/stop/count object, got {block!r}")
-
-    means, stds = _axis("mean"), _axis("std")
+    grid = _object(_require(config, "prior_grid", "config"), "prior_grid", ("mean", "std"))
+    means, stds = (
+        _grid(_require(grid, key, "'prior_grid'"), f"prior_grid {key}", ("start", "stop", "count"), np.linspace)
+        for key in ("mean", "std")
+    )
     if np.any(stds <= 0.0):
         raise ConfigurationError(f"prior_grid std must be > 0, got {float(stds.min())!r}")
     counts = _require(config, "counts", "config")
@@ -377,17 +363,18 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
     rate. A seedless run draws its seed and prints it, so ``--seed
     <printed>`` replays it.
     """
-    pop_block = _object(_require(config, "population", "config"), "population")
+    keys = ("model", "mean", "covariance", "count")
+    pop_block = _object(_require(config, "population", "config"), "population", keys)
     kind = ModelKind.parse(pop_block.get("model", "LE"))
     population = SpecimenPopulation(
         kind=kind,
-        mean=np.atleast_1d(_numbers(_require(pop_block, "mean", "'population'"), "population mean")),
+        mean=_numbers(_require(pop_block, "mean", "'population'"), "population mean"),
         covariance=np.atleast_2d(
-            _numbers(_require(pop_block, "covariance", "'population'"), "population covariance")
+            _numbers(_require(pop_block, "covariance", "'population'"), "population covariance", 2)
         ),
         count=_integer(_require(pop_block, "count", "'population'"), "population count", 1),
     )
-    per_specimen = _object(_require(config, "per_specimen", "config"), "per_specimen")
+    per_specimen = _object(_require(config, "per_specimen", "config"), "per_specimen", ("strains", "noise"))
     strains = _parse_strains(_require(per_specimen, "strains", "'per_specimen'"))
     noise = _parse_noise(_require(per_specimen, "noise", "'per_specimen'"))
     if noise.double:
@@ -411,7 +398,7 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
             return posterior.mean, posterior.std
 
     else:
-        fit = _parse_fit(_object(fit, "fit"), "'fit'")
+        fit = _parse_fit(_object(fit, "fit", _FIT_KEYS), "'fit'")
         if fit.kind is not kind:
             raise ConfigurationError(
                 f"the pooled fit uses the population model; got {fit.kind.value} vs {kind.value}"
@@ -458,17 +445,18 @@ def _cmd_mismatch(args: argparse.Namespace, config: dict) -> int:
         raise ConfigurationError(
             'fitting a model other than the generating one requires "allow_mismatch": true'
         )
-    truth = _object(_require(config, "truth", "config"), "truth")
-    block = _object(_require(config, "fit", "config"), "fit")
+    truth = _object(_require(config, "truth", "config"), "truth", _SET_KEYS)
+    block = _object(_require(config, "fit", "config"), "fit", _RUN_KEYS)
     fit = _parse_fit(block, "'fit'")
     seed = _seed(args.seed, config.get("seed"))
     data = _generate(truth, seed, "'truth'")
     chain_seed = _seed(None, fit.sampler.seed, np.random.default_rng(seed).spawn(3)[2])
 
+    # Data last: a bad fit.quadrature or fit.band block exits 2 with nothing written.
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _run_identification(data, block, fit, out_dir, seed, chain_seed)
     write_measurements(data, out_dir / "data.csv")
-    return _run_identification(data, block, fit, out_dir, seed, chain_seed)
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -478,41 +466,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
+    def _common(p: argparse.ArgumentParser, keys: tuple, seeded: bool = True) -> None:
         p.add_argument("--config", required=True, help="JSON configuration file")
+        p.set_defaults(keys=keys)
         if seeded:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p = sub.add_parser("generate", help="synthesize a noisy measurement set")
-    _common(p)
+    _common(p, (*_SET_KEYS, "seed"))
     p.add_argument("--output", required=True, help="measurement CSV to write")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("identify", help="sample the posterior for one dataset")
-    _common(p)
+    _common(p, (*_RUN_KEYS, *_NOISE_OVERRIDE_KEYS))
     p.add_argument("--data", required=True, help="measurement CSV written by 'generate'")
     p.add_argument("--output-dir", required=True, help="directory for chain and summary")
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("analytic", help="closed-form linear-elastic posterior")
-    _common(p, seeded=False)
+    _common(p, ("prior", *_NOISE_OVERRIDE_KEYS), seeded=False)
     p.add_argument("--data", required=True, help="measurement CSV")
     p.add_argument("--output", default=None, help="optional JSON result path")
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("prior-sweep", help="map spread over a prior grid vs data count")
-    _common(p, seeded=False)
+    _common(p, ("prior_grid", "counts", *_NOISE_OVERRIDE_KEYS), seeded=False)
     p.add_argument("--data", required=True, help="measurement CSV")
     p.add_argument("--output", required=True, help="CSV of spreads to write")
     p.set_defaults(func=_cmd_prior_sweep)
 
     p = sub.add_parser("heterogeneity", help="pooled identification over a specimen population")
-    _common(p)
+    _common(p, ("population", "per_specimen", "replicates", "seed", "prior", "fit"))
     p.add_argument("--output", required=True, help="CSV of replicate posteriors to write")
     p.set_defaults(func=_cmd_heterogeneity)
 
     p = sub.add_parser("mismatch", help="generate from one model and fit another")
-    _common(p)
+    _common(p, ("allow_mismatch", "truth", "fit", "seed"))
     p.add_argument("--output-dir", required=True, help="directory for data, chain and summary")
     p.set_defaults(func=_cmd_mismatch)
     return parser
@@ -521,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, _read_object(args.config, "config"))
+        return args.func(args, _object(_read_object(args.config, "config"), f"{args.command} config", args.keys))
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -148,10 +148,14 @@ def _require(block: dict, key: str, context: str) -> object:
     return block[key]
 
 
-def _object(value: object, name: str) -> dict:
-    """``value`` if it is a JSON object, else a configuration error."""
+def _object(value: object, name: str, keys: tuple | None = None) -> dict:
+    """``value`` if it is a JSON object holding no key outside ``keys`` (any
+    key when None), else a configuration error naming the first other key."""
     if not isinstance(value, dict):
         raise ConfigurationError(f"{name} must be an object, got {value!r}")
+    others = [key for key in value if keys is not None and key not in keys]
+    if others:
+        raise ConfigurationError(f"{name} takes only {', '.join(map(repr, keys))}; got {others[0]!r}")
     return value
 
 
@@ -165,18 +169,22 @@ def _number(value: object, name: str) -> float:
     return float(value)
 
 
-def _numbers(value: object, name: str) -> np.ndarray:
-    """``value``, a number or a rectangular nested list of numbers, as a
-    float array; each number is read by :func:`_number`."""
+def _numbers(value: object, name: str, ndim: int = 1) -> np.ndarray:
+    """``value``, a number or a rectangular list of numbers nested at most
+    ``ndim`` deep, as a float array of 1 to ``ndim`` dimensions; each number
+    is read by :func:`_number`, and a deeper list is never flattened."""
 
     def read(item: object) -> object:
         return [read(entry) for entry in item] if isinstance(item, list) else _number(item, name)
 
     numbers = read(value)
     try:
-        return np.asarray(numbers, dtype=float)
+        array = np.atleast_1d(np.asarray(numbers, dtype=float))
     except ValueError:
         raise ConfigurationError(f"{name} must be a rectangular list, got {value!r}") from None
+    if array.ndim > ndim:
+        raise ConfigurationError(f"{name} must be at most {ndim}-D, got {value!r}")
+    return array
 
 
 def _integer(value: object, name: str, minimum: int | None = None) -> int:
@@ -208,15 +216,20 @@ def _flag(value: object, name: str) -> bool:
 
 def _parse_noise(block: object) -> NoiseSpec:
     """The noise block of a config or a dataset sidecar: ``stress_std``,
-    plus ``strain_std`` for the stress-and-strain regime and
-    ``strain_limit`` for a bounded tester (null or absent: unbounded)."""
-    block = _object(block, "noise")
+    plus ``strain_std`` for the stress-and-strain regime, ``strain_limit``
+    for a bounded tester (null or absent: unbounded) and ``regime``, which,
+    when given, must name the regime that ``strain_std`` selects."""
+    block = _object(block, "noise", ("regime", "stress_std", "strain_std", "strain_limit"))
     strain_std, limit = block.get("strain_std"), block.get("strain_limit")
-    return NoiseSpec(
+    noise = NoiseSpec(
         stress_std=_number(_require(block, "stress_std", "'noise'"), "stress_std"),
         strain_std=None if strain_std is None else _number(strain_std, "strain_std"),
         strain_limit=math.inf if limit is None else _number(limit, "strain_limit"),
     )
+    regime = "stress-strain" if noise.double else "stress-only"
+    if block.get("regime", regime) != regime:
+        raise ConfigurationError(f"regime {block['regime']!r} disagrees with strain_std {strain_std!r}")
+    return noise
 
 
 def _check_strain_grid(strains) -> np.ndarray:
@@ -391,9 +404,7 @@ def _parse_sidecar(path) -> tuple[NoiseSpec, str]:
     raw = _read_object(path, "sidecar")
     try:
         noise = _parse_noise(_require(raw, "noise", "sidecar"))
-        regime = _require(raw["noise"], "regime", "sidecar noise")
-        if regime != ("stress-strain" if noise.double else "stress-only"):
-            raise ConfigurationError(f"regime {regime!r} disagrees with strain_std {noise.strain_std!r}")
+        _require(raw["noise"], "regime", "sidecar noise")
     except ConfigurationError as err:
         raise ConfigurationError(f"invalid sidecar {path}: {err}") from None
     return noise, str(raw.get("provenance", ""))

@@ -339,7 +339,10 @@ def test_unreadable_data_exits_2(tmp_path, capsys, verb, binary):
         data_path.write_bytes(b"\x89PNG\r\n\x1a\n\xff")
     else:
         data_path.mkdir()
-    config = _identify_config(tmp_path, sampler={"n_samples": 20, "seed": 1})
+    if verb == "analytic":
+        config = _write_config(tmp_path, {"prior": {"mean": 200.0, "std": 50.0}})
+    else:
+        config = _identify_config(tmp_path, sampler={"n_samples": 20, "seed": 1})
     argv = [verb, "--config", config, "--data", str(data_path)]
     argv += ["--output-dir", str(tmp_path / "run")] if verb == "identify" else []
     assert cli.main(argv) == 2
@@ -878,7 +881,7 @@ class TestQuadratureBlock:
     def test_other_key_exits_2(self, tmp_path, capsys, block):
         assert cli.main(self._argv(tmp_path, block)) == 2
         key = next(k for k in block if k != "panels")
-        assert f"quadrature takes only 'panels', got {key!r}" in capsys.readouterr().err
+        assert f"quadrature takes only 'panels'; got {key!r}" in capsys.readouterr().err
 
     def test_valid_block_runs(self, tmp_path):
         assert cli.main(self._argv(tmp_path, {"panels": 256})) == 0
@@ -1204,6 +1207,146 @@ class TestOnePriorReader:
             assert cli.main(TestTypedConfigReads()._argv(tmp_path, verb, {"prior": prior})) == 0
             written.append((tmp_path / "out").read_bytes())
         assert written[0] == written[1]
+
+
+_SAMPLER_KEYS = "'n_samples', 'burn_in', 'step_scale', 'initial', 'adapt_every', 'history_cap', 'seed', 'adaptive'"
+_LE_FIT = {"model": "LE", "prior": {"mean": 200.0, "std": 50.0}, "sampler": {"n_samples": 50}}
+
+# One misspelt key per block: (verb, changes, the message of the error).
+_MISSPELT = [
+    (
+        "generate", {"seeds": 5},
+        "generate config takes only 'model', 'parameters', 'strains', 'noise', 'seed'; got 'seeds'",
+    ),
+    (
+        "identify", {"seed": 5},
+        "identify config takes only 'model', 'prior', 'sampler', 'quadrature', 'band', 'noise', "
+        "'allow_regime_change'; got 'seed'",
+    ),
+    (
+        "analytic", {"model": "LE"},
+        "analytic config takes only 'prior', 'noise', 'allow_regime_change'; got 'model'",
+    ),
+    (
+        "prior-sweep", {"count": [0]},
+        "prior-sweep config takes only 'prior_grid', 'counts', 'noise', 'allow_regime_change'; got 'count'",
+    ),
+    (
+        "heterogeneity", {"replicate": 2},
+        "heterogeneity config takes only 'population', 'per_specimen', 'replicates', 'seed', 'prior', "
+        "'fit'; got 'replicate'",
+    ),
+    (
+        "mismatch", {"seeds": 6},
+        "mismatch config takes only 'allow_mismatch', 'truth', 'fit', 'seed'; got 'seeds'",
+    ),
+    (
+        "generate", {"noise.strain_sd": 1e-4},
+        "noise takes only 'regime', 'stress_std', 'strain_std', 'strain_limit'; got 'strain_sd'",
+    ),
+    ("generate", {"strains.stop": 3e-3}, "strains takes only 'start', 'step', 'count'; got 'stop'"),
+    ("generate", {"parameters.H": 50.0}, "parameters takes only 'E', 'sigma_y0'; got 'H'"),
+    ("identify", {"prior.sd": [50.0, 0.0167]}, "prior takes only 'mean', 'covariance', 'std'; got 'sd'"),
+    ("identify", {"sampler.burnin": 50}, f"sampler takes only {_SAMPLER_KEYS}; got 'burnin'"),
+    ("identify", {"quadrature.width": 6}, "quadrature takes only 'panels'; got 'width'"),
+    (
+        "identify", {"band.max_stress": 0.3},
+        "band takes only 'max_strain', 'count', 'samples'; got 'max_stress'",
+    ),
+    (
+        "heterogeneity", {"population.std": [10.0]},
+        "population takes only 'model', 'mean', 'covariance', 'count'; got 'std'",
+    ),
+    ("heterogeneity", {"per_specimen.seed": 1}, "per_specimen takes only 'strains', 'noise'; got 'seed'"),
+    ("prior-sweep", {"prior_grid.counts": [0]}, "prior_grid takes only 'mean', 'std'; got 'counts'"),
+    (
+        "prior-sweep", {"prior_grid.mean.step": 50.0},
+        "prior_grid mean takes only 'start', 'stop', 'count'; got 'step'",
+    ),
+    (
+        "heterogeneity", {"prior": _DROP, "fit": {**_LE_FIT, "band": {}}},
+        "fit takes only 'model', 'prior', 'sampler'; got 'band'",
+    ),
+    (
+        "mismatch", {"fit.noise": {"stress_std": 0.01}},
+        "fit takes only 'model', 'prior', 'sampler', 'quadrature', 'band'; got 'noise'",
+    ),
+    ("mismatch", {"truth.seed": 1}, "truth takes only 'model', 'parameters', 'strains', 'noise'; got 'seed'"),
+    ("mismatch", {"fit.quadrature": {"width": 6}}, "quadrature takes only 'panels'; got 'width'"),
+    (
+        "mismatch", {"fit.band": {"max_stress": 0.3}},
+        "band takes only 'max_strain', 'count', 'samples'; got 'max_stress'",
+    ),
+]
+
+
+class TestOneKeyRule:
+    """Every config block takes only the keys its reader reads; any other
+    key exits 2 with one message naming the block, its keys and the key,
+    before anything is written. Outside ``sampler``, ``quadrature`` and
+    ``parameters`` a misspelt key was dropped: a noise ``strain_sd`` gave
+    a stress-only set, and an ``identify`` config's top-level ``seed`` was
+    ignored, so the run drew a seed of its own."""
+
+    def _refused(self, tmp_path, capsys, verb, changes):
+        argv = TestTypedConfigReads()._argv(tmp_path, verb, changes)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        return captured.err
+
+    @pytest.mark.parametrize(
+        "verb, changes, message", _MISSPELT, ids=[f"{verb}-{m.split(' takes')[0]}" for verb, _, m in _MISSPELT]
+    )
+    def test_misspelt_key_exits_2(self, tmp_path, capsys, verb, changes, message):
+        assert f"error: {message}\n" in self._refused(tmp_path, capsys, verb, changes)
+
+    @pytest.mark.parametrize(
+        "verb, path, value, name",
+        [
+            ("generate", "strains", [[2.4e-4, 4.8e-4], [7.2e-4, 9.6e-4]], "strains"),
+            ("identify", "sampler.initial", [[205.0, 0.27]], "sampler initial"),
+            ("heterogeneity", "population.mean", [[210.0]], "population mean"),
+            ("analytic", "prior.std", [[50.0]], "prior std"),
+            ("prior-sweep", "prior_grid.std", [[30.0]], "prior_grid std"),
+        ],
+    )
+    def test_nested_list_for_a_vector_exits_2(self, tmp_path, capsys, verb, path, value, name):
+        """A 2x2 strain list generated a 4-point set, and a nested sampler
+        initial state, population mean or grid axis was flattened."""
+        assert f"{name} must be at most 1-D, got {value!r}" in self._refused(tmp_path, capsys, verb, {path: value})
+
+    def test_sidecar_noise_block_is_a_config_noise_block(self, tmp_path):
+        """A dataset sidecar's noise block, its regime included, may be
+        copied into a config as it is."""
+        data = _make_dataset(tmp_path)
+        noise = json.loads(data.with_suffix(".json").read_text())["noise"]
+        assert noise["regime"] == "stress-only"
+        sampler = {"n_samples": 300, "seed": 1}
+        config = _identify_config(tmp_path, model="LE-PP", prior=_PP_PRIOR, noise=noise, sampler=sampler)
+        argv = ["identify", "--config", config, "--data", str(data), "--output-dir", str(tmp_path / "run")]
+        assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "verb, noise, message",
+        [
+            (
+                "generate", {"regime": "stress-only", "stress_std": 0.01, "strain_std": 1e-4},
+                "regime 'stress-only' disagrees with strain_std 0.0001",
+            ),
+            (
+                "identify", {"regime": "stress-strain", "stress_std": 0.01},
+                "regime 'stress-strain' disagrees with strain_std None",
+            ),
+            (
+                "identify", {"regime": "stress-and-strain", "stress_std": 0.01, "strain_std": 1e-4},
+                "regime 'stress-and-strain' disagrees with strain_std 0.0001",
+            ),
+        ],
+    )
+    def test_disagreeing_regime_exits_2(self, tmp_path, capsys, verb, noise, message):
+        assert message in self._refused(tmp_path, capsys, verb, {"noise": noise})
 
 
 def test_negative_band_max_strain_exits_2_before_sampling(tmp_path, capsys):
