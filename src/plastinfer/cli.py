@@ -17,7 +17,6 @@ the same code for bad flags), 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
@@ -38,6 +37,7 @@ from .data import (
     _parse_noise,
     _read_object,
     _require,
+    _write_object,
     _write_table,
     draw_specimens,
     generate_double_noise,
@@ -226,9 +226,10 @@ def _run_identification(
     data: MeasurementSet, config: dict, fit: _Fit, out_dir: Path, seed: int, chain_seed: int
 ) -> int:
     """Sample ``fit``'s posterior given ``data`` with ``chain_seed`` and write
-    the chain, summary and band; ``config`` holds the optional
+    the summary, chain and band; ``config`` holds the optional
     ``quadrature`` and ``band`` blocks, and ``summary.json`` records the run
-    seed ``seed``."""
+    seed ``seed``. The summary goes first: a non-finite number in it stops
+    the run before any file is written."""
     kind = fit.kind
     quadrature = _parse_quadrature(config.get("quadrature"))
     band = _object(config.get("band", {}), "band", ("max_strain", "count", "samples"))
@@ -240,9 +241,30 @@ def _run_identification(
     target = LogPosterior(kind, fit.prior, data, quadrature)
 
     chain = fit.run(target, replace(fit.sampler, seed=chain_seed))
-    summary = summarize(chain)
     retained, _ = chain.retained()
-    trace = convergence_trace(retained)
+    names = list(kind.parameter_names)
+    # Moments that overflow are refused by _write_object.
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = summarize(chain)
+        trace = convergence_trace(retained)
+        report = {
+            "model": kind.value,
+            "parameter_names": names,
+            "mean": summary.mean.tolist(),
+            "std": summary.std.tolist(),
+            "covariance": summary.covariance.tolist(),
+            "map": summary.map_estimate.tolist(),
+            "map_log_density": summary.map_log_density,
+            "acceptance_rate": summary.acceptance_rate,
+            "n_retained": summary.n_retained,
+            "effective_sample_size": [effective_sample_size(retained[:, j]) for j in range(kind.dimension)],
+            "credible_level": CREDIBLE_LEVEL,
+            "credible_ellipsoid_available": summary.credible.ellipsoid_available,
+            "credible_radius_sq": summary.credible.radius_sq,
+            "hpd_threshold": summary.credible.hpd_threshold,
+            "drift_score": trace.score,
+            "seed": seed,
+        }
     if trace.score > 0.05:
         print(
             f"warning: running mean still drifting (score {trace.score:.3g}); "
@@ -252,27 +274,8 @@ def _run_identification(
     _warn_low_acceptance(chain.acceptance_rate)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = list(kind.parameter_names)
+    _write_object(out_dir / "summary.json", report)
     save_chain(chain, out_dir / "chain.csv", names)
-    report = {
-        "model": kind.value,
-        "parameter_names": names,
-        "mean": summary.mean.tolist(),
-        "std": summary.std.tolist(),
-        "covariance": summary.covariance.tolist(),
-        "map": summary.map_estimate.tolist(),
-        "map_log_density": summary.map_log_density,
-        "acceptance_rate": summary.acceptance_rate,
-        "n_retained": summary.n_retained,
-        "effective_sample_size": [effective_sample_size(retained[:, j]) for j in range(kind.dimension)],
-        "credible_level": CREDIBLE_LEVEL,
-        "credible_ellipsoid_available": summary.credible.ellipsoid_available,
-        "credible_radius_sq": summary.credible.radius_sq,
-        "hpd_threshold": summary.credible.hpd_threshold,
-        "drift_score": trace.score,
-        "seed": seed,
-    }
-    (out_dir / "summary.json").write_text(json.dumps(report, indent=2) + "\n")
 
     # The envelope is drawn over the credible subset, thinned so a long
     # chain does not turn plotting data into the slowest step.
@@ -304,7 +307,7 @@ def _cmd_analytic(args: argparse.Namespace, config: dict) -> int:
     posterior = _closed_form(_parse_prior(_require(config, "prior", "config"), 1), [data])
     report = {"mean": posterior.mean, "std": posterior.std}
     if args.output is not None:
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
+        _write_object(args.output, report)
         print(f"wrote {args.output}")
     print(f"E: mean {posterior.mean:.6g}, std {posterior.std:.6g}")
     return 0

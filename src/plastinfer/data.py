@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .models import ModelKind, ParameterVector, stress
 
 __all__ = [
@@ -346,6 +346,18 @@ def _read_object(path, label: str) -> dict:
     return value
 
 
+def _write_object(path, obj: dict) -> None:
+    """Write the JSON object ``obj`` to file ``path``, indented by 2. JSON
+    has no infinity or NaN: a field holding one is a numerical error naming
+    the path and the field, raised before the file is opened."""
+    for key, value in obj.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise NumericalError(f"cannot write {path}: {key} is not finite") from None
+    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+
+
 def _write_table(path, columns: list[str], rows) -> None:
     """Write ``rows`` of numbers (none at all is a table too) as a CSV with
     a ``columns`` header, each value with 17 significant digits, which
@@ -397,7 +409,7 @@ def write_measurements(mset: MeasurementSet, path) -> None:
         },
         "provenance": mset.provenance,
     }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    _write_object(path.with_suffix(".json"), sidecar)
 
 
 def _parse_sidecar(path) -> tuple[NoiseSpec, str]:

@@ -136,11 +136,11 @@ def _log_gauss_mass(lo_z: np.ndarray, hi_z: np.ndarray) -> np.ndarray:
     single side of zero is then measured in the lower tail, where
     ``log_ndtr`` keeps full precision, and one straddling zero subtracts the
     smaller tail, Phi(a) <= 1 - Phi(b). One form, log Phi(b) + log1p(-Phi(a)
-    / Phi(b)), serves every element but an interval across zero narrower
-    than 0.3 (b > 0 and b - a < 0.3), where Phi(a) and Phi(b) lie near 1/2
-    and their difference keeps only about eps / width of relative precision;
-    its mass is the sum (erf(b / sqrt 2) + erf(-a / sqrt 2)) / 2 of two
-    nonnegative terms, computed on that subset alone.
+    / Phi(b)), serves every element but an interval across or ending at zero
+    narrower than 0.3 (b >= 0 and b - a < 0.3), where Phi(a) and Phi(b) lie
+    near 1/2 and their difference keeps only about eps / width of relative
+    precision; its mass is the sum (erf(b / sqrt 2) + erf(-a / sqrt 2)) / 2
+    of two nonnegative terms, computed on that subset alone.
     """
     a = np.minimum(lo_z, -hi_z)
     b = np.minimum(hi_z, -lo_z)
@@ -152,9 +152,10 @@ def _log_gauss_mass(lo_z: np.ndarray, hi_z: np.ndarray) -> np.ndarray:
         out = log_b + np.log1p(-np.exp(np.fmin(special.log_ndtr(a) - log_b, 0.0)))
         # b - a is the width; the straddle test runs only once one is narrow.
         narrow = b - a < 0.3
-    if narrow.any():
-        narrow &= b > 0.0
-        out[narrow] = np.log(0.5 * (special.erf(b[narrow] * _SQRT_HALF) + special.erf(-a[narrow] * _SQRT_HALF)))
+        if narrow.any():
+            # Under errstate: an empty interval at zero (a = b = 0) sums to 0.
+            narrow &= b >= 0.0
+            out[narrow] = np.log(0.5 * (special.erf(b[narrow] * _SQRT_HALF) + special.erf(-a[narrow] * _SQRT_HALF)))
     return np.where(hi_z > lo_z, out, -np.inf)
 
 

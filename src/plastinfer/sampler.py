@@ -19,7 +19,6 @@ response envelopes and CSV persistence.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
@@ -27,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _integer, _number, _numbers, _read_object, _read_table, _strings, _write_table
+from .data import _integer, _number, _numbers, _read_object, _read_table, _strings, _write_object, _write_table
 from .errors import ConfigurationError, DomainError, NumericalError
 from .likelihood import _special
 from .models import ModelKind, _as_strain_array, stress_rows
@@ -220,10 +219,13 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
     z_stream, u_stream = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
 
     n = config.n_samples
-    samples = np.empty((n, dim))
-    log_densities = np.empty(n)
-    z = z_stream.standard_normal(samples.shape)
-    log_u = np.log(1.0 - u_stream.random(log_densities.shape)).tolist()
+    try:
+        samples = np.empty((n, dim))
+        log_densities = np.empty(n)
+        z = z_stream.standard_normal(samples.shape)
+        log_u = np.log(1.0 - u_stream.random(log_densities.shape)).tolist()
+    except (ValueError, MemoryError):
+        raise ConfigurationError(f"n_samples={n} is too large: the chain's arrays cannot be allocated") from None
     n_accepted = 0
     x0 = x
     factor = fixed
@@ -296,7 +298,7 @@ class CredibleRegion:
 
     The ellipsoid view fits a Gaussian to the samples and takes the
     chi-squared contour holding that share of the Gaussian's mass; it is
-    unavailable when the sample covariance is singular. The
+    unavailable when the sample covariance is singular or not finite. The
     highest-density view keeps that share of the samples with the largest
     recorded log-density, no shape assumption involved.
     """
@@ -311,7 +313,7 @@ class CredibleRegion:
     def mahalanobis_sq(self, points: np.ndarray) -> np.ndarray:
         """Squared ellipsoid distance of points, shape (m, dim) or (dim,)."""
         if not self.ellipsoid_available:
-            raise NumericalError("ellipsoid view unavailable: sample covariance is singular")
+            raise NumericalError("ellipsoid view unavailable: sample covariance is singular or not finite")
         pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
         sol = np.linalg.solve(self.covariance, pts.T)
         return np.einsum("ij,ji->i", pts, sol)
@@ -341,7 +343,8 @@ def credible_region(samples: np.ndarray, log_densities: np.ndarray) -> CredibleR
     covariance = 0.5 * (covariance + covariance.T)
     try:
         np.linalg.cholesky(covariance)
-        available = True
+        # Cholesky passes an infinite or NaN matrix without complaint.
+        available = bool(np.isfinite(covariance).all())
     except np.linalg.LinAlgError:
         available = False
     radius_sq = float(2.0 * _special().gammaincinv(samples.shape[1] / 2, CREDIBLE_LEVEL))
@@ -503,7 +506,7 @@ def save_chain(chain: Chain, path: str | Path, parameter_names: list[str]) -> No
         "initial": None if initial is None else initial.tolist(),
         "n_accepted": chain.n_accepted,
     }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    _write_object(path.with_suffix(".json"), sidecar)
 
 
 def load_chain(path: str | Path) -> tuple[Chain, list[str]]:

@@ -1358,6 +1358,35 @@ def test_negative_band_max_strain_exits_2_before_sampling(tmp_path, capsys):
     assert not (tmp_path / "out" / "chain.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "verb, changes",
+    [
+        ("identify", {"sampler.n_samples": 2**62}),
+        ("mismatch", {"fit.sampler.n_samples": 2**62}),
+        ("heterogeneity", {"prior": _DROP, "fit": {**_LE_FIT, "sampler": {"n_samples": 2**62}}}),
+    ],
+)
+def test_chain_too_large_to_allocate_exits_2(tmp_path, capsys, verb, changes):
+    """Each sampled verb exited 1 with a ValueError traceback from
+    ``np.empty``. Only 2**62 is tried: numpy refuses it before it touches
+    any memory."""
+    argv = TestTypedConfigReads()._argv(tmp_path, verb, changes)
+    assert cli.main(argv) == 2
+    assert f"error: n_samples={2**62} is too large" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_summary_exits_3_with_no_file_written(tmp_path, capsys):
+    """A prior mean of 1e308 keeps E there, so the retained moments
+    overflow: the run exited 0 and its summary.json held Infinity and NaN,
+    which are not JSON."""
+    argv = TestTypedConfigReads()._argv(tmp_path, "identify", {"prior.mean": [1e308, 0.29]})
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"numerical failure: cannot write {tmp_path / 'out' / 'summary.json'}: mean is not finite" in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_fresh_import_loads_no_heavy_scipy_subpackage():
     """Importing the package and its command line must not load
     scipy.stats, which alone took 0.8 to 1.0 s of a 1.4 s start-up by

@@ -19,6 +19,7 @@ from plastinfer import (
     MeasurementSet,
     ModelKind,
     NoiseSpec,
+    NumericalError,
     ParameterVector,
     SpecimenPopulation,
     draw_specimens,
@@ -27,7 +28,7 @@ from plastinfer import (
     read_measurements,
     write_measurements,
 )
-from plastinfer.data import _read_table
+from plastinfer.data import _read_table, _write_object
 
 X_LE = ParameterVector(E=210.0)
 X_LEPP = ParameterVector(E=210.0, sigma_y0=0.25)
@@ -435,3 +436,18 @@ class TestMeasurementFiles:
         with pytest.raises(ConfigurationError, match=message) as err:
             read_measurements(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_is_refused_before_the_file_is_opened(self, tmp_path, bad):
+        """JSON has no infinity or NaN; a summary held them as Infinity and
+        NaN, which no strict JSON reader takes."""
+        path = tmp_path / "summary.json"
+        with pytest.raises(NumericalError, match=f"cannot write {path}: covariance is not finite"):
+            _write_object(path, {"model": "LE", "covariance": [[1.0, bad], [bad, 1.0]], "seed": 1})
+        assert not path.exists()
+
+    def test_finite_object_keeps_its_bytes(self, tmp_path):
+        path = tmp_path / "summary.json"
+        obj = {"mean": [210.0, 1e-300], "available": True, "limit": None, "names": ["E"]}
+        _write_object(path, obj)
+        assert path.read_text() == json.dumps(obj, indent=2) + "\n"

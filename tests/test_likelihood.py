@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import quad
-from scipy.special import log_ndtr, logsumexp, ndtr, roots_legendre
+from scipy.special import erf, log_ndtr, logsumexp, ndtr, roots_legendre
 from scipy.stats import norm
 
 from plastinfer import (
@@ -745,10 +745,11 @@ class TestGaussMass:
 
     def test_grid_of_intervals(self):
         """Every ordered pair of ends: both infinities, both far tails,
-        intervals straddling zero, and 1e-9-wide ones touching it; an
-        interval straddling zero is at least 0.3 wide here (see below)."""
+        intervals straddling zero, and 1e-9-wide ones ending at it; an
+        interval across or ending at zero is at least 0.3 wide here (see
+        below): the two-form reference cancels on a narrower one."""
         pairs = [(lo, hi) for lo in self.ENDS for hi in self.ENDS]
-        kept = [(lo, hi) for lo, hi in pairs if lo < hi and not (lo < 0.0 < hi and hi - lo < 0.3)]
+        kept = [(lo, hi) for lo, hi in pairs if lo < hi and not (lo <= 0.0 <= hi and hi - lo < 0.3)]
         self._assert_close(*np.array(kept).T)
         empty = [(lo, hi) for lo, hi in pairs if lo >= hi]
         assert np.all(_log_gauss_mass(*np.array(empty).T) == -np.inf)
@@ -798,16 +799,28 @@ class TestGaussMass:
             got = _log_gauss_mass(lo, hi)
             assert np.all(np.abs(got - reference) <= 2.0 * np.spacing(np.abs(reference))), w
 
+    def test_narrow_interval_ending_at_zero_at_full_precision(self):
+        """[0, w] and [-w, 0] have the mass erf(w / sqrt 2) / 2. The one
+        form subtracted Phi(0) from Phi(w) and was 9.8e-5 off (relative) at
+        w = 1e-12, 1.1e-7 at 1e-9 and 7.9e-11 at 1e-6."""
+        w = np.logspace(-12.0, math.log10(0.29), 60)
+        reference = np.log(erf(w / math.sqrt(2.0)) / 2.0)
+        zero = np.zeros_like(w)
+        for lo, hi in ((zero, w), (-w, zero), (-zero, w), (-w, -zero)):
+            got = _log_gauss_mass(lo, hi)
+            assert np.all(np.abs(got - reference) <= 2.0 * np.spacing(np.abs(reference)))
+
     def test_wide_or_one_sided_intervals_keep_the_one_form(self):
-        """Only intervals across zero narrower than 0.3 take the erf sum;
-        every other element has the bits of the one form alone."""
+        """Only intervals across or ending at zero narrower than 0.3 take
+        the erf sum; every other element has the bits of the one form
+        alone."""
         lo = np.array([-0.2, -1e-9, 0.0, 1e-9, -0.3, -2.0, -0.15])
         hi = np.array([0.1, 1e-9, 1e-9, 2e-9, 0.0, 1.0, 0.15000000000000002])
         a, b = np.minimum(lo, -hi), np.minimum(hi, -lo)
         log_b = log_ndtr(b)
         one_form = log_b + np.log1p(-np.exp(np.fmin(log_ndtr(a) - log_b, 0.0)))
         got = _log_gauss_mass(lo, hi)
-        narrow = np.array([True, True, False, False, False, False, False])
+        narrow = np.array([True, True, True, False, False, False, False])
         assert np.array_equal(got[~narrow], one_form[~narrow])
         assert not np.array_equal(got[narrow], one_form[narrow])
 

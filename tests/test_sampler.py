@@ -116,6 +116,12 @@ class TestRunMh:
         assert abs(values.mean() - np.sqrt(2.0 / np.pi)) < 3.0 * se
         assert abs(values.std() - np.sqrt(1.0 - 2.0 / np.pi)) < 0.05 * np.sqrt(1.0 - 2.0 / np.pi)
 
+    def test_chain_too_large_to_allocate_is_a_configuration_error(self):
+        """numpy refuses 2**62 states before it touches any memory; the
+        ValueError escaped. No size that could be allocated is tried."""
+        with pytest.raises(ConfigurationError, match=f"n_samples={2**62} is too large"):
+            run_mh(_half_normal_target(), SamplerConfig(n_samples=2**62, seed=1))
+
     def test_retained_states_stay_in_support(self):
         chain = run_mh(_half_normal_target(), SamplerConfig(n_samples=5_000, seed=1))
         assert np.all(chain.samples >= 0.0)
@@ -544,6 +550,18 @@ class TestSummarize:
 
 class TestCredibleRegion:
     """Ellipsoid and highest-density views on exact Gaussian draws."""
+
+    def test_non_finite_covariance_has_no_ellipsoid(self):
+        """Samples near the top of double range overflow the covariance to
+        inf and NaN, which Cholesky passes: the ellipsoid was reported
+        available."""
+        samples = np.array([[1e308, 0.2], [1.5e308, 0.3], [1.7e308, 0.25], [1.2e308, 0.21]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            region = credible_region(samples, np.arange(4.0))
+        assert not np.isfinite(region.covariance).all()
+        assert not region.ellipsoid_available
+        with pytest.raises(NumericalError, match="not finite"):
+            region.contains(samples)
 
     def test_ellipsoid_coverage_matches_level(self):
         rng = np.random.default_rng(7)
