@@ -10,8 +10,10 @@ measurement sets, ``identify`` samples a posterior for one dataset,
 Every subcommand reads one JSON config, which ``main`` reads and passes
 on; command-line flags carry only paths and, on the four verbs that draw
 random numbers (all but ``analytic`` and ``prior-sweep``), the seed. Exit
-codes: 0 on success, 2 for configuration or domain errors (argparse uses
-the same code for bad flags), 3 for numerical failures.
+codes: 0 on success, 2 for configuration or domain errors, among them an
+output path that cannot be written (argparse uses the same code for bad
+flags), 3 for numerical failures, among them a non-finite number bound for
+a JSON file or a CSV table.
 """
 
 from __future__ import annotations
@@ -68,17 +70,6 @@ __all__ = ["main"]
 
 # Below this acceptance rate a sampled run warns that its chain hardly moved.
 _ACCEPTANCE_FLOOR = 0.05
-
-
-def _warn_low_acceptance(rate: float, where: str = "") -> None:
-    """Warn on stderr when a chain (``where``, as " in replicate 2") accepted
-    under ``_ACCEPTANCE_FLOOR`` of its proposals; the run still succeeds."""
-    if rate < _ACCEPTANCE_FLOOR:
-        print(
-            f"warning: acceptance rate {rate:.3f}{where} is below {_ACCEPTANCE_FLOOR}; "
-            "the chain hardly moved, consider a smaller step_scale",
-            file=sys.stderr,
-        )
 
 
 def _parse_parameters(kind: ModelKind, block: object) -> ParameterVector:
@@ -222,34 +213,18 @@ def _cmd_generate(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _run_identification(
-    data: MeasurementSet, config: dict, fit: _Fit, out_dir: Path, seed: int, chain_seed: int
-) -> int:
-    """Sample ``fit``'s posterior given ``data`` with ``chain_seed`` and write
-    the summary, chain and band; ``config`` holds the optional
-    ``quadrature`` and ``band`` blocks, and ``summary.json`` records the run
-    seed ``seed``. The summary goes first: a non-finite number in it stops
-    the run before any file is written."""
-    kind = fit.kind
-    quadrature = _parse_quadrature(config.get("quadrature"))
-    band = _object(config.get("band", {}), "band", ("max_strain", "count", "samples"))
-    max_strain = _number(band.get("max_strain", data.strains.max().item()), "band max_strain")
-    if max_strain < 0.0:
-        raise ConfigurationError(f"band max_strain must be >= 0, got {max_strain!r}")
-    count = _integer(band.get("count", 100), "band count", 1)
-    samples = _integer(band.get("samples", 500), "band samples", 1)
-    target = LogPosterior(kind, fit.prior, data, quadrature)
-
+def _sample(target: LogPosterior, fit: _Fit, chain_seed: int, where: str = "") -> tuple:
+    """Run ``fit``'s sampler on ``target`` with ``chain_seed``; return the
+    chain, its summary and its record, the ``summary.json`` fields from
+    ``mean`` to ``drift_score``. A drifting running mean and low acceptance
+    are warned of on stderr, naming ``where`` (" in replicate 2")."""
     chain = fit.run(target, replace(fit.sampler, seed=chain_seed))
     retained, _ = chain.retained()
-    names = list(kind.parameter_names)
-    # Moments that overflow are refused by _write_object.
+    # Moments that overflow are refused by the writers.
     with np.errstate(over="ignore", invalid="ignore"):
         summary = summarize(chain)
         trace = convergence_trace(retained)
-        report = {
-            "model": kind.value,
-            "parameter_names": names,
+        record = {
             "mean": summary.mean.tolist(),
             "std": summary.std.tolist(),
             "covariance": summary.covariance.tolist(),
@@ -257,31 +232,57 @@ def _run_identification(
             "map_log_density": summary.map_log_density,
             "acceptance_rate": summary.acceptance_rate,
             "n_retained": summary.n_retained,
-            "effective_sample_size": [effective_sample_size(retained[:, j]) for j in range(kind.dimension)],
+            "effective_sample_size": [effective_sample_size(column) for column in retained.T],
             "credible_level": CREDIBLE_LEVEL,
             "credible_ellipsoid_available": summary.credible.ellipsoid_available,
             "credible_radius_sq": summary.credible.radius_sq,
             "hpd_threshold": summary.credible.hpd_threshold,
             "drift_score": trace.score,
-            "seed": seed,
         }
     if trace.score > 0.05:
         print(
-            f"warning: running mean still drifting (score {trace.score:.3g}); "
+            f"warning: running mean still drifting (score {trace.score:.3g}){where}; "
             "consider a longer chain or more burn-in",
             file=sys.stderr,
         )
-    _warn_low_acceptance(chain.acceptance_rate)
+    if summary.acceptance_rate < _ACCEPTANCE_FLOOR:
+        print(
+            f"warning: acceptance rate {summary.acceptance_rate:.3f}{where} is below {_ACCEPTANCE_FLOOR}; "
+            "the chain hardly moved, consider a smaller step_scale",
+            file=sys.stderr,
+        )
+    return chain, summary, record
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_object(out_dir / "summary.json", report)
+
+def _run_identification(
+    data: MeasurementSet, config: dict, fit: _Fit, out_dir: Path, seed: int, chain_seed: int
+) -> int:
+    """Sample ``fit``'s posterior given ``data`` and write the summary (with
+    the run seed ``seed``), chain and band; ``config`` holds the optional
+    ``quadrature`` and ``band`` blocks. A non-finite number in the summary,
+    written first, stops the run before any file is written."""
+    quadrature = _parse_quadrature(config.get("quadrature"))
+    band = _object(config.get("band", {}), "band", ("max_strain", "count", "samples"))
+    max_strain = _number(band.get("max_strain", data.strains.max().item()), "band max_strain")
+    if max_strain < 0.0:
+        raise ConfigurationError(f"band max_strain must be >= 0, got {max_strain!r}")
+    count = _integer(band.get("count", 100), "band count", 1)
+    samples = _integer(band.get("samples", 500), "band samples", 1)
+    chain, summary, record = _sample(LogPosterior(fit.kind, fit.prior, data, quadrature), fit, chain_seed)
+
+    names = list(fit.kind.parameter_names)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigurationError(f"cannot write {out_dir}: {err.strerror}") from None
+    _write_object(out_dir / "summary.json", {"model": fit.kind.value, "parameter_names": names, **record, "seed": seed})
     save_chain(chain, out_dir / "chain.csv", names)
 
     # The envelope is drawn over the credible subset, thinned so a long
     # chain does not turn plotting data into the slowest step.
-    in_region = retained[summary.credible.hpd_mask]
+    in_region = chain.retained()[0][summary.credible.hpd_mask]
     grid = np.linspace(0.0, max_strain, count)
-    lower, upper = response_band(kind, in_region[:: max(1, in_region.shape[0] // samples)], grid)
+    lower, upper = response_band(fit.kind, in_region[:: max(1, in_region.shape[0] // samples)], grid)
     _write_table(out_dir / "band.csv", ["strain", "lower", "upper"], np.column_stack([grid, lower, upper]))
 
     for name, mean, std in zip(names, summary.mean, summary.std):
@@ -360,11 +361,10 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
     identification, so the posterior spread measures how much of the
     population's heterogeneity the pooled data can recover. With a
     ``prior`` block the closed-form stress-only route is used (linear
-    elastic only); a ``fit`` block instead runs a pooled sampled
-    identification, whose likelihood scores the points of all specimens
-    (one noise spec) in one kernel, and records each replicate's acceptance
-    rate. A seedless run draws its seed and prints it, so ``--seed
-    <printed>`` replays it.
+    elastic only); a ``fit`` block instead samples one pooled target per
+    replicate through ``_sample``, as ``identify`` does, and records its
+    acceptance rate and effective sample sizes. A seedless run draws its
+    seed and prints it, so ``--seed <printed>`` replays it.
     """
     keys = ("model", "mean", "covariance", "count")
     pop_block = _object(_require(config, "population", "config"), "population", keys)
@@ -410,15 +410,15 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
         pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
         means, stds = [f"mean_{p}" for p in names], [f"std_{p}" for p in names]
         corrs = [f"corr_{names[i]}_{names[j]}" for i, j in pairs]
-        columns = ["replicate", *means, *stds, *corrs, "acceptance_rate"]
+        columns = ["replicate", *means, *stds, *corrs, "acceptance_rate", *(f"ess_{p}" for p in names)]
 
         def estimate(rep: int, sets: list[MeasurementSet], chain_stream: np.random.Generator) -> tuple:
-            chain_config = replace(fit.sampler, seed=_seed(None, fit.sampler.seed, chain_stream))
-            summary = summarize(fit.run(LogPosterior(kind, fit.prior, sets), chain_config))
-            _warn_low_acceptance(summary.acceptance_rate, f" in replicate {rep}")
-            scale = np.maximum(summary.std, np.finfo(float).tiny)
-            corr = summary.covariance / np.outer(scale, scale)
-            return (*summary.mean, *summary.std, *(corr[i, j] for i, j in pairs), summary.acceptance_rate)
+            chain_seed = _seed(None, fit.sampler.seed, chain_stream)
+            _, summary, record = _sample(LogPosterior(kind, fit.prior, sets), fit, chain_seed, f" in replicate {rep}")
+            with np.errstate(over="ignore", invalid="ignore"):
+                corr = summary.covariance / np.outer(summary.std, summary.std)
+            ess = record["effective_sample_size"]
+            return (*record["mean"], *record["std"], *(corr[i, j] for i, j in pairs), record["acceptance_rate"], *ess)
 
     root = np.random.default_rng(seed)
     rows = []

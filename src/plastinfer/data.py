@@ -346,6 +346,15 @@ def _read_object(path, label: str) -> dict:
     return value
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to file ``path``: a path that cannot be written (in a
+    missing directory, say) is a configuration error naming it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise ConfigurationError(f"cannot write {path}: {err.strerror}") from None
+
+
 def _write_object(path, obj: dict) -> None:
     """Write the JSON object ``obj`` to file ``path``, indented by 2. JSON
     has no infinity or NaN: a field holding one is a numerical error naming
@@ -355,7 +364,7 @@ def _write_object(path, obj: dict) -> None:
             json.dumps(value, allow_nan=False)
         except ValueError:
             raise NumericalError(f"cannot write {path}: {key} is not finite") from None
-    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def _write_table(path, columns: list[str], rows) -> None:
@@ -363,10 +372,14 @@ def _write_table(path, columns: list[str], rows) -> None:
     a ``columns`` header, each value with 17 significant digits, which
     round-trips float64. One format operation over the whole table gives
     the bytes of ``np.savetxt`` with ``fmt="%.17g"``, which formats row by
-    row, in about half the time."""
+    row, in about half the time. A column holding an infinity or NaN is a
+    numerical error, raised before the file is opened."""
     table = np.asarray(rows, dtype=float)
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        raise NumericalError(f"cannot write {path}: {columns[int(np.argmin(finite))]} is not finite")
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    Path(path).write_text(",".join(columns) + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
+    _write_text(path, ",".join(columns) + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _read_table(path, label: str) -> Iterator:

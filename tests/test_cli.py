@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -26,6 +27,7 @@ from plastinfer import (
     ModelKind,
     NumericalError,
     analytic_le_posterior,
+    effective_sample_size,
     load_chain,
     read_measurements,
     run_adaptive_mh,
@@ -502,7 +504,9 @@ class TestHeterogeneity:
         )
         assert code == 0
         header = out.read_text().splitlines()[0]
-        assert header == "replicate,mean_E,mean_sigma_y0,std_E,std_sigma_y0,corr_E_sigma_y0,acceptance_rate"
+        assert header == (
+            "replicate,mean_E,mean_sigma_y0,std_E,std_sigma_y0,corr_E_sigma_y0,acceptance_rate,ess_E,ess_sigma_y0"
+        )
         table = np.atleast_2d(np.loadtxt(out, delimiter=",", skiprows=1))
         assert abs(table[0, 1] - 210.0) < 15.0
         assert abs(table[0, 2] - 0.25) < 0.02
@@ -530,7 +534,8 @@ class TestHeterogeneity:
         )
         assert code == 0
         table = np.atleast_2d(np.loadtxt(out, delimiter=",", skiprows=1))
-        assert table[:, -1].tolist() == [0.006, 0.006]
+        rate = out.read_text().splitlines()[0].split(",").index("acceptance_rate")
+        assert table[:, rate].tolist() == [0.006, 0.006]
         err = capsys.readouterr().err
         for rep in (0, 1):
             assert f"warning: acceptance rate 0.006 in replicate {rep} is below 0.05" in err
@@ -544,6 +549,43 @@ class TestHeterogeneity:
             "replicates": 3,
             "seed": 4,
         }
+
+    def test_drifting_replicate_warns_but_succeeds(self, tmp_path, capsys):
+        """A pooled chain started far from the posterior is still migrating
+        when it ends, as in ``identify``'s drifting test; the sampled route
+        printed no drift warning."""
+        payload = self._sampled({"n_samples": 300, "step_scale": 0.5, "initial": [150.0], "seed": 1})
+        payload["replicates"] = 1
+        assert self._run(tmp_path, payload)[0] == 0
+        err = capsys.readouterr().err
+        assert re.search(r"warning: running mean still drifting \(score [^)]+\) in replicate 0; consider", err)
+        assert err.count("warning:") == 1
+
+    def test_ess_columns_are_the_chains_effective_sample_sizes(self, tmp_path, monkeypatch):
+        """Each replicate's ess_<name> columns hold ``effective_sample_size``
+        of that replicate's retained chain, bit for bit; the table had no
+        effective sample size."""
+        chains = []
+
+        def recording(target, config):
+            chains.append(run_adaptive_mh(target, config))
+            return chains[-1]
+
+        monkeypatch.setattr(cli, "run_adaptive_mh", recording)
+        payload = self._sampled({"n_samples": 600, "burn_in": 100, "step_scale": 0.5})
+        payload["population"] = {"model": "LE-PP", "mean": [210.0, 0.25], "covariance": [[100.0, 0.0], [0.0, 1e-4]]}
+        payload["population"]["count"] = 3
+        payload["fit"]["model"] = "LE-PP"
+        payload["fit"]["prior"] = {"mean": [200.0, 0.29], "std": [50.0, 0.0167]}
+        code, out = self._run(tmp_path, payload)
+        assert code == 0
+        header = out.read_text().splitlines()[0].split(",")
+        table = np.atleast_2d(np.loadtxt(out, delimiter=",", skiprows=1))
+        assert len(chains) == len(table) == 3
+        for row, chain in zip(table, chains):
+            retained, _ = chain.retained()
+            expected = [effective_sample_size(retained[:, j]) for j in range(2)]
+            assert [row[header.index(f"ess_{name}")] for name in ("E", "sigma_y0")] == expected
 
     def test_seeded_sampled_route_replays_byte_for_byte(self, tmp_path):
         """With a top-level seed and no fit.sampler.seed, each replicate's
@@ -1385,6 +1427,52 @@ def test_non_finite_summary_exits_3_with_no_file_written(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"numerical failure: cannot write {tmp_path / 'out' / 'summary.json'}: mean is not finite" in err
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_non_finite_table_exits_3_with_no_file_written(tmp_path, capsys):
+    """A sampled heterogeneity fit whose prior mean of 1e308 keeps E there
+    overflows its moments and correlation: the run exited 0 and wrote inf
+    and nan into its CSV, with RuntimeWarnings from summarize and the
+    correlation (exit 1 when they are errors, as in this suite)."""
+    payload = {
+        "population": {
+            "model": "LE-PP", "mean": [210.0, 0.25], "covariance": [[100.0, 0.0], [0.0, 1e-4]], "count": 4
+        },
+        "per_specimen": {"strains": GRID_12, "noise": {"stress_std": 0.01}},
+        "fit": {
+            "model": "LE-PP",
+            "prior": {"mean": [1e308, 0.29], "std": [50.0, 0.0167]},
+            "sampler": {"n_samples": 300, "burn_in": 50},
+        },
+        "replicates": 1,
+        "seed": 4,
+    }
+    code, out = TestHeterogeneity()._run(tmp_path, payload)
+    assert code == 3
+    assert f"numerical failure: cannot write {out}: mean_E is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["generate", "prior-sweep", "analytic", "heterogeneity", "identify"])
+def test_unwritable_output_exits_2(tmp_path, capsys, verb):
+    """An output file in a missing directory, or an identify output
+    directory that names a file, exited 1 with a traceback from the write
+    or the mkdir."""
+    argv = TestTypedConfigReads()._argv(tmp_path, verb, {})
+    if verb == "identify":
+        target = Path(argv[-1])
+        target.write_text("a file\n")
+        reason = "File exists"
+    else:
+        target = tmp_path / "missing" / "out"
+        argv[-1] = str(target)
+        reason = "No such file or directory"
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: cannot write {target}: {reason}\n")
+    assert "wrote" not in captured.out
+    assert not (tmp_path / "missing").exists()
 
 
 def test_fresh_import_loads_no_heavy_scipy_subpackage():

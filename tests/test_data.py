@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from plastinfer import (
     read_measurements,
     write_measurements,
 )
-from plastinfer.data import _read_table, _write_object
+from plastinfer.data import _read_table, _write_object, _write_table
 
 X_LE = ParameterVector(E=210.0)
 X_LEPP = ParameterVector(E=210.0, sigma_y0=0.25)
@@ -445,6 +446,26 @@ class TestMeasurementFiles:
         with pytest.raises(NumericalError, match=f"cannot write {path}: covariance is not finite"):
             _write_object(path, {"model": "LE", "covariance": [[1.0, bad], [bad, 1.0]], "seed": 1})
         assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_table_value_is_refused_before_the_file_is_opened(self, tmp_path, bad):
+        """The table writer took any float and wrote inf or nan, which the
+        table reader then refused."""
+        path = tmp_path / "het.csv"
+        with pytest.raises(NumericalError, match=re.escape(f"cannot write {path}: corr is not finite")):
+            _write_table(path, ["replicate", "mean", "corr"], [(0, 210.0, 0.5), (1, 209.0, bad)])
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "write",
+        [lambda path: _write_object(path, {"mean": 1.0}), lambda path: _write_table(path, ["mean"], [(1.0,)])],
+        ids=["object", "table"],
+    )
+    def test_unwritable_path_is_a_configuration_error(self, tmp_path, write):
+        """A path in a missing directory escaped as FileNotFoundError."""
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(ConfigurationError, match=re.escape(f"cannot write {path}: No such file or directory")):
+            write(path)
 
     def test_finite_object_keeps_its_bytes(self, tmp_path):
         path = tmp_path / "summary.json"

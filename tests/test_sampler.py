@@ -759,7 +759,7 @@ class TestChainStorage:
         "rows, measurements",
         [
             pytest.param(
-                [[0.0, -1.0], [1e-300, -2.5e300], [1e300, -0.0], [-1e-320, -np.inf], [123.456, -7.0e-5]],
+                [[0.0, -1.0], [1e-300, -2.5e300], [1e300, -0.0], [-1e-320, -np.finfo(float).max], [123.456, -7.0e-5]],
                 False,
                 id="rows0",
             ),
@@ -805,8 +805,9 @@ class TestChainStorage:
             load_chain(path)
 
     def test_round_trip_is_bitwise_from_subnormals_to_huge(self, tmp_path):
-        """Every value, signed zeros, subnormals, the largest magnitudes
-        and a log-density of -inf included, comes back with its bits."""
+        """Every value, signed zeros, subnormals and the largest magnitudes
+        included, comes back with its bits; a log-density of -inf is not
+        written at all (a CSV table holds no infinity)."""
         rng = np.random.default_rng(5)
         samples = np.ldexp(rng.random((2_000, 2)), rng.integers(-1074, 1024, (2_000, 2)))
         log_densities = -np.ldexp(rng.random(2_000), rng.integers(-1074, 1024, 2_000))
@@ -814,6 +815,10 @@ class TestChainStorage:
         log_densities[:2] = [-np.inf, -0.0]
         chain = Chain(samples, log_densities, 17, SamplerConfig(n_samples=2_000, burn_in=100, seed=3))
         path = tmp_path / "chain.csv"
+        with pytest.raises(NumericalError, match="log_density is not finite"):
+            save_chain(chain, path, parameter_names=["a", "b"])
+        assert not path.exists()
+        log_densities[0] = -np.finfo(float).max
         save_chain(chain, path, parameter_names=["a", "b"])
         loaded, names = load_chain(path)
         assert names == ["a", "b"]
