@@ -27,7 +27,6 @@ from .priors import TruncatedNormalPrior
 from .sampler import (
     Chain,
     ChainSummary,
-    ConvergenceTrace,
     CredibleRegion,
     SamplerConfig,
     convergence_trace,
@@ -48,7 +47,6 @@ __all__ = [
     "Chain",
     "ChainSummary",
     "ConfigurationError",
-    "ConvergenceTrace",
     "CredibleRegion",
     "DomainError",
     "LogPosterior",

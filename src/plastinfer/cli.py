@@ -223,7 +223,7 @@ def _sample(target: LogPosterior, fit: _Fit, chain_seed: int, where: str = "") -
     # Moments that overflow are refused by the writers.
     with np.errstate(over="ignore", invalid="ignore"):
         summary = summarize(chain)
-        trace = convergence_trace(retained)
+        drift = convergence_trace(retained)
         record = {
             "mean": summary.mean.tolist(),
             "std": summary.std.tolist(),
@@ -237,11 +237,11 @@ def _sample(target: LogPosterior, fit: _Fit, chain_seed: int, where: str = "") -
             "credible_ellipsoid_available": summary.credible.ellipsoid_available,
             "credible_radius_sq": summary.credible.radius_sq,
             "hpd_threshold": summary.credible.hpd_threshold,
-            "drift_score": trace.score,
+            "drift_score": drift,
         }
-    if trace.score > 0.05:
+    if drift > 0.05:
         print(
-            f"warning: running mean still drifting (score {trace.score:.3g}){where}; "
+            f"warning: running mean still drifting (score {drift:.3g}){where}; "
             "consider a longer chain or more burn-in",
             file=sys.stderr,
         )
@@ -363,7 +363,8 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
     ``prior`` block the closed-form stress-only route is used (linear
     elastic only); a ``fit`` block instead samples one pooled target per
     replicate through ``_sample``, as ``identify`` does, and records its
-    acceptance rate and effective sample sizes. A seedless run draws its
+    acceptance rate and effective sample sizes; a parameter that never
+    moved has no correlations and stops the run. A seedless run draws its
     seed and prints it, so ``--seed <printed>`` replays it.
     """
     keys = ("model", "mean", "covariance", "count")
@@ -372,9 +373,7 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
     population = SpecimenPopulation(
         kind=kind,
         mean=_numbers(_require(pop_block, "mean", "'population'"), "population mean"),
-        covariance=np.atleast_2d(
-            _numbers(_require(pop_block, "covariance", "'population'"), "population covariance", 2)
-        ),
+        covariance=_numbers(_require(pop_block, "covariance", "'population'"), "population covariance", 2),
         count=_integer(_require(pop_block, "count", "'population'"), "population count", 1),
     )
     per_specimen = _object(_require(config, "per_specimen", "config"), "per_specimen", ("strains", "noise"))
@@ -415,6 +414,11 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
         def estimate(rep: int, sets: list[MeasurementSet], chain_stream: np.random.Generator) -> tuple:
             chain_seed = _seed(None, fit.sampler.seed, chain_stream)
             _, summary, record = _sample(LogPosterior(kind, fit.prior, sets), fit, chain_seed, f" in replicate {rep}")
+            stuck = [name for name, std in zip(names, summary.std) if std == 0.0]
+            if pairs and stuck:
+                raise NumericalError(
+                    f"replicate {rep}: {stuck[0]} has no spread after burn-in, so its correlations are 0/0"
+                )
             with np.errstate(over="ignore", invalid="ignore"):
                 corr = summary.covariance / np.outer(summary.std, summary.std)
             ess = record["effective_sample_size"]

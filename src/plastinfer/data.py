@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .models import ModelKind, ParameterVector, stress
+from .priors import _normal_moments
 
 __all__ = [
     "NoiseSpec",
@@ -122,17 +123,12 @@ class SpecimenPopulation:
     count: int
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.covariance, dtype=float)
-        if mean.size != self.kind.dimension:
+        size = np.size(self.mean)
+        if size != self.kind.dimension:
             raise ConfigurationError(
-                f"population mean has {mean.size} entries, {self.kind.value} needs "
-                f"{self.kind.dimension}"
+                f"population mean has {size} entries, {self.kind.value} needs {self.kind.dimension}"
             )
-        if cov.shape != (mean.size, mean.size):
-            raise ConfigurationError(f"population covariance must be {mean.size}x{mean.size}")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
-            raise ConfigurationError("population covariance must be symmetric")
+        mean, cov = _normal_moments(self.mean, self.covariance, "population")
         eigvals = np.linalg.eigvalsh(cov)
         if eigvals.min() < -1e-10 * max(1.0, eigvals.max()):
             raise ConfigurationError("population covariance must be positive semi-definite")
@@ -387,9 +383,9 @@ def _read_table(path, label: str) -> Iterator:
     its line number and values; blank lines are skipped. A row is parsed
     only when it is drawn, so a caller can check the header first. A file
     ``_read_text`` rejects, an empty one, or a row that does not hold one
-    number per header column, is a configuration error naming the path and
-    the line. The mirror of :func:`_write_table`: ``float`` reads its 17
-    digits back to the same bits."""
+    finite number per header column, is a configuration error naming the
+    path and the line. The mirror of :func:`_write_table`: ``float`` reads
+    its 17 digits back to the same bits."""
     lines = _read_text(path, label).splitlines()
     if not lines:
         raise ConfigurationError(f"{path}: empty file")
@@ -405,6 +401,8 @@ def _read_table(path, label: str) -> Iterator:
             values = [float(cell) for cell in cells]
         except ValueError as err:
             raise ConfigurationError(f"{path}:{lineno}: non-numeric value in {line!r} ({err})") from None
+        if not all(map(math.isfinite, values)):
+            raise ConfigurationError(f"{path}:{lineno}: non-finite value in {line!r}")
         yield lineno, values
 
 
@@ -440,8 +438,8 @@ def read_measurements(path) -> MeasurementSet:
 
     Raises:
         ConfigurationError: on a file that cannot be read as text (missing,
-            a directory, not UTF-8), naming the path; on malformed rows or
-            ordering problems, naming the offending line number.
+            a directory, not UTF-8), naming the path; on malformed or
+            non-finite rows or ordering problems, naming the offending line.
     """
     path = Path(path)
     table = _read_table(path, "measurement file")

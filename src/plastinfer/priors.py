@@ -16,6 +16,23 @@ from .errors import ConfigurationError
 __all__ = ["TruncatedNormalPrior"]
 
 
+def _normal_moments(mean, covariance, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``mean`` as a vector and ``covariance`` as a matrix of matching
+    shape, both finite and the matrix symmetric, else a configuration error
+    that begins with ``name``; each caller tests definiteness itself."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    cov = np.atleast_2d(np.asarray(covariance, dtype=float))
+    if mean.ndim != 1:
+        raise ConfigurationError(f"{name} mean must be a vector")
+    if cov.shape != (mean.size, mean.size):
+        raise ConfigurationError(f"{name} covariance must be {mean.size}x{mean.size}, got {cov.shape}")
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ConfigurationError(f"{name} mean and covariance must be finite")
+    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
+        raise ConfigurationError(f"{name} covariance must be symmetric")
+    return mean, cov
+
+
 class TruncatedNormalPrior:
     """Unnormalized normal log-density on the nonnegative orthant.
 
@@ -28,19 +45,7 @@ class TruncatedNormalPrior:
     """
 
     def __init__(self, mean, covariance) -> None:
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(covariance, dtype=float))
-        if mean.ndim != 1:
-            raise ConfigurationError("prior mean must be a vector")
-        if cov.shape != (mean.size, mean.size):
-            raise ConfigurationError(
-                f"prior covariance must be {mean.size}x{mean.size}, got {cov.shape}"
-            )
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise ConfigurationError("prior mean and covariance must be finite")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * scale):
-            raise ConfigurationError("prior covariance must be symmetric")
+        mean, cov = _normal_moments(mean, covariance, "prior")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:

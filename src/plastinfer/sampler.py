@@ -13,15 +13,14 @@ chain walks them up to the first acceptance (the pre-fetching of
 Brockwell, 2006, done by vectorization). The chain is the same, draw for
 draw and bit for bit, as scoring one proposal per step. Post-processing
 lives here too: moment summaries, credible regions (Gaussian ellipsoid and
-highest-density subset), effective sample size, convergence traces,
+highest-density subset), effective sample size, a drift score,
 response envelopes and CSV persistence.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "Chain",
     "ChainSummary",
     "CredibleRegion",
-    "ConvergenceTrace",
     "run_mh",
     "run_adaptive_mh",
     "summarize",
@@ -400,38 +398,17 @@ def summarize(chain: Chain) -> ChainSummary:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ConvergenceTrace:
-    """Running first and second moments plus a flatness score.
-
-    ``drift`` is the spread of the running mean over the second half of
-    the chain relative to its final magnitude, one value per component;
-    ``score`` is the largest of them. Small scores mean the running mean
-    stopped moving.
-    """
-
-    running_mean: np.ndarray
-    running_std: np.ndarray
-    drift: np.ndarray
-    score: float
-
-
-def convergence_trace(samples: np.ndarray) -> ConvergenceTrace:
+def convergence_trace(samples: np.ndarray) -> float:
+    """Drift score of a chain: the spread of the running mean over the
+    chain's second half relative to its final magnitude, the largest over
+    components. Small scores mean the running mean stopped moving."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     counts = np.arange(1, samples.shape[0] + 1, dtype=float)[:, None]
     running_mean = np.cumsum(samples, axis=0) / counts
-    running_sq = np.cumsum(samples * samples, axis=0) / counts
-    running_std = np.sqrt(np.maximum(running_sq - running_mean**2, 0.0))
     tail = running_mean[samples.shape[0] // 2 :]
     spread = tail.max(axis=0) - tail.min(axis=0)
     denom = np.maximum(np.abs(tail[-1]), np.finfo(float).tiny)
-    drift = spread / denom
-    return ConvergenceTrace(
-        running_mean=running_mean,
-        running_std=running_std,
-        drift=drift,
-        score=float(drift.max()),
-    )
+    return float((spread / denom).max())
 
 
 def effective_sample_size(values: np.ndarray) -> float:
@@ -516,10 +493,8 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     settings go through the reader of the CLI's sampler block, every key
     required: a missing or mistyped one is a configuration error naming its
     key, and so is a sidecar or table that cannot be read, or a table
-    without rows. A table whose row count differs from the sidecar's
-    ``n_samples`` is loaded as it stands, with ``burn_in`` reset to 0, and a
-    ``UserWarning`` names both counts. An ``n_accepted`` above the number
-    of loaded samples is a configuration error.
+    without rows, one holding a non-finite cell, one whose row count differs
+    from the sidecar's ``n_samples``, or an ``n_accepted`` above that count.
     """
     path = Path(path)
     sidecar = _read_object(path.with_suffix(".json"), "chain sidecar")
@@ -531,13 +506,9 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     config = _read_config(sidecar, "chain sidecar", required=True)
     n_accepted = _integer(sidecar.get("n_accepted"), "sidecar n_accepted", 0)
     if table.shape[0] != config.n_samples:
-        warnings.warn(
-            f"{path} holds {table.shape[0]} rows but its sidecar records "
-            f"n_samples={config.n_samples}; loading {table.shape[0]} samples with burn_in reset to 0",
-            UserWarning,
-            stacklevel=2,
+        raise ConfigurationError(
+            f"chain table {path} holds {table.shape[0]} rows but its sidecar records n_samples={config.n_samples}"
         )
-        config = replace(config, n_samples=table.shape[0], burn_in=0)
     if n_accepted > config.n_samples:
         raise ConfigurationError(f"sidecar n_accepted must be <= n_samples={config.n_samples}, got {n_accepted}")
     return Chain(table[:, :-1], table[:, -1], n_accepted, config), names

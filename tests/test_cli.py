@@ -541,6 +541,39 @@ class TestHeterogeneity:
             assert f"warning: acceptance rate 0.006 in replicate {rep} is below 0.05" in err
         assert err.count("warning:") == 2
 
+    def test_stuck_replicate_is_named_and_stops_the_run(self, tmp_path, capsys, monkeypatch):
+        """A replicate whose chain never moves after burn-in has a std of 0,
+        so its correlation is 0/0: every replicate ran, and then the writer
+        refused the table with only "corr_E_sigma_y0 is not finite"."""
+        chains, run_mh = [], cli.run_mh
+
+        def recording(target, config):
+            chains.append(run_mh(target, config))
+            return chains[-1]
+
+        monkeypatch.setattr(cli, "run_mh", recording)
+        code, out = self._run(
+            tmp_path,
+            {
+                "population": {
+                    "model": "LE-PP", "mean": [210.0, 0.25], "covariance": [[100.0, 0.0], [0.0, 1e-4]], "count": 4
+                },
+                "per_specimen": {"strains": GRID_12, "noise": {"stress_std": 0.01}},
+                "fit": {
+                    "model": "LE-PP",
+                    "prior": {"mean": [200.0, 0.29], "std": [50.0, 0.0167]},
+                    "sampler": {"n_samples": 300, "burn_in": 50, "step_scale": 1000.0, "adaptive": False},
+                },
+                "replicates": 2,
+                "seed": 4,
+            },
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: replicate 0: E has no spread after burn-in, so its correlations are 0/0" in err
+        assert not out.exists()
+        assert len(chains) == 1
+
     def _sampled(self, sampler):
         return {
             "population": {"model": "LE", "mean": [210.0], "covariance": [[100.0]], "count": 3},

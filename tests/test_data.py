@@ -286,6 +286,16 @@ class TestDrawSpecimens:
             )
 
     @pytest.mark.parametrize(
+        "mean, covariance", [([math.nan], [[100.0]]), ([210.0], [[math.inf]])], ids=["nan-mean", "inf-covariance"]
+    )
+    def test_non_finite_population_rejected(self, mean, covariance):
+        """A nan mean was accepted, and ``draw_specimens`` then blamed the
+        support ("rejection rate above 99.9%"); an infinite covariance was
+        accepted with RuntimeWarnings from the symmetry test."""
+        with pytest.raises(ConfigurationError, match="population mean and covariance must be finite"):
+            SpecimenPopulation(kind=ModelKind.LINEAR_ELASTIC, mean=mean, covariance=covariance, count=3)
+
+    @pytest.mark.parametrize(
         "mean, covariance, count, message",
         [
             ([210.0], [[100.0]], 5, "population mean has 1 entries, LE-PP needs 2"),
@@ -364,6 +374,19 @@ class TestMeasurementFiles:
         with pytest.raises(ConfigurationError, match=":3: non-numeric value"):
             read_measurements(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, cell):
+        """A non-finite stress was refused only by ``MeasurementSet``, as
+        "measurements must be finite", naming no line."""
+        mset = generate_single_noise(X_LE, ModelKind.LINEAR_ELASTIC, GRID_12[:3], 0.01, seed=1)
+        path = tmp_path / "nan.csv"
+        write_measurements(mset, path)
+        lines = path.read_text().splitlines()
+        lines[2] = f"{float(mset.strains[1])!r},{cell}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=f"nan.csv:3: non-finite value in '.*,{cell}'"):
+            read_measurements(path)
+
     def test_blank_lines_are_skipped(self, tmp_path):
         mset = generate_single_noise(X_LE, ModelKind.LINEAR_ELASTIC, GRID_12[:2], 0.01, seed=1)
         path = tmp_path / "blank.csv"
@@ -379,10 +402,10 @@ class TestMeasurementFiles:
         its line number, blank lines skipped; a row of the wrong width names
         its line."""
         path = tmp_path / "table.csv"
-        path.write_text("a,b,log_density\n1,2,-inf\n\n 3.5 ,-0,5e-324\n")
+        path.write_text("a,b,log_density\n1,2,-1.5e308\n\n 3.5 ,-0,5e-324\n")
         header, *rows = _read_table(path, "table")
         assert header == "a,b,log_density"
-        assert rows == [(2, [1.0, 2.0, -math.inf]), (4, [3.5, -0.0, 5e-324])]
+        assert rows == [(2, [1.0, 2.0, -1.5e308]), (4, [3.5, -0.0, 5e-324])]
         assert math.copysign(1.0, rows[1][1][1]) == -1.0
         path.write_text("a,b\n1,2\n3,4,5\n")
         with pytest.raises(ConfigurationError, match=r"table\.csv:3: expected 2 comma-separated values"):
