@@ -161,10 +161,8 @@ def _parse_fit(block: dict, context: str) -> _Fit:
 
 
 def _parse_quadrature(block: object) -> QuadratureSpec | None:
-    if block is None:
-        return None
-    block = _object(block, "quadrature", tuple(field.name for field in fields(QuadratureSpec)))
-    return QuadratureSpec(panels=_integer(block.get("panels", QuadratureSpec.panels), "quadrature panels"))
+    keys = tuple(field.name for field in fields(QuadratureSpec))
+    return None if block is None else QuadratureSpec(**_object(block, "quadrature", keys))
 
 
 def _apply_noise_override(data: MeasurementSet, config: dict) -> MeasurementSet:
@@ -263,9 +261,7 @@ def _run_identification(
     written first, stops the run before any file is written."""
     quadrature = _parse_quadrature(config.get("quadrature"))
     band = _object(config.get("band", {}), "band", ("max_strain", "count", "samples"))
-    max_strain = _number(band.get("max_strain", data.strains.max().item()), "band max_strain")
-    if max_strain < 0.0:
-        raise ConfigurationError(f"band max_strain must be >= 0, got {max_strain!r}")
+    max_strain = _number(band.get("max_strain", data.strains.max().item()), "band max_strain", 0)
     count = _integer(band.get("count", 100), "band count", 1)
     samples = _integer(band.get("samples", 500), "band samples", 1)
     chain, summary, record = _sample(LogPosterior(fit.kind, fit.prior, data, quadrature), fit, chain_seed)
@@ -374,7 +370,7 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
         kind=kind,
         mean=_numbers(_require(pop_block, "mean", "'population'"), "population mean"),
         covariance=_numbers(_require(pop_block, "covariance", "'population'"), "population covariance", 2),
-        count=_integer(_require(pop_block, "count", "'population'"), "population count", 1),
+        count=_require(pop_block, "count", "'population'"),
     )
     per_specimen = _object(_require(config, "per_specimen", "config"), "per_specimen", ("strains", "noise"))
     strains = _parse_strains(_require(per_specimen, "strains", "'per_specimen'"))

@@ -59,14 +59,13 @@ class NoiseSpec:
     strain_limit: float = math.inf
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.stress_std) or self.stress_std < 0.0:
-            raise ConfigurationError(f"stress_std must be finite and >= 0, got {self.stress_std!r}")
-        if self.strain_std is not None and (
-            not np.isfinite(self.strain_std) or self.strain_std < 0.0
-        ):
-            raise ConfigurationError(f"strain_std must be finite and >= 0, got {self.strain_std!r}")
-        if math.isnan(self.strain_limit) or self.strain_limit <= 0.0:
-            raise ConfigurationError(f"strain_limit must be > 0, got {self.strain_limit!r}")
+        stress_std = _number(self.stress_std, "stress_std", 0)
+        strain_std = None if self.strain_std is None else _number(self.strain_std, "strain_std", 0)
+        limit = self.strain_limit
+        unbounded = isinstance(limit, (float, np.floating)) and limit == math.inf
+        if not unbounded and _number(limit, "strain_limit") <= 0.0:
+            raise ConfigurationError(f"strain_limit must be > 0, got {limit!r}")
+        vars(self).update(stress_std=stress_std, strain_std=strain_std, strain_limit=float(limit))
 
     @property
     def double(self) -> bool:
@@ -132,10 +131,7 @@ class SpecimenPopulation:
         eigvals = np.linalg.eigvalsh(cov)
         if eigvals.min() < -1e-10 * max(1.0, eigvals.max()):
             raise ConfigurationError("population covariance must be positive semi-definite")
-        if self.count < 1:
-            raise ConfigurationError("population count must be >= 1")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        vars(self).update(mean=mean, covariance=cov, count=_integer(self.count, "population count", 1))
 
 
 def _require(block: dict, key: str, context: str) -> object:
@@ -144,36 +140,40 @@ def _require(block: dict, key: str, context: str) -> object:
     return block[key]
 
 
-def _object(value: object, name: str, keys: tuple | None = None) -> dict:
-    """``value`` if it is a JSON object holding no key outside ``keys`` (any
-    key when None), else a configuration error naming the first other key."""
+def _object(value: object, name: str, keys: tuple) -> dict:
+    """``value`` if it is a JSON object holding no key outside ``keys``, else
+    a configuration error naming the first other key."""
     if not isinstance(value, dict):
         raise ConfigurationError(f"{name} must be an object, got {value!r}")
-    others = [key for key in value if keys is not None and key not in keys]
+    others = [key for key in value if key not in keys]
     if others:
         raise ConfigurationError(f"{name} takes only {', '.join(map(repr, keys))}; got {others[0]!r}")
     return value
 
 
-def _number(value: object, name: str) -> float:
-    """``value`` as a float if it is a finite JSON number; a bool, string,
-    null or any other value is a configuration error, never parsed."""
+def _number(value: object, name: str, minimum: float | None = None) -> float:
+    """``value`` as a float if it is a finite number (a numpy scalar
+    included), at least ``minimum`` when given; a bool, string, null or any
+    other value is a configuration error, never parsed."""
+    value = value.item() if isinstance(value, np.generic) else value
     # bool is an int subclass; NaN fails the comparison, and so do an
     # infinity and an integer too large for a float.
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
     return float(value)
 
 
 def _numbers(value: object, name: str, ndim: int = 1) -> np.ndarray:
-    """``value``, a number or a rectangular list of numbers nested at most
-    ``ndim`` deep, as a float array of 1 to ``ndim`` dimensions; each number
-    is read by :func:`_number`, and a deeper list is never flattened."""
+    """``value``, a number or a rectangular list, tuple or array of numbers
+    nested at most ``ndim`` deep, as a float array of 1 to ``ndim`` dimensions;
+    each number is read by :func:`_number`, and nothing deeper is flattened."""
 
     def read(item: object) -> object:
-        return [read(entry) for entry in item] if isinstance(item, list) else _number(item, name)
+        return [read(entry) for entry in item] if isinstance(item, (list, tuple)) else _number(item, name)
 
-    numbers = read(value)
+    numbers = read(value.tolist() if isinstance(value, np.ndarray) else value)
     try:
         array = np.atleast_1d(np.asarray(numbers, dtype=float))
     except ValueError:
@@ -217,11 +217,9 @@ def _parse_noise(block: object) -> NoiseSpec:
     when given, must name the regime that ``strain_std`` selects."""
     block = _object(block, "noise", ("regime", "stress_std", "strain_std", "strain_limit"))
     strain_std, limit = block.get("strain_std"), block.get("strain_limit")
-    noise = NoiseSpec(
-        stress_std=_number(_require(block, "stress_std", "'noise'"), "stress_std"),
-        strain_std=None if strain_std is None else _number(strain_std, "strain_std"),
-        strain_limit=math.inf if limit is None else _number(limit, "strain_limit"),
-    )
+    # JSON has no infinity: a limit that parses to one (1e400) is refused here.
+    limit = math.inf if limit is None else _number(limit, "strain_limit")
+    noise = NoiseSpec(_require(block, "stress_std", "'noise'"), strain_std, limit)
     regime = "stress-strain" if noise.double else "stress-only"
     if block.get("regime", regime) != regime:
         raise ConfigurationError(f"regime {block['regime']!r} disagrees with strain_std {strain_std!r}")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MeasurementSet, NoiseSpec
+from .data import MeasurementSet, NoiseSpec, _integer
 from .errors import ConfigurationError, NumericalError
 from .models import (
     ModelKind,
@@ -94,8 +94,9 @@ class QuadratureSpec:
     panels: int = 384
 
     def __post_init__(self) -> None:
-        if self.panels < 4 or self.panels % 2 != 0:
-            raise ConfigurationError(f"panels must be an even integer >= 4, got {self.panels!r}")
+        if _integer(self.panels, "quadrature panels", 4) % 2 != 0:
+            raise ConfigurationError(f"quadrature panels must be even, got {self.panels!r}")
+        vars(self).update(panels=int(self.panels))
 
 
 def _noise_stds(noise: NoiseSpec) -> tuple[float, float | None, float]:

@@ -63,8 +63,6 @@ class ModelKind(enum.Enum):
     @classmethod
     def parse(cls, token: str) -> "ModelKind":
         """Look up a model by its short name (case-insensitive)."""
-        if isinstance(token, cls):
-            return token
         want = str(token).strip().upper()
         for kind in cls:
             if kind.value == want:

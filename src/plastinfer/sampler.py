@@ -48,10 +48,10 @@ __all__ = [
 ]
 
 
-def _check_seed(seed: object, name: str = "seed") -> int | None:
+def _check_seed(seed: object) -> int | None:
     """``seed`` as a Python int, or None; anything but None or a nonnegative
     integer (numpy integers included, bools not) is a configuration error."""
-    return None if seed is None else _integer(seed, name, 0)
+    return None if seed is None else _integer(seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +62,9 @@ class SamplerConfig:
     dimension, the classical random-walk scaling. ``adapt_every`` and
     ``history_cap`` only matter for the adaptive driver: the proposal is
     rebuilt every ``adapt_every`` steps from the most recent
-    ``history_cap`` states (all of them when the cap is None).
+    ``history_cap`` states (all of them when the cap is None). Each field is
+    read as in a config file: a float count, a bool, a numeric string or a
+    nested ``initial`` is refused, never truncated, parsed or flattened.
     """
 
     n_samples: int
@@ -74,54 +76,38 @@ class SamplerConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ConfigurationError(f"n_samples must be >= 1, got {self.n_samples!r}")
-        if not 0 <= self.burn_in < self.n_samples:
-            raise ConfigurationError(
-                f"burn_in must satisfy 0 <= burn_in < n_samples, got {self.burn_in!r}"
-            )
-        if self.step_scale is not None and not (
-            np.isfinite(self.step_scale) and self.step_scale > 0.0
-        ):
+        n_samples = _integer(self.n_samples, "n_samples", 1)
+        burn_in = _integer(self.burn_in, "burn_in", 0)
+        if burn_in >= n_samples:
+            raise ConfigurationError(f"burn_in must be < n_samples={n_samples}, got {burn_in!r}")
+        step_scale = None if self.step_scale is None else _number(self.step_scale, "step_scale")
+        if step_scale is not None and step_scale <= 0.0:
             raise ConfigurationError(f"step_scale must be > 0, got {self.step_scale!r}")
-        if self.adapt_every < 1:
-            raise ConfigurationError(f"adapt_every must be >= 1, got {self.adapt_every!r}")
-        if self.history_cap is not None and self.history_cap < 2:
-            raise ConfigurationError(f"history_cap must be >= 2, got {self.history_cap!r}")
-        if self.initial is not None:
-            initial = np.asarray(self.initial, dtype=float).reshape(-1)
-            if not np.all(np.isfinite(initial)):
-                raise ConfigurationError("initial state must be finite")
-            object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-
-
-# The typed reader of each ``SamplerConfig`` field in a JSON settings block.
-_SETTING_READERS = {
-    "n_samples": _integer,
-    "burn_in": _integer,
-    "step_scale": _number,
-    "initial": _numbers,
-    "adapt_every": _integer,
-    "history_cap": _integer,
-    "seed": _check_seed,
-}
+        # The frozen fields keep the values as read: Python numbers, a float array.
+        vars(self).update(
+            n_samples=n_samples, burn_in=burn_in, step_scale=step_scale,
+            initial=None if self.initial is None else _numbers(self.initial, "initial"),
+            adapt_every=_integer(self.adapt_every, "adapt_every", 1),
+            history_cap=None if self.history_cap is None else _integer(self.history_cap, "history_cap", 2),
+            seed=_check_seed(self.seed),
+        )
 
 
 def _read_config(block: dict, name: str, required: bool = False) -> SamplerConfig:
-    """The ``SamplerConfig`` that the JSON object ``block`` holds, each value
-    read by its field's typed reader (null stands for a None default) and
-    named ``name`` and its key in an error. A key left out takes its field's
-    default, unless ``required`` or the field has none."""
+    """The ``SamplerConfig`` that the JSON object ``block`` holds (null
+    stands for a None default), with ``name`` in front of an error. A key
+    left out takes its field's default, unless ``required`` or the field
+    has none."""
     values = {}
     for field in fields(SamplerConfig):
-        if field.name not in block and (required or field.default is MISSING):
+        if field.name in block:
+            values[field.name] = block[field.name]
+        elif required or field.default is MISSING:
             raise ConfigurationError(f"missing {field.name!r} in {name}")
-        value = block.get(field.name, field.default)
-        if value is not None or field.default is not None:
-            value = _SETTING_READERS[field.name](value, f"{name} {field.name}")
-        values[field.name] = value
-    return SamplerConfig(**values)
+    try:
+        return SamplerConfig(**values)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{name} {err}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,8 +387,9 @@ def summarize(chain: Chain) -> ChainSummary:
 def convergence_trace(samples: np.ndarray) -> float:
     """Drift score of a chain: the spread of the running mean over the
     chain's second half relative to its final magnitude, the largest over
-    components. Small scores mean the running mean stopped moving."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    components; a 1-D chain is one component. Small scores mean the running
+    mean stopped moving."""
+    samples = np.asarray(samples, dtype=float).reshape(len(samples), -1)
     counts = np.arange(1, samples.shape[0] + 1, dtype=float)[:, None]
     running_mean = np.cumsum(samples, axis=0) / counts
     tail = running_mean[samples.shape[0] // 2 :]
@@ -492,17 +479,21 @@ def load_chain(path: str | Path) -> tuple[Chain, list[str]]:
     Returns the chain and the parameter names from the sidecar, whose
     settings go through the reader of the CLI's sampler block, every key
     required: a missing or mistyped one is a configuration error naming its
-    key, and so is a sidecar or table that cannot be read, or a table
-    without rows, one holding a non-finite cell, one whose row count differs
-    from the sidecar's ``n_samples``, or an ``n_accepted`` above that count.
+    key, and so is a sidecar or table that cannot be read, a table without
+    rows, one holding a non-finite cell, one whose header is not the
+    sidecar's names plus ``log_density``, one whose row count differs from
+    the sidecar's ``n_samples``, or an ``n_accepted`` above that count.
     """
     path = Path(path)
     sidecar = _read_object(path.with_suffix(".json"), "chain sidecar")
-    _, *rows = _read_table(path, "chain table")
+    header, *rows = _read_table(path, "chain table")
     if not rows:
         raise ConfigurationError(f"chain table {path} has no rows")
     table = np.array([values for _, values in rows])
     names = _strings(sidecar.get("parameter_names"), "sidecar parameter_names", table.shape[1] - 1)
+    expected = ",".join([*names, "log_density"])
+    if header.strip() != expected:
+        raise ConfigurationError(f"{path}:1: expected header {expected!r}, got {header!r}")
     config = _read_config(sidecar, "chain sidecar", required=True)
     n_accepted = _integer(sidecar.get("n_accepted"), "sidecar n_accepted", 0)
     if table.shape[0] != config.n_samples:

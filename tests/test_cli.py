@@ -1424,6 +1424,18 @@ class TestOneKeyRule:
         assert message in self._refused(tmp_path, capsys, verb, {"noise": noise})
 
 
+def test_overflowing_strain_limit_exits_2(tmp_path, capsys):
+    """JSON has no infinity and null stands for an unbounded tester, so a
+    limit that parses to one (1e400) is refused, though the library's
+    default limit is inf."""
+    config = tmp_path / "config.json"
+    text = json.dumps(_generate_config(noise={"stress_std": 0.01, "strain_std": 1e-4, "strain_limit": 1.0}))
+    config.write_text(text.replace('"strain_limit": 1.0', '"strain_limit": 1e400'))
+    assert cli.main(["generate", "--config", str(config), "--output", str(tmp_path / "data.csv")]) == 2
+    assert "strain_limit must be a finite number, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "data.csv").exists()
+
+
 def test_negative_band_max_strain_exits_2_before_sampling(tmp_path, capsys):
     """identify sampled the whole chain and wrote chain.csv, chain.json and
     summary.json before the band failed with a message naming no key."""

@@ -56,6 +56,30 @@ class TestNoiseSpec:
         with pytest.raises(ConfigurationError):
             NoiseSpec(stress_std=0.01, strain_std=1e-4, strain_limit=0.0)
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("stress_std", True), ("stress_std", "0.01"), ("stress_std", None), ("strain_std", "1e-4"),
+            ("strain_std", True), ("strain_limit", "0.01"), ("strain_limit", True), ("strain_limit", None),
+        ],
+    )
+    def test_library_refuses_what_a_config_refuses(self, key, bad):
+        """Each std and the limit go through the reader of the config files:
+        ``stress_std=True`` was a std of 1.0 and ``strain_limit=True`` a
+        limit of 1, and a string or null raised a TypeError."""
+        settings = {"stress_std": 0.01, "strain_std": 1e-4, key: bad}
+        with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+            NoiseSpec(**settings)
+
+    def test_numpy_scalars_and_an_unbounded_limit_construct(self):
+        spec = NoiseSpec(np.float32(0.5), np.int64(0), np.float32(0.25))
+        assert (spec.stress_std, spec.strain_std, spec.strain_limit) == (0.5, 0.0, 0.25)
+        assert type(spec.stress_std) is float and type(spec.strain_limit) is float
+        for limit in (math.inf, np.inf, np.float64("inf")):
+            assert NoiseSpec(0.01, 1e-4, limit).strain_limit == math.inf
+        with pytest.raises(ConfigurationError, match="strain_limit must be a finite number, got -inf"):
+            NoiseSpec(0.01, 1e-4, -math.inf)
+
 
 class TestMeasurementSet:
     def test_strictly_increasing_required(self):
@@ -294,6 +318,20 @@ class TestDrawSpecimens:
         accepted with RuntimeWarnings from the symmetry test."""
         with pytest.raises(ConfigurationError, match="population mean and covariance must be finite"):
             SpecimenPopulation(kind=ModelKind.LINEAR_ELASTIC, mean=mean, covariance=covariance, count=3)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None])
+    def test_library_count_refused_as_in_a_config(self, count):
+        """A count went unchecked but for ``count < 1``: 2.5 and True
+        constructed and failed or misread later in ``draw_specimens``."""
+        with pytest.raises(ConfigurationError, match=f"^population count must be an integer, got {count!r}$"):
+            SpecimenPopulation(kind=ModelKind.LINEAR_ELASTIC, mean=[210.0], covariance=[[100.0]], count=count)
+
+    def test_array_likes_and_numpy_count_construct(self):
+        pop = SpecimenPopulation(
+            kind=ModelKind.PERFECT_PLASTICITY, mean=(210.0, 0.25), covariance=np.diag([100.0, 1e-4]), count=np.int64(3)
+        )
+        assert pop.count == 3 and type(pop.count) is int
+        assert len(draw_specimens(pop, seed=1)) == 3
 
     @pytest.mark.parametrize(
         "mean, covariance, count, message",

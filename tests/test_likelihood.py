@@ -699,6 +699,17 @@ class TestGuards:
         with pytest.raises(ConfigurationError):
             QuadratureSpec(panels=2)
 
+    @pytest.mark.parametrize("bad", [384.0, 512.7, "384", True, None])
+    def test_quadrature_spec_refuses_what_a_config_refuses(self, bad):
+        """The panel count goes through the reader of the config files:
+        384.0 constructed, and a string or null raised a TypeError."""
+        with pytest.raises(ConfigurationError, match=f"^quadrature panels must be an integer, got {bad!r}$"):
+            QuadratureSpec(panels=bad)
+
+    def test_quadrature_spec_numpy_integer_constructs(self):
+        spec = QuadratureSpec(panels=np.int64(256))
+        assert spec.panels == 256 and type(spec.panels) is int
+
     def test_quadrature_only_for_implicit_double(self):
         mset = _double_set([1e-3], [0.21])
         with pytest.raises(ConfigurationError):

@@ -88,10 +88,41 @@ class TestSamplerConfig:
         with pytest.raises(ConfigurationError):
             SamplerConfig(n_samples=10, initial=[float("nan")])
 
-    def test_initial_is_flattened_to_float_array(self):
-        config = SamplerConfig(n_samples=10, initial=[[1], [2]])
-        assert config.initial.shape == (2,)
-        assert config.initial.dtype == float
+    def test_nested_initial_is_refused(self):
+        """``initial=[[1], [2]]`` was flattened to [1, 2], where a config
+        holding it exits 2: the library reads it as a config does."""
+        with pytest.raises(ConfigurationError, match=r"^initial must be at most 1-D, got \[\[1\], \[2\]\]$"):
+            SamplerConfig(n_samples=10, initial=[[1], [2]])
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("n_samples", 10.5), ("n_samples", 10.0), ("n_samples", True), ("n_samples", "300"),
+            ("n_samples", None), ("burn_in", 2.5), ("burn_in", "2"), ("burn_in", False),
+            ("adapt_every", 2.5), ("adapt_every", "100"), ("adapt_every", True),
+            ("history_cap", 50.5), ("history_cap", "50"),
+            ("step_scale", "1"), ("step_scale", True), ("initial", "abc"), ("initial", [205.0, "0.27"]),
+            ("initial", [True]),
+        ],
+    )
+    def test_library_refuses_what_a_config_refuses(self, key, bad):
+        """Each setting goes through the reader of the config files: a float
+        count, a bool, a numeric string or null constructed (or raised a
+        TypeError or ValueError) and failed later inside the chain."""
+        settings = {"n_samples": 20, key: bad}
+        with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+            SamplerConfig(**settings)
+
+    def test_array_likes_and_numpy_scalars_construct(self):
+        config = SamplerConfig(
+            n_samples=np.int64(20), burn_in=np.int32(2), step_scale=np.float32(0.5), initial=np.array([1.0, 2.0]),
+            adapt_every=np.uint8(5), history_cap=np.int64(3), seed=np.uint32(7),
+        )
+        assert [type(config.n_samples), type(config.burn_in), type(config.step_scale)] == [int, int, float]
+        assert (config.adapt_every, config.history_cap, config.step_scale) == (5, 3, 0.5)
+        np.testing.assert_array_equal(config.initial, [1.0, 2.0])
+        for initial in ((1.0, np.float64(2.0)), np.float32(1.5), np.array(3.0), [np.float32(1.0), 2]):
+            assert SamplerConfig(n_samples=20, initial=initial).initial.dtype == float
 
     @pytest.mark.parametrize("bad", [1.5, -3, "x", True, np.bool_(True), np.int64(-1)])
     def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, bad):
@@ -618,6 +649,14 @@ class TestConvergenceTrace:
     def test_alternating_chain_settles_at_midpoint(self):
         assert convergence_trace(np.tile([1.0, 3.0], 500)[:, None]) < 0.01
 
+    def test_one_dimensional_chain_is_one_component(self):
+        """A 1-D chain of n states was read as one state of n components and
+        scored 0.0, whatever its drift."""
+        chain = np.linspace(100.0, 200.0, 1000)
+        score = convergence_trace(chain)
+        assert score == convergence_trace(chain[:, None])
+        assert score == pytest.approx(0.1665, abs=1e-4)
+
     def test_drift_shrinks_with_chain_length(self):
         rng = np.random.default_rng(11)
         samples = rng.normal(100.0, 5.0, size=(40_000, 1))
@@ -880,6 +919,19 @@ class TestChainStorage:
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(ConfigurationError, match=rf"chain\.csv:3: non-finite value in '{cell},-1'"):
                 load_chain(path)
+
+    @pytest.mark.parametrize("header", ["sigma_y0,E,log_density", "a,b,c", "E,sigma_y0,logp"])
+    def test_edited_header_rejected(self, tmp_path, header):
+        """The table's header was thrown away: a chain whose columns were
+        renamed or reordered loaded under the sidecar's names."""
+        chain = Chain(np.array([[1.0, 2.0], [3.0, 4.0]]), np.full(2, -1.0), 1, SamplerConfig(n_samples=2))
+        path = tmp_path / "chain.csv"
+        save_chain(chain, path, ["E", "sigma_y0"])
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header, *lines[1:]]) + "\n")
+        message = rf"chain\.csv:1: expected header 'E,sigma_y0,log_density', got '{header}'"
+        with pytest.raises(ConfigurationError, match=message):
+            load_chain(path)
 
     def test_more_acceptances_than_steps_rejected(self, tmp_path):
         """A sidecar counting more acceptances than steps loaded and reported
