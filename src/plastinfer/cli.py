@@ -32,9 +32,7 @@ from .data import (
     MeasurementSet,
     SpecimenPopulation,
     _flag,
-    _integer,
-    _number,
-    _numbers,
+    _generate_set,
     _object,
     _parse_noise,
     _read_object,
@@ -42,12 +40,10 @@ from .data import (
     _write_object,
     _write_table,
     draw_specimens,
-    generate_double_noise,
-    generate_single_noise,
     read_measurements,
     write_measurements,
 )
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, DomainError, NumericalError, _integer, _number, _numbers
 from .likelihood import QuadratureSpec
 from .models import ModelKind, ParameterVector
 from .posterior import AnalyticLEPosterior, LogPosterior, analytic_le_posterior
@@ -75,8 +71,7 @@ _ACCEPTANCE_FLOOR = 0.05
 def _parse_parameters(kind: ModelKind, block: object) -> ParameterVector:
     block = _object(block, "parameters", kind.parameter_names)
     context = f"parameters for {kind.value}"
-    values = [_number(_require(block, name, context), name) for name in kind.parameter_names]
-    return ParameterVector.from_array(kind, np.array(values))
+    return ParameterVector.from_array(kind, [_require(block, name, context) for name in kind.parameter_names])
 
 
 def _grid(block: object, name: str, keys: tuple, make) -> np.ndarray:
@@ -106,7 +101,7 @@ def _parse_prior(block: object, dimension: int) -> TruncatedNormalPrior:
     if "covariance" in block and "std" in block:
         raise ConfigurationError("give the prior either 'covariance' or 'std', not both")
     if "covariance" in block:
-        covariance = _numbers(block["covariance"], "prior covariance", 2)
+        covariance = block["covariance"]
     elif "std" in block:
         std = _numbers(block["std"], "prior std")
         if std.shape != mean.shape or not np.all(std > 0.0):
@@ -184,12 +179,7 @@ def _generate(block: dict, seed: int, context: str) -> MeasurementSet:
     kind = ModelKind.parse(_require(block, "model", context))
     x = _parse_parameters(kind, _require(block, "parameters", context))
     strains = _parse_strains(_require(block, "strains", context))
-    noise = _parse_noise(_require(block, "noise", context))
-    if noise.double:
-        return generate_double_noise(
-            x, kind, strains, noise.stress_std, noise.strain_std, seed, noise.strain_limit
-        )
-    return generate_single_noise(x, kind, strains, noise.stress_std, seed)
+    return _generate_set(x, kind, strains, _parse_noise(_require(block, "noise", context)), seed)
 
 
 def _closed_form(prior: TruncatedNormalPrior, sets: list[MeasurementSet]) -> AnalyticLEPosterior:
@@ -368,8 +358,8 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
     kind = ModelKind.parse(pop_block.get("model", "LE"))
     population = SpecimenPopulation(
         kind=kind,
-        mean=_numbers(_require(pop_block, "mean", "'population'"), "population mean"),
-        covariance=_numbers(_require(pop_block, "covariance", "'population'"), "population covariance", 2),
+        mean=_require(pop_block, "mean", "'population'"),
+        covariance=_require(pop_block, "covariance", "'population'"),
         count=_require(pop_block, "count", "'population'"),
     )
     per_specimen = _object(_require(config, "per_specimen", "config"), "per_specimen", ("strains", "noise"))
@@ -427,10 +417,7 @@ def _cmd_heterogeneity(args: argparse.Namespace, config: dict) -> int:
         specimens = draw_specimens(population, spec_seed)
         # One more noise child seeds the chain; the specimens' children keep their keys.
         *child_seeds, chain_stream = noise_seed.spawn(population.count + 1)
-        sets = [
-            generate_single_noise(x, kind, strains, noise.stress_std, child)
-            for x, child in zip(specimens, child_seeds)
-        ]
+        sets = [_generate_set(x, kind, strains, noise, child) for x, child in zip(specimens, child_seeds)]
         rows.append((rep, *estimate(rep, sets, chain_stream)))
 
     _write_table(args.output, columns, rows)

@@ -9,21 +9,21 @@ round-trips float64 exactly) plus a JSON sidecar next to it (same stem,
 ``.json`` suffix) holding the noise specification and provenance. Every
 CSV table of the package goes through one writer and one reader, and
 every JSON file through one reader; the sidecars and the command line's
-configs share one set of typed readers.
+configs share one set of typed readers: the key, string and flag readers
+live here, and the readers of numbers in ``errors``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from collections.abc import Iterator
 from pathlib import Path
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, _integer, _number, _numbers
 from .models import ModelKind, ParameterVector, stress
 from .priors import _normal_moments
 
@@ -89,16 +89,14 @@ class MeasurementSet:
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        strains = np.asarray(self.strains, dtype=float).reshape(-1)
-        stresses = np.asarray(self.stresses, dtype=float).reshape(-1)
+        strains = _numbers(self.strains, "strains")
+        stresses = _numbers(self.stresses, "stresses")
         if strains.size != stresses.size:
             raise ConfigurationError(
                 f"strain/stress length mismatch: {strains.size} vs {stresses.size}"
             )
         if strains.size < 1:
             raise ConfigurationError("k >= 1 required: a measurement set cannot be empty")
-        if not (np.all(np.isfinite(strains)) and np.all(np.isfinite(stresses))):
-            raise ConfigurationError("measurements must be finite")
         if strains.size > 1 and not np.all(np.diff(strains) > 0.0):
             raise ConfigurationError("strains must be strictly increasing")
         object.__setattr__(self, "strains", strains)
@@ -122,12 +120,11 @@ class SpecimenPopulation:
     count: int
 
     def __post_init__(self) -> None:
-        size = np.size(self.mean)
-        if size != self.kind.dimension:
-            raise ConfigurationError(
-                f"population mean has {size} entries, {self.kind.value} needs {self.kind.dimension}"
-            )
         mean, cov = _normal_moments(self.mean, self.covariance, "population")
+        if mean.size != self.kind.dimension:
+            raise ConfigurationError(
+                f"population mean has {mean.size} entries, {self.kind.value} needs {self.kind.dimension}"
+            )
         eigvals = np.linalg.eigvalsh(cov)
         if eigvals.min() < -1e-10 * max(1.0, eigvals.max()):
             raise ConfigurationError("population covariance must be positive semi-definite")
@@ -149,49 +146,6 @@ def _object(value: object, name: str, keys: tuple) -> dict:
     if others:
         raise ConfigurationError(f"{name} takes only {', '.join(map(repr, keys))}; got {others[0]!r}")
     return value
-
-
-def _number(value: object, name: str, minimum: float | None = None) -> float:
-    """``value`` as a float if it is a finite number (a numpy scalar
-    included), at least ``minimum`` when given; a bool, string, null or any
-    other value is a configuration error, never parsed."""
-    value = value.item() if isinstance(value, np.generic) else value
-    # bool is an int subclass; NaN fails the comparison, and so do an
-    # infinity and an integer too large for a float.
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
-    return float(value)
-
-
-def _numbers(value: object, name: str, ndim: int = 1) -> np.ndarray:
-    """``value``, a number or a rectangular list, tuple or array of numbers
-    nested at most ``ndim`` deep, as a float array of 1 to ``ndim`` dimensions;
-    each number is read by :func:`_number`, and nothing deeper is flattened."""
-
-    def read(item: object) -> object:
-        return [read(entry) for entry in item] if isinstance(item, (list, tuple)) else _number(item, name)
-
-    numbers = read(value.tolist() if isinstance(value, np.ndarray) else value)
-    try:
-        array = np.atleast_1d(np.asarray(numbers, dtype=float))
-    except ValueError:
-        raise ConfigurationError(f"{name} must be a rectangular list, got {value!r}") from None
-    if array.ndim > ndim:
-        raise ConfigurationError(f"{name} must be at most {ndim}-D, got {value!r}")
-    return array
-
-
-def _integer(value: object, name: str, minimum: int | None = None) -> int:
-    """``value`` as an int, at least ``minimum`` when given; a bool, float,
-    string, null or any other non-integer is a configuration error, never
-    truncated or parsed."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
-    return int(value)
 
 
 def _strings(value: object, name: str, count: int) -> list[str]:
@@ -227,11 +181,11 @@ def _parse_noise(block: object) -> NoiseSpec:
 
 
 def _check_strain_grid(strains) -> np.ndarray:
-    grid = np.asarray(strains, dtype=float).reshape(-1)
+    grid = _numbers(strains, "strain grid")
     if grid.size < 1:
         raise ConfigurationError("k >= 1 required: empty strain grid")
-    if np.any(grid < 0.0) or not np.all(np.isfinite(grid)):
-        raise ConfigurationError("strain grid must be finite and >= 0")
+    if np.any(grid < 0.0):
+        raise ConfigurationError(f"strain grid must be >= 0, got {float(grid.min())!r}")
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
         raise ConfigurationError("strain grid must be strictly increasing")
     return grid

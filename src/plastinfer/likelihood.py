@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MeasurementSet, NoiseSpec, _integer
-from .errors import ConfigurationError, NumericalError
+from .data import MeasurementSet, NoiseSpec
+from .errors import ConfigurationError, NumericalError, _integer
 from .models import (
     ModelKind,
     ParameterVector,

@@ -29,11 +29,11 @@ single-vector functions are one-row calls of it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, DomainError, NumericalError, _number
 
 __all__ = [
     "ModelKind",
@@ -89,8 +89,10 @@ class ParameterVector:
         H: plastic modulus in GPa (hardening models only).
         n: dimensionless hardening exponent (nonlinear hardening only).
 
-    All present components must be finite and nonnegative; that is the
-    support of every prior used in this package.
+    All present components must be finite nonnegative numbers, read by
+    ``_number`` (``E`` is always present); that is the support of every
+    prior used in this package. A refused component is a domain error in
+    the reader's words.
     """
 
     E: float
@@ -99,25 +101,18 @@ class ParameterVector:
     n: float | None = None
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            value = float(value)
-            if not np.isfinite(value) or value < 0.0:
-                raise DomainError(f"parameter {f.name} must be finite and >= 0, got {value!r}")
-            object.__setattr__(self, f.name, value)
+        present = [f.name for f in fields(self) if f.default is MISSING or getattr(self, f.name) is not None]
+        vars(self).update({name: _component(getattr(self, name), name) for name in present})
 
     @classmethod
     def from_array(cls, kind: ModelKind, values) -> "ParameterVector":
-        """Build a parameter vector for ``kind`` from an ordered array."""
-        values = np.asarray(values, dtype=float).reshape(-1)
+        """Build a parameter vector for ``kind`` from an ordered 1-D array,
+        list or tuple, each entry read as the parameter it stands for."""
+        values = values.tolist() if isinstance(values, np.ndarray) else values
         names = kind.parameter_names
-        if values.shape != (len(names),):
-            raise DomainError(
-                f"{kind.value} needs {len(names)} parameters {names}, got {values.size}"
-            )
-        return cls(**dict(zip(names, values)))
+        if not isinstance(values, (list, tuple)) or len(values) != len(names):
+            raise DomainError(f"{kind.value} needs {len(names)} parameters {names}, got {values!r}")
+        return cls(**{name: _component(value, name) for name, value in zip(names, values)})
 
     def to_array(self) -> np.ndarray:
         """Present components in canonical order (E, sigma_y0, H, n)."""
@@ -125,6 +120,15 @@ class ParameterVector:
             [getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None],
             dtype=float,
         )
+
+
+def _component(value: object, name: str) -> float:
+    """``value`` read by ``_number`` as parameter ``name``, at least 0; a
+    refused value is a domain error in the reader's words."""
+    try:
+        return _number(value, f"parameter {name}", 0)
+    except ConfigurationError as err:
+        raise DomainError(str(err)) from None
 
 
 def _as_strain_array(strain):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MeasurementSet
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _number
 from .likelihood import QuadratureSpec, likelihood_kernel
 from .models import ModelKind
 from .priors import TruncatedNormalPrior
@@ -65,11 +65,12 @@ def analytic_le_posterior(
     Returns:
         AnalyticLEPosterior with the updated location and scale.
     """
-    if not np.isfinite(prior_mean):
-        raise ConfigurationError("prior mean must be finite")
-    if not np.isfinite(prior_std) or prior_std <= 0.0:
+    prior_mean = _number(prior_mean, "prior mean")
+    prior_std = _number(prior_std, "prior std")
+    stress_std = _number(stress_std, "stress std")
+    if prior_std <= 0.0:
         raise ConfigurationError(f"prior std must be > 0, got {prior_std!r}")
-    if not np.isfinite(stress_std) or stress_std <= 0.0:
+    if stress_std <= 0.0:
         raise ConfigurationError(f"stress std must be > 0, got {stress_std!r}")
     strains = np.atleast_1d(np.asarray(strains, dtype=float))
     stresses = np.atleast_1d(np.asarray(stresses, dtype=float))

@@ -11,23 +11,20 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _numbers
 
 __all__ = ["TruncatedNormalPrior"]
 
 
 def _normal_moments(mean, covariance, name: str) -> tuple[np.ndarray, np.ndarray]:
     """``mean`` as a vector and ``covariance`` as a matrix of matching
-    shape, both finite and the matrix symmetric, else a configuration error
-    that begins with ``name``; each caller tests definiteness itself."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(covariance, dtype=float))
-    if mean.ndim != 1:
-        raise ConfigurationError(f"{name} mean must be a vector")
+    shape, both read by ``_numbers`` and the matrix symmetric, else a
+    configuration error that begins with ``name``; each caller tests
+    definiteness itself."""
+    mean = _numbers(mean, f"{name} mean")
+    cov = np.atleast_2d(_numbers(covariance, f"{name} covariance", 2))
     if cov.shape != (mean.size, mean.size):
         raise ConfigurationError(f"{name} covariance must be {mean.size}x{mean.size}, got {cov.shape}")
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise ConfigurationError(f"{name} mean and covariance must be finite")
     if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
         raise ConfigurationError(f"{name} covariance must be symmetric")
     return mean, cov

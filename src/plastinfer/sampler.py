@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _integer, _number, _numbers, _read_object, _read_table, _strings, _write_object, _write_table
-from .errors import ConfigurationError, DomainError, NumericalError
+from .data import _read_object, _read_table, _strings, _write_object, _write_table
+from .errors import ConfigurationError, DomainError, NumericalError, _integer, _number, _numbers
 from .likelihood import _special
 from .models import ModelKind, _as_strain_array, stress_rows
 from .posterior import LogPosterior

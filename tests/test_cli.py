@@ -1436,6 +1436,38 @@ def test_overflowing_strain_limit_exits_2(tmp_path, capsys):
     assert not (tmp_path / "data.csv").exists()
 
 
+class TestStressOnlyStrainLimit:
+    """A stress-only noise block keeps its ``strain_limit``: ``generate``
+    and ``heterogeneity`` dropped it, so a grid past the limit was drawn
+    and the sidecar recorded an unbounded tester."""
+
+    NOISE = {"stress_std": 0.01, "strain_limit": 1e-3}
+
+    def test_generate_grid_past_the_limit_exits_2(self, tmp_path, capsys):
+        config = _write_config(tmp_path, _generate_config(noise=self.NOISE))
+        assert cli.main(["generate", "--config", config, "--output", str(tmp_path / "data.csv")]) == 2
+        assert "strain grid exceeds the tester's strain limit" in capsys.readouterr().err
+        assert not (tmp_path / "data.csv").exists()
+
+    def test_generate_grid_within_the_limit_records_it(self, tmp_path):
+        out = _make_dataset(tmp_path, strains={"start": 2.4e-4, "step": 2.4e-4, "count": 4}, noise=self.NOISE)
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert sidecar["noise"]["strain_limit"] == 1e-3
+        assert read_measurements(out).noise.strain_limit == 1e-3
+
+    def test_heterogeneity_grid_past_the_limit_exits_2(self, tmp_path, capsys):
+        payload = {
+            "population": {"model": "LE", "mean": [210.0], "covariance": [[100.0]], "count": 3},
+            "per_specimen": {"strains": GRID_12, "noise": self.NOISE},
+            "prior": {"mean": 200.0, "std": 50.0},
+            "seed": 1,
+        }
+        config = _write_config(tmp_path, payload)
+        assert cli.main(["heterogeneity", "--config", config, "--output", str(tmp_path / "het.csv")]) == 2
+        assert "strain grid exceeds the tester's strain limit" in capsys.readouterr().err
+        assert not (tmp_path / "het.csv").exists()
+
+
 def test_negative_band_max_strain_exits_2_before_sampling(tmp_path, capsys):
     """identify sampled the whole chain and wrote chain.csv, chain.json and
     summary.json before the band failed with a message naming no key."""

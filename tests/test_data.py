@@ -105,13 +105,47 @@ class TestMeasurementSet:
             )
 
     @pytest.mark.parametrize(
-        "strains, stresses",
-        [([1e-3], [math.nan]), ([math.inf], [0.2]), ([1e-3, 2e-3], [0.2, -math.inf])],
+        "strains, stresses, message",
+        [
+            ([1e-3], [math.nan], "stresses must be a finite number, got nan"),
+            ([math.inf], [0.2], "strains must be a finite number, got inf"),
+            ([1e-3, 2e-3], [0.2, -math.inf], "stresses must be a finite number, got -inf"),
+        ],
         ids=["nan-stress", "inf-strain", "inf-stress"],
     )
-    def test_non_finite_measurement_rejected(self, strains, stresses):
-        with pytest.raises(ConfigurationError, match="measurements must be finite"):
+    def test_non_finite_measurement_rejected(self, strains, stresses, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
             MeasurementSet(strains=strains, stresses=stresses, noise=NoiseSpec(stress_std=0.01))
+
+    @pytest.mark.parametrize(
+        "strains, stresses, message",
+        [
+            ([True, 2e-3], [0.2, 0.4], "strains must be a finite number, got True"),
+            (["1e-3"], [0.2], "strains must be a finite number, got '1e-3'"),
+            ([1e-3], [None], "stresses must be a finite number, got None"),
+            ([[1e-3], [2e-3]], [0.2, 0.4], "strains must be at most 1-D, got [[0.001], [0.002]]"),
+            ([1e-3, 2e-3], [[0.2, 0.4]], "stresses must be at most 1-D, got [[0.2, 0.4]]"),
+        ],
+        ids=["bool", "string", "null", "nested-strains", "nested-stresses"],
+    )
+    def test_library_refuses_what_a_config_refuses(self, strains, stresses, message):
+        """Both channels go through the reader of the config files: a bool
+        was a strain of 1.0, a numeric string was parsed, null was a NaN
+        ("measurements must be finite") and a nested list was flattened."""
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            MeasurementSet(strains=strains, stresses=stresses, noise=NoiseSpec(stress_std=0.01))
+
+    def test_array_likes_and_numpy_scalars_construct(self):
+        noise = NoiseSpec(stress_std=0.01)
+        for strains, stresses in (
+            (np.array([1e-3, 2e-3]), np.array([0.2, 0.4])),
+            ((1e-3, 2e-3), (0.2, np.float32(0.4))),
+            ([np.float64(1e-3), np.float64(2e-3)], [np.float64(0.2), 0.4]),
+        ):
+            mset = MeasurementSet(strains, stresses, noise)
+            assert mset.strains.dtype == float and mset.stresses.dtype == float
+            np.testing.assert_array_equal(mset.strains, [1e-3, 2e-3])
+        assert len(MeasurementSet(np.float64(1e-3), 0.2, noise)) == 1
 
     def test_with_noise_reinterprets(self):
         mset = generate_single_noise(X_LE, ModelKind.LINEAR_ELASTIC, GRID_12, 0.01, seed=3)
@@ -222,8 +256,8 @@ class TestStrainGrid:
         "grid, message",
         [
             ([], "empty strain grid"),
-            ([-1e-3, 1e-3], "strain grid must be finite and >= 0"),
-            ([1e-3, np.inf], "strain grid must be finite and >= 0"),
+            ([-1e-3, 1e-3], "strain grid must be >= 0, got -0.001"),
+            ([1e-3, np.inf], "strain grid must be a finite number, got inf"),
             ([2e-3, 1e-3], "strain grid must be strictly increasing"),
         ],
     )
@@ -234,6 +268,32 @@ class TestStrainGrid:
                 generate_double_noise(X_LE, ModelKind.LINEAR_ELASTIC, grid, 0.01, 1e-4, seed=0)
             else:
                 generate_single_noise(X_LE, ModelKind.LINEAR_ELASTIC, grid, 0.01, seed=0)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([True, 2e-3], "strain grid must be a finite number, got True"),
+            ([1e-3, "2e-3"], "strain grid must be a finite number, got '2e-3'"),
+            ([1e-3, None], "strain grid must be a finite number, got None"),
+            ([[1e-3], [2e-3]], "strain grid must be at most 1-D, got [[0.001], [0.002]]"),
+        ],
+        ids=["bool", "string", "null", "nested"],
+    )
+    @pytest.mark.parametrize("double", [False, True], ids=["stress-only", "stress-and-strain"])
+    def test_library_refuses_what_a_config_refuses(self, grid, message, double):
+        """The grid goes through the reader of the config files: ``[True,
+        2.0]`` was the grid [1, 2], a numeric string was parsed, null was a
+        NaN and a nested list was flattened."""
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            if double:
+                generate_double_noise(X_LE, ModelKind.LINEAR_ELASTIC, grid, 0.01, 1e-4, seed=0)
+            else:
+                generate_single_noise(X_LE, ModelKind.LINEAR_ELASTIC, grid, 0.01, seed=0)
+
+    def test_array_likes_and_numpy_scalars_construct(self):
+        for grid in (np.array([1e-3, 2e-3]), (1e-3, 2e-3), [np.float32(1e-3), np.float64(2e-3)], np.float64(1e-3)):
+            mset = generate_single_noise(X_LE, ModelKind.LINEAR_ELASTIC, grid, 0.0, seed=0)
+            np.testing.assert_array_equal(mset.strains, np.atleast_1d(np.asarray(grid, dtype=float)))
 
 
 class TestDrawSpecimens:
@@ -310,13 +370,38 @@ class TestDrawSpecimens:
             )
 
     @pytest.mark.parametrize(
-        "mean, covariance", [([math.nan], [[100.0]]), ([210.0], [[math.inf]])], ids=["nan-mean", "inf-covariance"]
+        "mean, covariance, message",
+        [
+            ([math.nan], [[100.0]], "population mean must be a finite number, got nan"),
+            ([210.0], [[math.inf]], "population covariance must be a finite number, got inf"),
+        ],
+        ids=["nan-mean", "inf-covariance"],
     )
-    def test_non_finite_population_rejected(self, mean, covariance):
+    def test_non_finite_population_rejected(self, mean, covariance, message):
         """A nan mean was accepted, and ``draw_specimens`` then blamed the
         support ("rejection rate above 99.9%"); an infinite covariance was
         accepted with RuntimeWarnings from the symmetry test."""
-        with pytest.raises(ConfigurationError, match="population mean and covariance must be finite"):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            SpecimenPopulation(kind=ModelKind.LINEAR_ELASTIC, mean=mean, covariance=covariance, count=3)
+
+    @pytest.mark.parametrize(
+        "mean, covariance, message",
+        [
+            ([True], [[100.0]], "population mean must be a finite number, got True"),
+            (["210"], [[100.0]], "population mean must be a finite number, got '210'"),
+            ([None], [[100.0]], "population mean must be a finite number, got None"),
+            ([[210.0]], [[100.0]], "population mean must be at most 1-D, got [[210.0]]"),
+            ([210.0], [[False]], "population covariance must be a finite number, got False"),
+            ([210.0], [["100"]], "population covariance must be a finite number, got '100'"),
+            ([210.0], [[None]], "population covariance must be a finite number, got None"),
+            ([210.0], [[[100.0]]], "population covariance must be at most 2-D, got [[[100.0]]]"),
+        ],
+    )
+    def test_library_refuses_what_a_config_refuses(self, mean, covariance, message):
+        """The moments go through the reader of the config files: a bool was
+        a number, a numeric string was parsed, null was a NaN and a nested
+        mean was measured by its size alone."""
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             SpecimenPopulation(kind=ModelKind.LINEAR_ELASTIC, mean=mean, covariance=covariance, count=3)
 
     @pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None])

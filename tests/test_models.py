@@ -11,6 +11,8 @@ point, and monotonicity of every response in the strain.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,46 @@ class TestParameterVector:
     def test_from_array_wrong_length(self):
         with pytest.raises(DomainError):
             ParameterVector.from_array(ModelKind.LINEAR_HARDENING, [210.0, 0.25])
+
+    @pytest.mark.parametrize(
+        "fields, name, bad",
+        [
+            ({"E": True}, "E", True), ({"E": "210"}, "E", "210"), ({"E": None}, "E", None),
+            ({"E": 210.0, "sigma_y0": [0.25]}, "sigma_y0", [0.25]),
+            ({"E": 210.0, "sigma_y0": 0.25, "H": False}, "H", False),
+            ({"E": 210.0, "sigma_y0": 0.25, "H": 2.0, "n": "0.5"}, "n", "0.5"),
+        ],
+    )
+    def test_library_refuses_what_a_config_refuses(self, fields, name, bad):
+        """Each component goes through the reader of the config files, and a
+        refused one stays a domain error: ``E=True`` was a modulus of 1.0,
+        ``E="210"`` one of 210.0 and ``E=None`` an absent modulus, and a list
+        raised a TypeError."""
+        with pytest.raises(DomainError, match=f"^parameter {name} must be a finite number, got {re.escape(repr(bad))}$"):
+            ParameterVector(**fields)
+
+    @pytest.mark.parametrize(
+        "values, name, bad",
+        [
+            ([210.0, True], "sigma_y0", True), ([210.0, "0.25"], "sigma_y0", "0.25"),
+            ([210.0, None], "sigma_y0", None), ([[210.0], [0.25]], "E", [210.0]),
+        ],
+    )
+    def test_from_array_refuses_what_a_config_refuses(self, values, name, bad):
+        """``from_array`` read its entries as one float array, so a bool or a
+        numeric string became a number, null a NaN and a nested list was
+        flattened; each entry is now read as the parameter it stands for."""
+        with pytest.raises(DomainError, match=f"^parameter {name} must be a finite number, got {re.escape(repr(bad))}$"):
+            ParameterVector.from_array(ModelKind.PERFECT_PLASTICITY, values)
+
+    def test_array_likes_and_numpy_scalars_construct(self):
+        x = ParameterVector(E=np.float32(210.0), sigma_y0=np.int64(0), H=2, n=np.float64(0.5))
+        assert (x.E, x.sigma_y0, x.H, x.n) == (210.0, 0.0, 2.0, 0.5)
+        assert all(type(v) is float for v in (x.E, x.sigma_y0, x.H, x.n))
+        for values in (np.array([210.0, 0.25]), (210.0, np.float32(0.25)), [np.int64(210), 0.25]):
+            np.testing.assert_array_equal(
+                ParameterVector.from_array(ModelKind.PERFECT_PLASTICITY, values).to_array(), [210.0, 0.25]
+            )
 
     def test_parse_is_case_insensitive(self):
         assert ModelKind.parse("le-pp") is ModelKind.PERFECT_PLASTICITY

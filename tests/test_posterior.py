@@ -128,7 +128,7 @@ class TestAnalyticPosterior:
         [
             ((PRIOR_MEAN, 0.0, [STRAIN_1], [STRESS_1], NOISE_STD), "prior std must be > 0"),
             ((PRIOR_MEAN, PRIOR_STD, [STRAIN_1], [STRESS_1], 0.0), "stress std must be > 0"),
-            ((math.nan, PRIOR_STD, [STRAIN_1], [STRESS_1], NOISE_STD), "prior mean must be finite"),
+            ((math.nan, PRIOR_STD, [STRAIN_1], [STRESS_1], NOISE_STD), "prior mean must be a finite number, got nan"),
             ((PRIOR_MEAN, PRIOR_STD, [STRAIN_1], [math.inf], NOISE_STD), "measurements must be finite"),
         ],
         ids=["prior-std", "stress-std", "prior-mean", "measurement"],
@@ -138,6 +138,29 @@ class TestAnalyticPosterior:
             analytic_le_posterior(*args)
         with pytest.raises(ConfigurationError):
             analytic_le_posterior(PRIOR_MEAN, PRIOR_STD, [1e-3, 2e-3], [0.2], NOISE_STD)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("200", PRIOR_STD, NOISE_STD), "prior mean must be a finite number, got '200'"),
+            ((PRIOR_MEAN, True, NOISE_STD), "prior std must be a finite number, got True"),
+            ((PRIOR_MEAN, PRIOR_STD, None), "stress std must be a finite number, got None"),
+        ],
+        ids=["string-mean", "bool-std", "null-noise"],
+    )
+    def test_library_refuses_what_a_config_refuses(self, args, message):
+        """The scalars go through the reader of the config files: a string or
+        null raised a bare TypeError and a bool was a std of 1.0."""
+        prior_mean, prior_std, stress_std = args
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            analytic_le_posterior(prior_mean, prior_std, [STRAIN_1], [STRESS_1], stress_std)
+
+    def test_numpy_scalars_construct(self):
+        post = analytic_le_posterior(
+            np.float32(PRIOR_MEAN), np.int64(PRIOR_STD), [STRAIN_1], [STRESS_1], np.float64(NOISE_STD)
+        )
+        expected = analytic_le_posterior(PRIOR_MEAN, PRIOR_STD, [STRAIN_1], [STRESS_1], NOISE_STD)
+        assert (post.mean, post.std) == (expected.mean, expected.std)
 
 
 def _prior_le() -> TruncatedNormalPrior:

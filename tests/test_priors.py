@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -82,8 +84,38 @@ class TestConstruction:
             TruncatedNormalPrior(mean=[1.0, 2.0], covariance=[[1.0]])
 
     def test_matrix_mean_rejected(self):
-        with pytest.raises(ConfigurationError, match="prior mean must be a vector"):
+        with pytest.raises(ConfigurationError, match=r"prior mean must be at most 1-D, got \[\[1.0\]\]"):
             TruncatedNormalPrior(mean=[[1.0]], covariance=[[1.0]])
+
+    @pytest.mark.parametrize(
+        "mean, covariance, message",
+        [
+            ([True], [[1.0]], "prior mean must be a finite number, got True"),
+            (["200"], [[1.0]], "prior mean must be a finite number, got '200'"),
+            ([None], [[1.0]], "prior mean must be a finite number, got None"),
+            ([200.0], [[True]], "prior covariance must be a finite number, got True"),
+            ([200.0], [["2500"]], "prior covariance must be a finite number, got '2500'"),
+            ([200.0], [[None]], "prior covariance must be a finite number, got None"),
+            ([200.0], [[[2500.0]]], "prior covariance must be at most 2-D, got [[[2500.0]]]"),
+        ],
+    )
+    def test_library_refuses_what_a_config_refuses(self, mean, covariance, message):
+        """The moments go through the reader of the config files: a bool was
+        a number, a numeric string was parsed, null was a NaN and a
+        covariance nested too deep failed on its shape alone."""
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            TruncatedNormalPrior(mean=mean, covariance=covariance)
+
+    def test_array_likes_and_numpy_scalars_construct(self):
+        for mean, covariance in (
+            (np.array([200.0, 0.29]), np.diag([2500.0, 1e-4])),
+            ((200.0, np.float32(0.29)), ((2500.0, 0.0), (0.0, np.float64(1e-4)))),
+            ([np.int64(200), 0.29], [[np.float32(2500.0), 0], [0, 1e-4]]),
+        ):
+            prior = TruncatedNormalPrior(mean, covariance)
+            assert prior.mean.dtype == float and prior.covariance.shape == (2, 2)
+        one = TruncatedNormalPrior(np.float64(200.0), 2500)
+        assert one.mean.tolist() == [200.0] and one.covariance.tolist() == [[2500.0]]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigurationError):
