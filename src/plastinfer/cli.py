@@ -57,7 +57,6 @@ from .sampler import (
     effective_sample_size,
     response_band,
     run_adaptive_mh,
-    run_mh,
     save_chain,
     summarize,
 )
@@ -134,7 +133,7 @@ def _seed(override: int | None, pinned: object, stream: np.random.Generator | No
     return np.random.SeedSequence().entropy if stream is None else int(stream.integers(2**63))
 
 
-_Fit = namedtuple("_Fit", "kind prior sampler run")
+_Fit = namedtuple("_Fit", "kind prior sampler")
 # Keys read by _parse_fit, by it and _run_identification, by _generate and by _apply_noise_override.
 _FIT_KEYS = ("model", "prior", "sampler")
 _RUN_KEYS = (*_FIT_KEYS, "quadrature", "band")
@@ -145,14 +144,15 @@ _NOISE_OVERRIDE_KEYS = ("noise", "allow_regime_change")
 def _parse_fit(block: dict, context: str) -> _Fit:
     """The model kind, prior and ``SamplerConfig`` of a sampled verb's fit
     block (``identify``'s config, the ``fit`` block of ``mismatch`` and
-    ``heterogeneity``), and the ``run`` function, ``run_adaptive_mh`` or
-    ``run_mh`` as the sampler's ``adaptive`` selects."""
+    ``heterogeneity``). The sampler's ``"adaptive": false`` is the fixed
+    proposal, the schedule that never adapts: ``adapt_every = n_samples``."""
     kind = ModelKind.parse(_require(block, "model", context))
     prior = _parse_prior(_require(block, "prior", context), kind.dimension)
     known = (*(field.name for field in fields(SamplerConfig)), "adaptive")
     sampler = _object(_require(block, "sampler", context), "sampler", known)
-    run = run_adaptive_mh if _flag(sampler.get("adaptive", True), "sampler adaptive") else run_mh
-    return _Fit(kind, prior, _read_config(sampler, "sampler"), run)
+    adaptive = _flag(sampler.get("adaptive", True), "sampler adaptive")
+    config = _read_config(sampler, "sampler")
+    return _Fit(kind, prior, config if adaptive else replace(config, adapt_every=config.n_samples))
 
 
 def _parse_quadrature(block: object) -> QuadratureSpec | None:
@@ -206,7 +206,7 @@ def _sample(target: LogPosterior, fit: _Fit, chain_seed: int, where: str = "") -
     chain, its summary and its record, the ``summary.json`` fields from
     ``mean`` to ``drift_score``. A drifting running mean and low acceptance
     are warned of on stderr, naming ``where`` (" in replicate 2")."""
-    chain = fit.run(target, replace(fit.sampler, seed=chain_seed))
+    chain = run_adaptive_mh(target, replace(fit.sampler, seed=chain_seed))
     retained, _ = chain.retained()
     # Moments that overflow are refused by the writers.
     with np.errstate(over="ignore", invalid="ignore"):

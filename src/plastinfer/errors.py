@@ -3,9 +3,9 @@
 The command-line front end maps these onto exit codes: configuration
 problems exit with 2, numerical breakdowns with 3.
 
-The readers of numbers, ``_number``, ``_numbers`` and ``_integer``, live
-here, below every other module, so that each object that owns a number
-reads it as a config is read.
+The readers of numbers, ``_number``, ``_array``, ``_numbers`` and
+``_integer``, live here, below every other module, so that each object
+that owns a number reads it as a config is read.
 """
 
 import sys
@@ -39,19 +39,35 @@ def _number(value: object, name: str, minimum: float | None = None) -> float:
     return float(value)
 
 
-def _numbers(value: object, name: str, ndim: int = 1) -> np.ndarray:
-    """``value``, a number or a rectangular list, tuple or array of numbers
-    nested at most ``ndim`` deep, as a float array of 1 to ``ndim`` dimensions;
-    each number is read by :func:`_number`, and nothing deeper is flattened."""
+def _array(value: object, name: str) -> np.ndarray:
+    """``value``, a number or a rectangular list, tuple or array of finite
+    numbers, as a float array of its own shape (0-D for a number). Each
+    entry of a list or tuple is read by :func:`_number`; an array is read by
+    its dtype, which must be an integer or float one, so a bool, string,
+    None or object entry is a configuration error either way."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":
+            raise ConfigurationError(f"{name} must hold numbers, got an array of dtype {value.dtype}")
+        array = value.astype(float)
+        finite = np.isfinite(array)
+        if not finite.all():
+            _number(array[~finite][0], name)  # raises, naming the entry
+        return array
 
     def read(item: object) -> object:
         return [read(entry) for entry in item] if isinstance(item, (list, tuple)) else _number(item, name)
 
-    numbers = read(value.tolist() if isinstance(value, np.ndarray) else value)
+    numbers = read(value)
     try:
-        array = np.atleast_1d(np.asarray(numbers, dtype=float))
+        return np.asarray(numbers, dtype=float)
     except ValueError:
         raise ConfigurationError(f"{name} must be a rectangular list, got {value!r}") from None
+
+
+def _numbers(value: object, name: str, ndim: int = 1) -> np.ndarray:
+    """``value`` read by :func:`_array`, nested at most ``ndim`` deep, as a
+    float array of 1 to ``ndim`` dimensions; nothing deeper is flattened."""
+    array = np.atleast_1d(_array(value, name))
     if array.ndim > ndim:
         raise ConfigurationError(f"{name} must be at most {ndim}-D, got {value!r}")
     return array

@@ -33,7 +33,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalError, _number
+from .errors import ConfigurationError, DomainError, NumericalError, _array, _number
 
 __all__ = [
     "ModelKind",
@@ -131,10 +131,15 @@ def _component(value: object, name: str) -> float:
         raise DomainError(str(err)) from None
 
 
-def _as_strain_array(strain):
-    eps = np.asarray(strain, dtype=float)
-    if (eps < 0.0).any() or not np.isfinite(eps).all():
-        raise DomainError("strains must be finite and >= 0 (monotonic tension)")
+def _as_strain_array(strain) -> np.ndarray:
+    """``strain`` read by ``_array`` (a number, or a list, tuple or array of
+    numbers, of any shape); a refused or negative strain is a domain error."""
+    try:
+        eps = _array(strain, "strain")
+    except ConfigurationError as err:
+        raise DomainError(str(err)) from None
+    if (eps < 0.0).any():
+        raise DomainError("strains must be >= 0 (monotonic tension)")
     return eps
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MeasurementSet
-from .errors import ConfigurationError, _number
+from .errors import ConfigurationError, _number, _numbers
 from .likelihood import QuadratureSpec, likelihood_kernel
 from .models import ModelKind
 from .priors import TruncatedNormalPrior
@@ -58,8 +58,9 @@ def analytic_le_posterior(
     Args:
         prior_mean: prior location of the modulus.
         prior_std: prior scale, > 0.
-        strains: measurement strains, shape (k,), k >= 0.
-        stresses: measured stresses, shape (k,).
+        strains: measurement strains, shape (k,), k >= 0, read as
+            ``MeasurementSet`` reads them (a bool or string is refused).
+        stresses: measured stresses, shape (k,), read likewise.
         stress_std: stress noise standard deviation, > 0.
 
     Returns:
@@ -72,12 +73,10 @@ def analytic_le_posterior(
         raise ConfigurationError(f"prior std must be > 0, got {prior_std!r}")
     if stress_std <= 0.0:
         raise ConfigurationError(f"stress std must be > 0, got {stress_std!r}")
-    strains = np.atleast_1d(np.asarray(strains, dtype=float))
-    stresses = np.atleast_1d(np.asarray(stresses, dtype=float))
+    strains = _numbers(strains, "strains")
+    stresses = _numbers(stresses, "stresses")
     if strains.shape != stresses.shape:
         raise ConfigurationError("strains and stresses must have matching shapes")
-    if not (np.all(np.isfinite(strains)) and np.all(np.isfinite(stresses))):
-        raise ConfigurationError("measurements must be finite")
 
     s2 = stress_std * stress_std
     p2 = prior_std * prior_std

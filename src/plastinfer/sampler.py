@@ -1,12 +1,12 @@
-"""Random-walk Metropolis samplers and chain post-processing.
+"""Random-walk Metropolis sampling and chain post-processing.
 
-``run_mh`` and ``run_adaptive_mh`` enter one Metropolis loop proposing
-``x + z A``, z standard normal. A is the step scale times the identity;
-the adaptive entry point periodically replaces it by the scaled R factor
-of the QR decomposition of the chain's centered history (the Adaptive
-Metropolis of Haario, Saksman and Tamminen, 2001), so correlated
-posteriors mix without hand-tuning at O(dim^2) per step. The loop scores
-proposals ahead: a step's random draws do not depend on earlier
+One Metropolis loop proposes ``x + z A``, z standard normal. A, first the
+step scale times the identity, is replaced every ``adapt_every`` steps by
+the scaled R factor of the QR decomposition of the chain's centered
+history (the Adaptive Metropolis of Haario, Saksman and Tamminen, 2001),
+so correlated posteriors mix without hand-tuning at O(dim^2) per step; a
+fixed proposal (``run_mh``) is the schedule that never adapts. The loop
+scores proposals ahead: a step's random draws do not depend on earlier
 acceptances, so the proposals that follow from the current state if
 every step is rejected are scored in one batched target call, and the
 chain walks them up to the first acceptance (the pre-fetching of
@@ -20,7 +20,7 @@ response envelopes and CSV persistence.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,13 +56,13 @@ def _check_seed(seed: object) -> int | None:
 
 @dataclass(frozen=True, eq=False)
 class SamplerConfig:
-    """Run settings shared by both samplers.
+    """Run settings of the Metropolis loop.
 
     ``step_scale`` defaults to 2.38 divided by the square root of the
-    dimension, the classical random-walk scaling. ``adapt_every`` and
-    ``history_cap`` only matter for the adaptive driver: the proposal is
-    rebuilt every ``adapt_every`` steps from the most recent
-    ``history_cap`` states (all of them when the cap is None). Each field is
+    dimension, the classical random-walk scaling. The proposal is rebuilt
+    every ``adapt_every`` steps from the most recent ``history_cap`` states
+    (all of them when the cap is None); ``adapt_every`` at or above
+    ``n_samples`` never adapts, which is the fixed proposal. Each field is
     read as in a config file: a float count, a bool, a numeric string or a
     nested ``initial`` is refused, never truncated, parsed or flattened.
     """
@@ -163,8 +163,8 @@ def _history_factor(history: np.ndarray, scale: float) -> np.ndarray | None:
 _MAX_LOOKAHEAD = 8
 
 
-def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> Chain:
-    """The Metropolis loop behind both entry points.
+def _metropolis(target: LogPosterior, config: SamplerConfig) -> Chain:
+    """The one Metropolis loop, adapting every ``adapt_every`` steps.
 
     Two streams are spawned from the seed (``SeedSequence(seed).spawn(2)``):
     child 0 gives each step's standard normals z for the proposal
@@ -213,17 +213,13 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
     n_accepted = 0
     x0 = x
     factor = fixed
+    cap = config.history_cap or n + 1
     i = 0
     while i < n:
-        end = n
-        if adaptive:
-            if i > 0 and i % config.adapt_every == 0:
-                history = np.vstack([x0, samples[:i]])
-                if config.history_cap is not None:
-                    history = history[-config.history_cap :]
-                adapted = _history_factor(history, scale)
-                factor = fixed if adapted is None else adapted
-            end = min(end, (i // config.adapt_every + 1) * config.adapt_every)
+        if i > 0 and i % config.adapt_every == 0:
+            adapted = _history_factor(np.vstack([x0, samples[:i]])[-cap:], scale)
+            factor = fixed if adapted is None else adapted
+        end = min(n, (i // config.adapt_every + 1) * config.adapt_every)
         k = min(_MAX_LOOKAHEAD, end - i, -(-2 * (i + 4) // (n_accepted + 1)))
         proposals = x + (z[i : i + k, :, None] * factor).sum(axis=1)
         try:
@@ -249,27 +245,29 @@ def _metropolis(target: LogPosterior, config: SamplerConfig, adaptive: bool) -> 
 
 
 def run_mh(target: LogPosterior, config: SamplerConfig) -> Chain:
-    """Metropolis sampling with a fixed isotropic Gaussian proposal."""
-    return _metropolis(target, config, adaptive=False)
+    """Metropolis sampling with a fixed isotropic Gaussian proposal: the
+    schedule that never adapts, ``adapt_every = n_samples``, as recorded."""
+    return _metropolis(target, replace(config, adapt_every=config.n_samples))
 
 
 def run_adaptive_mh(target: LogPosterior, config: SamplerConfig) -> Chain:
     """Metropolis sampling with a history-shaped proposal.
 
-    The first adaptation period is ``run_mh`` draw for draw. From then on,
-    every ``adapt_every`` steps the recorded states (starting state
-    included, truncated to the trailing ``history_cap`` rows) are centered
-    into a deviation matrix K with m rows, and proposals for the next
-    period are ``x + z A`` with ``A = (scale / sqrt(m - 1)) R``, R the
-    triangular factor of K = QR and z standard normal of the dimension's
-    length. As R^T R = K^T K, that is the law of ``(scale / sqrt(m - 1)) z' K``
-    with z' of length m (the history's covariance times the squared step
-    scale) at O(dim^2) instead of O(m dim) per step. A degenerate history,
-    every state identical, falls back to the fixed proposal for that period.
-    Proposals are scored ahead in batches that end at each adaptation step
-    (see ``_metropolis``); the chain equals scoring them one per step.
+    The first adaptation period (all of it if ``adapt_every >= n_samples``)
+    is ``run_mh`` draw for draw. From then on, every ``adapt_every`` steps
+    the recorded states (starting state included, truncated to the trailing
+    ``history_cap`` rows) are centered into a deviation matrix K with m
+    rows, and proposals for the next period are ``x + z A`` with
+    ``A = (scale / sqrt(m - 1)) R``, R the triangular factor of K = QR and
+    z standard normal of the dimension's length. As R^T R = K^T K, that is
+    the law of ``(scale / sqrt(m - 1)) z' K`` with z' of length m (the
+    history's covariance times the squared step scale) at O(dim^2) instead
+    of O(m dim) per step. A degenerate history, every state identical,
+    falls back to the fixed proposal for that period. Proposals are scored
+    ahead in batches that end at each adaptation step (see
+    ``_metropolis``); the chain equals scoring them one per step.
     """
-    return _metropolis(target, config, adaptive=True)
+    return _metropolis(target, config)
 
 
 # The share of the posterior mass that every credible region holds.
@@ -403,8 +401,9 @@ def effective_sample_size(values: np.ndarray) -> float:
 
     Uses the initial positive sequence estimator: autocorrelations are
     summed in adjacent pairs and the sum truncated at the first
-    nonpositive pair, which is conservative for reversible chains. A
-    constant chain has no information; its size is returned unchanged.
+    nonpositive pair, which is conservative for reversible chains. A chain
+    of 4 or more states that never moves has size 0, whether or not its
+    mean rounds to its one value; a shorter chain is returned at its length.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     n = values.size
@@ -414,8 +413,8 @@ def effective_sample_size(values: np.ndarray) -> float:
     nfft = 1 << (2 * n - 1).bit_length()
     spectrum = np.fft.rfft(centered, nfft)
     acov = np.fft.irfft(spectrum * np.conj(spectrum), nfft)[:n] / n
-    if acov[0] <= 0.0:
-        return float(n)
+    if acov[0] <= 0.0 or np.all(values == values[0]):
+        return 0.0
     rho = acov / acov[0]
     n_pairs = (n - 1) // 2
     pair_sums = rho[1 : 2 * n_pairs : 2] + rho[2 : 2 * n_pairs + 1 : 2]

@@ -24,8 +24,10 @@ import pytest
 
 import plastinfer
 from plastinfer import (
+    LogPosterior,
     ModelKind,
     NumericalError,
+    TruncatedNormalPrior,
     analytic_le_posterior,
     effective_sample_size,
     load_chain,
@@ -545,13 +547,13 @@ class TestHeterogeneity:
         """A replicate whose chain never moves after burn-in has a std of 0,
         so its correlation is 0/0: every replicate ran, and then the writer
         refused the table with only "corr_E_sigma_y0 is not finite"."""
-        chains, run_mh = [], cli.run_mh
+        chains = []
 
         def recording(target, config):
-            chains.append(run_mh(target, config))
+            chains.append(run_adaptive_mh(target, config))
             return chains[-1]
 
-        monkeypatch.setattr(cli, "run_mh", recording)
+        monkeypatch.setattr(cli, "run_adaptive_mh", recording)
         code, out = self._run(
             tmp_path,
             {
@@ -1225,8 +1227,13 @@ class TestTypedConfigReads:
 
     def test_valid_values_run(self, tmp_path):
         """Every key at a valid value; adaptive false runs the fixed
-        proposal, whose chain differs from the adaptive one."""
+        proposal, whose chain differs from the adaptive one. Either chain
+        file replays: ``run_adaptive_mh`` on the data with the config that
+        ``load_chain`` reads back gives ``chain.csv`` bit for bit. A
+        fixed-proposal chain recorded the ``adapt_every`` of 100, which never
+        applied, so its replay adapted and gave another chain."""
         sampler = {"adapt_every": 100, "history_cap": 200, "step_scale": 0.5}
+        prior = TruncatedNormalPrior(_PP_PRIOR["mean"], _PP_PRIOR["covariance"])
         chains = {}
         for adaptive in (False, True):
             argv = self._identify(
@@ -1234,7 +1241,14 @@ class TestTypedConfigReads:
             )
             assert cli.main(argv) == 0
             chains[adaptive] = (tmp_path / "run" / "chain.csv").read_bytes()
-            assert load_chain(tmp_path / "run" / "chain.csv")[0].samples.shape == (300, 2)
+            chain = load_chain(tmp_path / "run" / "chain.csv")[0]
+            assert chain.samples.shape == (300, 2)
+            assert chain.config.adapt_every == (100 if adaptive else 300)
+            target = LogPosterior(ModelKind.PERFECT_PLASTICITY, prior, read_measurements(tmp_path / "data.csv"))
+            replay = run_adaptive_mh(target, chain.config)
+            assert np.array_equal(replay.samples, chain.samples)
+            assert np.array_equal(replay.log_densities, chain.log_densities)
+            assert replay.n_accepted == chain.n_accepted
         assert chains[False] != chains[True]
 
 

@@ -170,6 +170,55 @@ class TestLinearElastic:
             stress(1e-3, ParameterVector(E=210.0), kind)
 
 
+class TestStrainInputs:
+    """Strains are read as a config is: a list or tuple entry by entry, an
+    array by its dtype. ``stress([True, "1e-3"], ...)`` returned
+    ``[210.0, 0.21]``."""
+
+    X = ParameterVector(E=210.0)
+
+    @pytest.mark.parametrize(
+        "strain, message",
+        [
+            ([True, "1e-3"], "strain must be a finite number, got True"),
+            (["1e-3"], "strain must be a finite number, got '1e-3'"),
+            ((1e-3, None), "strain must be a finite number, got None"),
+            (False, "strain must be a finite number, got False"),
+            ([[1e-3], [2e-3, 3e-3]], "strain must be a rectangular list, got [[0.001], [0.002, 0.003]]"),
+            ([np.nan], "strain must be a finite number, got nan"),
+            (np.array([1e-3, np.inf]), "strain must be a finite number, got inf"),
+            (np.array([True, False]), "strain must hold numbers, got an array of dtype bool"),
+            (np.array(["1e-3"]), "strain must hold numbers, got an array of dtype <U4"),
+            (np.array([1e-3], dtype=object), "strain must hold numbers, got an array of dtype object"),
+            (-1e-3, "strains must be >= 0 (monotonic tension)"),
+        ],
+        ids=["bool-and-string", "string", "null", "bool", "ragged", "nan", "inf-array", "bool-array",
+             "string-array", "object-array", "negative"],
+    )
+    def test_refused_strain_is_a_domain_error(self, strain, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            stress(strain, self.X, ModelKind.LINEAR_ELASTIC)
+
+    @pytest.mark.parametrize(
+        "strain, shape",
+        [
+            (1e-3, None), (np.float32(1e-3), None), (np.int64(0), None), (np.array(1e-3), None),
+            ([1e-3, 2e-3], (2,)), ((1e-3,), (1,)), ([[1e-3], [2e-3]], (2, 1)), ([], (0,)),
+            (np.zeros((2, 3)), (2, 3)), (np.array([0, 1], dtype=np.int32), (2,)),
+            (np.array([1e-3], dtype=np.float32), (1,)),
+        ],
+    )
+    def test_numbers_keep_their_shape(self, strain, shape):
+        """A number, numpy scalar or 0-D array returns a float; any other
+        input keeps its shape, with the values of a float64 cast."""
+        got = stress(strain, self.X, ModelKind.LINEAR_ELASTIC)
+        want = 210.0 * np.asarray(strain, dtype=float)
+        if shape is None:
+            assert type(got) is float and got == float(want)
+        else:
+            assert got.shape == shape and np.array_equal(got, want)
+
+
 class TestPerfectPlasticity:
     def test_boundary_belongs_to_elastic_branch(self):
         """The two branches agree exactly at the yield strain."""

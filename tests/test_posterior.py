@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -129,7 +130,7 @@ class TestAnalyticPosterior:
             ((PRIOR_MEAN, 0.0, [STRAIN_1], [STRESS_1], NOISE_STD), "prior std must be > 0"),
             ((PRIOR_MEAN, PRIOR_STD, [STRAIN_1], [STRESS_1], 0.0), "stress std must be > 0"),
             ((math.nan, PRIOR_STD, [STRAIN_1], [STRESS_1], NOISE_STD), "prior mean must be a finite number, got nan"),
-            ((PRIOR_MEAN, PRIOR_STD, [STRAIN_1], [math.inf], NOISE_STD), "measurements must be finite"),
+            ((PRIOR_MEAN, PRIOR_STD, [STRAIN_1], [math.inf], NOISE_STD), "stresses must be a finite number, got inf"),
         ],
         ids=["prior-std", "stress-std", "prior-mean", "measurement"],
     )
@@ -154,6 +155,25 @@ class TestAnalyticPosterior:
         prior_mean, prior_std, stress_std = args
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             analytic_le_posterior(prior_mean, prior_std, [STRAIN_1], [STRESS_1], stress_std)
+
+    @pytest.mark.parametrize(
+        "strains, stresses, message",
+        [
+            (["7.25e-4"], [True], "strains must be a finite number, got '7.25e-4'"),
+            ([STRAIN_1], [True], "stresses must be a finite number, got True"),
+            ([STRAIN_1], [None], "stresses must be a finite number, got None"),
+            (np.array([True]), [STRESS_1], "strains must hold numbers, got an array of dtype bool"),
+            ([STRAIN_1], np.array([STRESS_1], dtype=object), "stresses must hold numbers, got an array of dtype object"),
+            ([[STRAIN_1]], [[STRESS_1]], f"strains must be at most 1-D, got [[{STRAIN_1!r}]]"),
+        ],
+        ids=["string-strain", "bool-stress", "null-stress", "bool-array", "object-array", "nested"],
+    )
+    def test_library_refuses_what_a_config_refuses_in_the_measurements(self, strains, stresses, message):
+        """The measurements are read as ``MeasurementSet`` reads them: a list
+        entry by entry, an array by its dtype, at most 1-D.
+        ``(["7.25e-4"], [True])`` returned a posterior."""
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            analytic_le_posterior(PRIOR_MEAN, PRIOR_STD, strains, stresses, NOISE_STD)
 
     def test_numpy_scalars_construct(self):
         post = analytic_le_posterior(

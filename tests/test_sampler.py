@@ -487,8 +487,15 @@ class TestStreams:
 
     @pytest.mark.parametrize("make_target", [_elastoplastic_target, _half_normal_target])
     def test_run_mh_is_the_loop_by_hand(self, make_target):
+        """The chain's config records the schedule that never adapts,
+        ``adapt_every = n_samples``, so ``run_adaptive_mh`` on it replays the
+        chain; it kept the caller's ``adapt_every`` of 1,000, which never
+        applied."""
         config = SamplerConfig(n_samples=3_000, seed=12)
-        _assert_same_chain(run_mh(make_target(), config), _by_hand(make_target(), config))
+        chain = run_mh(make_target(), config)
+        _assert_same_chain(chain, _by_hand(make_target(), config))
+        assert chain.config.adapt_every == config.n_samples
+        _assert_same_chain(run_adaptive_mh(make_target(), chain.config), chain)
 
     def test_first_adaptation_period_is_the_loop_by_hand(self):
         config = SamplerConfig(n_samples=3_000, adapt_every=1_200, seed=5)
@@ -686,8 +693,13 @@ class TestEffectiveSampleSize:
         ess = effective_sample_size(values)
         assert n / 40 < ess < n / 9
 
-    def test_constant_chain_returns_length(self):
-        assert effective_sample_size(np.full(100, 2.0)) == 100.0
+    @pytest.mark.parametrize("value", [2.0, 0.1, 0.29])
+    def test_constant_chain_returns_zero(self, value):
+        """A chain that never moves carries no information about the spread;
+        it reported its full length. At 0.1 and 0.29 the mean of 1,000 equal
+        states rounds off their value, and the size read about 1."""
+        assert effective_sample_size(np.full(1_000, value)) == 0.0
+        assert effective_sample_size(np.full(4, value)) == 0.0
 
     def test_tiny_chains_returned_unchanged(self):
         assert effective_sample_size(np.array([1.0, 2.0, 3.0])) == 3.0
