@@ -31,9 +31,14 @@ raw products underflow double precision.
 Each model and regime is one kernel, a function of raw parameter rows
 with the measured points bound once (``likelihood_kernel``); the sets of a
 target that share a noise spec are scored as one array of points. A kernel
-scores many parameter vectors in one vectorized pass, and every row's
-value is computed from that row alone, so it has the same bits in any
-batch; ``log_likelihood`` is a one-row call.
+scores many parameter vectors in one vectorized pass and gives each
+point's value, every row's computed from that row alone, so a row has the
+same bits in any batch; ``log_likelihood`` is a one-row call.
+
+``likelihood_kernel`` alone owns the floating-point rule: it runs the
+kernels with every floating-point error ignored, sums the points, and
+turns a NaN or +inf point into a ``NumericalError``, so a value is finite
+or -inf and no RuntimeWarning escapes.
 """
 
 from __future__ import annotations
@@ -108,23 +113,21 @@ def _noise_stds(noise: NoiseSpec) -> tuple[float, float | None, float]:
     return noise.stress_std, noise.strain_std, noise.strain_limit
 
 
-# Parameter rows, shape (k, dim), to one log-likelihood per row. The regime
-# kernels below bind the measured points as two 1-D arrays: one set's, or the
-# concatenated points of the sets that share ``noise``.
+# Parameter rows, shape (k, dim), to per-point log-likelihoods up to a constant,
+# shape (k, points). The regime kernels below bind the measured points as two
+# 1-D arrays: one set's, or the concatenated points of the sets sharing ``noise``.
 Kernel = Callable[[np.ndarray], np.ndarray]
 
 
 def _single_kernel(kind: ModelKind, strains: np.ndarray, stresses: np.ndarray, noise: NoiseSpec) -> Kernel:
     s, _, _ = _noise_stds(noise)
-    offset = strains.size * (0.5 * _LOG_2PI + math.log(s))
 
     def kernel(values: np.ndarray) -> np.ndarray:
         if kind is ModelKind.NONLINEAR_HARDENING:
             theoretical, log_jac = _lenh_response(strains, values)
         else:
             theoretical, log_jac = stress_rows(kind, strains, values), 0.0
-        resid = stresses - theoretical
-        return np.sum(-0.5 * (resid / s) ** 2 - log_jac, axis=1) - offset
+        return -0.5 * ((stresses - theoretical) / s) ** 2 - log_jac
 
     return kernel
 
@@ -197,15 +200,14 @@ def _affine_kernel(kind: ModelKind, em: np.ndarray, sm: np.ndarray, noise: Noise
     def kernel(values: np.ndarray) -> np.ndarray:
         # (intercept, slope, lo, hi) x branch x row x 1.
         table = np.zeros((4, 2, len(values), 1))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            E, ey, sy, slope = _affine_columns(kind, values)
-            table[0, 1] = sy - slope * ey
+        E, ey, sy, slope = _affine_columns(kind, values)
+        table[0, 1] = sy - slope * ey
         table[1] = E, slope
         table[2, 1] = ey
         table[3, 0] = np.minimum(ey, a)
         table[3, 1] = a
         terms = _log_affine_branch(sm, em, s_sig, s_eps, *table)
-        return np.logaddexp(terms[0], terms[1]).sum(axis=1)
+        return np.logaddexp(terms[0], terms[1])
 
     return kernel
 
@@ -362,30 +364,19 @@ def _lenh_kernel(em: np.ndarray, sm: np.ndarray, noise: NoiseSpec, quadrature: Q
     def kernel(values: np.ndarray) -> np.ndarray:
         E, sy, _, _ = _lenh_columns(values)
         # A subnormal E makes the yield strain inf; n H underflowing makes
-        # infs and NaNs in the plastic branch, reported below as a NaN.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ey = sy / E
-            elastic = _log_affine_branch(sm, em, s_sig, s_eps, 0.0, E, 0.0, np.minimum(ey, a))
-            lo = np.maximum(ey, window_lo)
-            # The screen's bound, less log_peak.
-            cap = _special().log_ndtr((em - ey) / s_eps)
-            cap -= np.maximum(sy - sm, 0.0) ** 2 * (0.5 / (s_sig * s_sig))
-            # A NaN elastic term drops the window, and its point is reported.
-            live = (window_hi > lo) & (elastic - (_SCREEN_MARGIN + log_peak) <= cap)
-            plastic = np.full(lo.shape, -np.inf)
-            for r, p, x, excess in _plastic_groups(values, live):
-                plastic[r, p] = plastic_log_mass(lo[r, p], window_hi[p], x, p, excess)
-            per_point = np.logaddexp(elastic, plastic)
-        total = per_point.sum(axis=1)
-        if not (total < np.inf).all():  # a NaN or +inf point makes its row's sum one
-            bad = ~(np.isfinite(per_point) | (per_point == -np.inf))
-            if bad.any():
-                r, p = np.argwhere(bad)[0]
-                raise NumericalError(
-                    "non-finite quadrature for measurement "
-                    f"(strain={em[p]!r}, stress={sm[p]!r}) at x={values[r]!r}"
-                )
-        return total
+        # infs and NaNs in the plastic branch, which ``likelihood_kernel`` reports.
+        ey = sy / E
+        elastic = _log_affine_branch(sm, em, s_sig, s_eps, 0.0, E, 0.0, np.minimum(ey, a))
+        lo = np.maximum(ey, window_lo)
+        # The screen's bound, less log_peak.
+        cap = _special().log_ndtr((em - ey) / s_eps)
+        cap -= np.maximum(sy - sm, 0.0) ** 2 * (0.5 / (s_sig * s_sig))
+        # A NaN elastic term drops the window; ``likelihood_kernel`` reports its point.
+        live = (window_hi > lo) & (elastic - (_SCREEN_MARGIN + log_peak) <= cap)
+        plastic = np.full(lo.shape, -np.inf)
+        for r, p, x, excess in _plastic_groups(values, live):
+            plastic[r, p] = plastic_log_mass(lo[r, p], window_hi[p], x, p, excess)
+        return np.logaddexp(elastic, plastic)
 
     return kernel
 
@@ -401,6 +392,11 @@ def likelihood_kernel(
     ``quadrature`` is only meaningful for the nonlinear hardening model
     with some stress-and-strain set, whose kernel gets the default when it
     is None; passing it anywhere else is a configuration error.
+
+    A call runs every kernel under one ``np.errstate`` and sums its points:
+    a NaN or +inf point raises ``NumericalError`` naming the measurement
+    and the row, so each value is finite or -inf. A row outside the
+    model's domain raises ``DomainError``.
     """
     groups: dict[NoiseSpec, list[tuple[np.ndarray, np.ndarray]]] = {}
     for data in sets:
@@ -411,18 +407,32 @@ def likelihood_kernel(
             "quadrature settings only apply to the nonlinear hardening model "
             "with stress-and-strain noise"
         )
-    kernels = []
+    entries = []
     for noise, group in groups.items():
         em, sm = np.concatenate(group, axis=1)
         if not noise.double:
-            kernels.append(_single_kernel(kind, em, sm, noise))
+            entry = _single_kernel(kind, em, sm, noise), em.size * (0.5 * _LOG_2PI + math.log(noise.stress_std))
         elif lenh:
-            kernels.append(_lenh_kernel(em, sm, noise, quadrature or QuadratureSpec()))
+            entry = _lenh_kernel(em, sm, noise, quadrature or QuadratureSpec()), 0.0
         else:
-            kernels.append(_affine_kernel(kind, em, sm, noise))
-    if len(kernels) == 1:
-        return kernels[0]
-    return lambda values: sum((kernel(values) for kernel in kernels), np.zeros(len(values)))
+            entry = _affine_kernel(kind, em, sm, noise), 0.0
+        entries.append((*entry, em, sm))
+
+    def total(values: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(values))
+        with np.errstate(all="ignore"):
+            for kernel, offset, em, sm in entries:
+                per_point = kernel(values)
+                out += per_point.sum(axis=1) - offset
+                if not (out < np.inf).all():  # a NaN or +inf point makes its row's sum one
+                    r, p = np.argwhere(~(per_point < np.inf))[0]
+                    raise NumericalError(
+                        "non-finite log-likelihood for measurement "
+                        f"(strain={em[p]}, stress={sm[p]}) at x={values[r]!r}"
+                    )
+        return out
+
+    return total
 
 
 def log_likelihood(

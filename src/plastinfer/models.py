@@ -178,9 +178,9 @@ def stress_rows(kind: ModelKind, strain: np.ndarray, values: np.ndarray) -> np.n
         NumericalError: if the Newton inversion of an LE-NH plastic
             coordinate does not converge for any element.
     """
-    if kind is ModelKind.NONLINEAR_HARDENING:
-        return _lenh_response(strain, values)[0]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        if kind is ModelKind.NONLINEAR_HARDENING:
+            return _lenh_response(strain, values)[0]
         E, ey, sy, slope = _affine_columns(kind, values)
         return np.where(strain > ey, sy + slope * (strain - ey), E * strain)
 
@@ -235,23 +235,22 @@ def _lenh_response(strain: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
     from the plastic coordinate t. In the plastic strain the derivative is
     the path's slope; in the stress excess v it is
     1 + n H / (E (v/H)**(1/n - 1)), taken in log form because for n << 1
-    the power underflows long before the plastic strain is resolved."""
+    the power underflows long before the plastic strain is resolved.
+    Extreme rows make infs and NaNs: callers run this under ``np.errstate``."""
     E, sy, _, _ = _lenh_columns(values)
     stress = E * strain
     log_slope = np.zeros(stress.shape)
-    with np.errstate(over="ignore"):  # a subnormal E: the yield strain is inf
-        yielded = strain > sy / E
+    yielded = strain > sy / E  # a subnormal E: the yield strain is inf
     for r, p, x, excess in _plastic_groups(values, yielded):
         t = _plastic_coordinate(strain[p], x, excess)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            stress[r, p], _, slope = _plastic_path(t, x, excess)
-            if excess:
-                E_p, _, H, n = x
-                # log(n) apart: a subnormal n makes 1/n inf, and n H / E 0.
-                log_ratio = np.log(n) + np.log(H / E_p) - (1.0 / n - 1.0) * np.log(t / H)
-                log_slope[r, p] = np.logaddexp(0.0, log_ratio)
-            else:
-                log_slope[r, p] = np.log(slope)
+        stress[r, p], _, slope = _plastic_path(t, x, excess)
+        if excess:
+            E_p, _, H, n = x
+            # log(n) apart: a subnormal n makes 1/n inf, and n H / E 0.
+            log_ratio = np.log(n) + np.log(H / E_p) - (1.0 / n - 1.0) * np.log(t / H)
+            log_slope[r, p] = np.logaddexp(0.0, log_ratio)
+        else:
+            log_slope[r, p] = np.log(slope)
     return stress, log_slope
 
 

@@ -102,7 +102,8 @@ class LogPosterior:
     never touched, so the samplers can propose freely. The likelihood
     kernel of all the sets is resolved once, here (``likelihood_kernel``,
     which also judges ``quadrature``); a call then works on raw arrays, and
-    each row's value has the same bits in any batch.
+    each row's value has the same bits in any batch. A value is finite or
+    -inf, never NaN: the kernel raises ``NumericalError`` instead.
 
     ``data`` may be one measurement set, a sequence of sets (independent
     specimens pooled into one identification: their log-likelihoods add),

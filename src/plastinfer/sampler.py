@@ -192,11 +192,13 @@ def _metropolis(target: LogPosterior, config: SamplerConfig) -> Chain:
             f"initial state has {x.size} components, target needs {target.dimension}"
         )
     lp = target(x)
-    if not np.isfinite(lp):
+    if lp == -math.inf:
         raise ConfigurationError(
             f"starting state {x!r} has zero posterior density; pass an "
             "initial point inside the support"
         )
+    if not math.isfinite(lp):
+        raise NumericalError(f"target log-density is {lp!r} at starting state {x!r}")
     dim = x.size
     scale = config.step_scale or 2.38 / math.sqrt(dim)
     fixed = scale * np.eye(dim)

@@ -188,7 +188,7 @@ def test_criterion_3_closed_forms_match_adaptive_quadrature():
 def test_criterion_4_hardening_reductions_and_panel_doubling():
     """Nonlinear hardening collapses to linear hardening at n=1 and to
     perfect plasticity at H=0, in both noise regimes, to 1e-8 relative;
-    Simpson panel-doubling at default settings moves the result by less
+    Gauss-Legendre panel-doubling at default settings moves the result by less
     than 1e-8.
 
     In the stress-only regime the n=1 comparison accounts for the

@@ -1520,6 +1520,22 @@ def test_non_finite_summary_exits_3_with_no_file_written(tmp_path, capsys):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_overflowing_stress_and_strain_start_exits_3_naming_the_measurement(tmp_path, capsys):
+    """A prior mean of 1e308 starts an LE-PP fit of stress-and-strain data
+    where the likelihood overflows: the run printed RuntimeWarnings and
+    exited 2, calling the NaN start one of zero posterior density."""
+    data = _make_dataset(tmp_path, noise={"stress_std": 0.01, "strain_std": 1e-4})
+    payload = {"model": "LE-PP", "prior": {"mean": [1e308, 0.29], "std": [50.0, 0.0167]},
+               "sampler": {"n_samples": 300, "seed": 2}}
+    config = _write_config(tmp_path, payload, "overflow.json")
+    out = tmp_path / "out"
+    assert cli.main(["identify", "--config", config, "--data", str(data), "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite log-likelihood for measurement (strain=" in err
+    assert "RuntimeWarning" not in err
+    assert not (out / "summary.json").exists()
+
+
 def test_non_finite_table_exits_3_with_no_file_written(tmp_path, capsys):
     """A sampled heterogeneity fit whose prior mean of 1e308 keeps E there
     overflows its moments and correlation: the run exited 0 and wrote inf

@@ -10,12 +10,16 @@ identities that tie the four models together.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import quad
 from scipy.special import erf, log_ndtr, logsumexp, ndtr, roots_legendre
@@ -23,6 +27,7 @@ from scipy.stats import norm
 
 from plastinfer import (
     ConfigurationError,
+    DomainError,
     LogPosterior,
     MeasurementSet,
     ModelKind,
@@ -688,7 +693,35 @@ class TestGuards:
         x = ParameterVector(E=210.0, sigma_y0=0.25, H=2.0, n=0.57)
         mset = generate_double_noise(x, kind, GRID_12, 0.01, 1e-4, seed=4)
         monkeypatch.setattr(likelihood, "_log_window_sums", lambda h, weights: np.full(h.shape[:-1], np.nan))
-        with pytest.raises(NumericalError, match=r"non-finite quadrature for measurement \(strain="):
+        with pytest.raises(NumericalError, match=r"non-finite log-likelihood for measurement \(strain="):
+            log_likelihood(x, kind, mset)
+
+    @pytest.mark.parametrize(
+        "double, patched",
+        [(False, "stress_rows"), (True, "_log_affine_branch")],
+        ids=["stress-only", "stress-and-strain"],
+    )
+    def test_nonfinite_point_is_reported_in_every_regime(self, monkeypatch, double, patched):
+        """A NaN point of the stress-only or the affine stress-and-strain
+        kernel is a NumericalError naming that measurement and the row, as
+        for the quadrature above."""
+        kind = ModelKind.PERFECT_PLASTICITY
+        x = ParameterVector(E=210.0, sigma_y0=0.25)
+        if double:
+            mset = generate_double_noise(x, kind, GRID_12, 0.01, 1e-4, seed=4)
+        else:
+            mset = generate_single_noise(x, kind, GRID_12, 0.01, seed=4)
+        original = getattr(likelihood, patched)
+
+        def with_nan(*args):
+            out = original(*args)
+            out[..., 3] = np.nan
+            return out
+
+        monkeypatch.setattr(likelihood, patched, with_nan)
+        point = f"(strain={mset.strains[3]}, stress={mset.stresses[3]})"
+        want = f"non-finite log-likelihood for measurement {point} at x={x.to_array()!r}"
+        with pytest.raises(NumericalError, match=f"^{re.escape(want)}$"):
             log_likelihood(x, kind, mset)
 
     def test_quadrature_spec_validation(self):
@@ -718,15 +751,77 @@ class TestGuards:
             )
 
     def test_facade_dispatch(self):
-        """The facade agrees with the kernel of the data's noise regime."""
+        """The facade agrees with the per-point values of the kernel of the
+        data's noise regime summed, less the stress-only normalization."""
         x = ParameterVector(E=210.0, sigma_y0=0.25)
         single = _single_set([1e-3, 2e-3], [0.20, 0.24])
         double = _double_set([1e-3, 2e-3], [0.20, 0.24])
         kind = ModelKind.PERFECT_PLASTICITY
         row = x.to_array()[None, :]
-        for mset, regime_kernel in ((single, likelihood._single_kernel), (double, likelihood._affine_kernel)):
-            want = regime_kernel(kind, mset.strains, mset.stresses, mset.noise)(row)[0]
+        offset = 2 * (0.5 * LOG_2PI + math.log(0.01))
+        regimes = ((single, likelihood._single_kernel, offset), (double, likelihood._affine_kernel, 0.0))
+        for mset, regime_kernel, constant in regimes:
+            want = regime_kernel(kind, mset.strains, mset.stresses, mset.noise)(row).sum(axis=1)[0] - constant
             assert log_likelihood(x, kind, mset) == want
+
+
+# Components of every magnitude a double holds, zero and subnormal included.
+EXTREME_COMPONENTS = (0.0, 5e-324, 1e-300, 1e-12, 1.0, 210.0, 1e12, 1e300, 1.7e308)
+
+# Upper ends of the uniformly drawn components (E, sigma_y0, H, n).
+CONTRACT_RANGES = (400.0, 1.0, 100.0, 3.0)
+
+CONTRACT_NOISE = {
+    "stress-only": NoiseSpec(0.01),
+    "stress-and-strain": NoiseSpec(0.01, 1e-4),
+    "bounded": NoiseSpec(0.01, 1e-4, 3e-3),
+}
+
+
+@functools.cache
+def _contract_kernel(kind: ModelKind, spec: str):
+    """The one-set kernel of ``kind`` on 12 points generated at the LE-NH
+    truth's components under noise ``spec``."""
+    x = ParameterVector(**dict(zip(kind.parameter_names, (210.0, 0.25, 2.0, 0.57))))
+    noise = CONTRACT_NOISE[spec]
+    if noise.double:
+        mset = generate_double_noise(x, kind, GRID_12, 0.01, 1e-4, seed=3, strain_limit=noise.strain_limit)
+    else:
+        mset = generate_single_noise(x, kind, GRID_12, 0.01, seed=3)
+    return likelihood_kernel(kind, [mset])
+
+
+class TestFailureContract:
+    """Every likelihood value is finite or -inf, or the call raises: the
+    floating-point rule of ``likelihood_kernel``. A RuntimeWarning that
+    escapes fails the test (the suite turns it into an error)."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(list(ModelKind)), st.sampled_from(list(CONTRACT_NOISE)), st.data())
+    def test_values_are_finite_or_minus_inf_or_raise(self, kind, spec, data):
+        """Rows of extreme and of uniform components, one at a time and as
+        a batch: a one-row value is finite or -inf unless the call raises a
+        NumericalError or DomainError; a batch raises if one of its rows
+        does, and otherwise gives each row the bits of its one-row call."""
+        kernel = _contract_kernel(kind, spec)
+        component = [st.one_of(st.sampled_from(EXTREME_COMPONENTS), st.floats(0.0, hi)) for hi in CONTRACT_RANGES]
+        n_rows = data.draw(st.integers(1, 4))
+        rows = np.array([[data.draw(c) for c in component[: kind.dimension]] for _ in range(n_rows)])
+        ones, raised = [], False
+        for row in rows:
+            try:
+                value = kernel(row[None])
+            except (NumericalError, DomainError):
+                raised = True
+                continue
+            assert value.shape == (1,)
+            assert math.isfinite(value[0]) or value[0] == -math.inf, (row, value)
+            ones.append(value[0])
+        if raised:
+            with pytest.raises((NumericalError, DomainError)):
+                kernel(rows)
+            return
+        assert np.array_equal(kernel(rows).view(np.uint64), np.array(ones).view(np.uint64))
 
 
 def _two_form_log_gauss_mass(lo_z, hi_z):

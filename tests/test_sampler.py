@@ -184,6 +184,16 @@ class TestRunMh:
         with pytest.raises(ConfigurationError, match="support"):
             run_mh(_gaussian_target(200.0, 100.0), SamplerConfig(n_samples=10, initial=[-1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_start_is_a_numerical_failure(self, bad):
+        """A target that is NaN or +inf at the start has failed there: a
+        NumericalError naming the value and the state, not a start off the
+        support (that is -inf alone)."""
+        target = _elastoplastic_target()
+        target.log_density = lambda points: np.full(len(points), bad)
+        with pytest.raises(NumericalError, match=rf"^target log-density is {bad!r} at starting state array\(\[200\."):
+            run_mh(target, SamplerConfig(n_samples=10))
+
     def test_wrong_size_start_rejected(self):
         with pytest.raises(ConfigurationError, match="components"):
             run_mh(_gaussian_target(200.0, 100.0), SamplerConfig(n_samples=10, initial=[1.0, 2.0]))
