@@ -4,8 +4,8 @@ Stress-only regime: Gaussian residuals between measured and theoretical
 stresses. For the implicit nonlinear-hardening model the density carries a
 change-of-variables factor on the plastic branch (the implicit response
 maps stress intervals nonuniformly): the Gaussian term is divided by
-d(strain)/d(plastic strain) = ``1 + (H*n/E) * u**(n-1)``, which ``models``
-returns with the stress, both from the plastic coordinate.
+d(strain)/d(plastic strain) = ``1 + (H*n/E) * u**(n-1)``, which
+``models._response``, the one forward response, returns with the stress.
 
 Stress-and-strain regime: the true strain is unobserved, so each point's
 density marginalizes it over ``[0, a]`` (``a`` being the tester's strain
@@ -38,7 +38,7 @@ same bits in any batch; ``log_likelihood`` is a one-row call.
 ``likelihood_kernel`` alone owns the floating-point rule: it runs the
 kernels with every floating-point error ignored, sums the points, and
 turns a NaN or +inf point into a ``NumericalError``, so a value is finite
-or -inf and no RuntimeWarning escapes.
+or -inf and no RuntimeWarning escapes; no kernel or helper sets its own.
 """
 
 from __future__ import annotations
@@ -58,12 +58,11 @@ from .models import (
     _affine_columns,
     _components,
     _lenh_columns,
-    _lenh_response,
     _plastic_coordinate,
     _plastic_groups,
     _plastic_path,
+    _response,
     _stress_coordinate,
-    stress_rows,
 )
 
 __all__ = [
@@ -120,14 +119,12 @@ Kernel = Callable[[np.ndarray], np.ndarray]
 
 
 def _single_kernel(kind: ModelKind, strains: np.ndarray, stresses: np.ndarray, noise: NoiseSpec) -> Kernel:
+    """Stress-only kernel of every model, from ``models._response``."""
     s, _, _ = _noise_stds(noise)
 
     def kernel(values: np.ndarray) -> np.ndarray:
-        if kind is ModelKind.NONLINEAR_HARDENING:
-            theoretical, log_jac = _lenh_response(strains, values)
-        else:
-            theoretical, log_jac = stress_rows(kind, strains, values), 0.0
-        return -0.5 * ((stresses - theoretical) / s) ** 2 - log_jac
+        theoretical, log_factor = _response(kind, strains, values)
+        return -0.5 * ((stresses - theoretical) / s) ** 2 - log_factor
 
     return kernel
 
@@ -144,22 +141,22 @@ def _log_gauss_mass(lo_z: np.ndarray, hi_z: np.ndarray) -> np.ndarray:
     narrower than 0.3 (b >= 0 and b - a < 0.3), where Phi(a) and Phi(b) lie
     near 1/2 and their difference keeps only about eps / width of relative
     precision; its mass is the sum (erf(b / sqrt 2) + erf(-a / sqrt 2)) / 2
-    of two nonnegative terms, computed on that subset alone.
+    of two nonnegative terms, computed on that subset alone. A zero mass
+    divides by zero: callers run this under ``np.errstate``.
     """
     a = np.minimum(lo_z, -hi_z)
     b = np.minimum(hi_z, -lo_z)
     special = _special()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_b = special.log_ndtr(b)
-        # fmin: two bounds far in one tail both give -inf, and their
-        # difference is NaN where the mass is 0.
-        out = log_b + np.log1p(-np.exp(np.fmin(special.log_ndtr(a) - log_b, 0.0)))
-        # b - a is the width; the straddle test runs only once one is narrow.
-        narrow = b - a < 0.3
-        if narrow.any():
-            # Under errstate: an empty interval at zero (a = b = 0) sums to 0.
-            narrow &= b >= 0.0
-            out[narrow] = np.log(0.5 * (special.erf(b[narrow] * _SQRT_HALF) + special.erf(-a[narrow] * _SQRT_HALF)))
+    log_b = special.log_ndtr(b)
+    # fmin: two bounds far in one tail both give -inf, and their
+    # difference is NaN where the mass is 0.
+    out = log_b + np.log1p(-np.exp(np.fmin(special.log_ndtr(a) - log_b, 0.0)))
+    # b - a is the width; the straddle test runs only once one is narrow.
+    narrow = b - a < 0.3
+    if narrow.any():
+        # An empty interval at zero (a = b = 0) sums to 0, its log -inf.
+        narrow &= b >= 0.0
+        out[narrow] = np.log(0.5 * (special.erf(b[narrow] * _SQRT_HALF) + special.erf(-a[narrow] * _SQRT_HALF)))
     return np.where(hi_z > lo_z, out, -np.inf)
 
 

@@ -23,7 +23,8 @@ likelihoods use the same coordinate.
 
 All evaluation functions are pure and accept scalar or array strains.
 ``stress_rows`` evaluates many parameter vectors at once; the
-single-vector functions are one-row calls of it.
+single-vector functions are one-row calls of it. ``_response`` is the one
+forward response, and ``stress_rows`` owns its floating-point state.
 """
 
 from __future__ import annotations
@@ -179,10 +180,7 @@ def stress_rows(kind: ModelKind, strain: np.ndarray, values: np.ndarray) -> np.n
             coordinate does not converge for any element.
     """
     with np.errstate(all="ignore"):
-        if kind is ModelKind.NONLINEAR_HARDENING:
-            return _lenh_response(strain, values)[0]
-        E, ey, sy, slope = _affine_columns(kind, values)
-        return np.where(strain > ey, sy + slope * (strain - ey), E * strain)
+        return _response(kind, strain, values)[0]
 
 
 def _affine_columns(kind: ModelKind, values: np.ndarray) -> list:
@@ -190,12 +188,16 @@ def _affine_columns(kind: ModelKind, values: np.ndarray) -> list:
     or LE-LH parameter rows, each of shape (m, 1) or a scalar. All three
     are LE-LH rows: LE-PP has H = 0, and LE also sigma_y0 = inf, so it never
     yields. Nor does a row with E = 0 (yield strain inf); the slope of a
-    row that never yields, which may be NaN, is never used. Such rows
-    divide by zero or make NaNs, so callers run this under ``np.errstate``."""
+    row that never yields, which may be NaN, is never used; an LE-LH slope
+    whose H E or H + E overflows is H / (1 + H / E). Such rows divide by
+    zero or make NaNs, so callers run this under ``np.errstate``."""
     E = values[:, :1]
     sy = np.inf if kind is ModelKind.LINEAR_ELASTIC else values[:, 1:2]
     H = values[:, 2:] if kind is ModelKind.LINEAR_HARDENING else 0.0
-    return [E, np.where(E == 0.0, np.inf, sy / E), sy, H * E / (H + E)]
+    slope = H * E / (H + E)
+    if kind is ModelKind.LINEAR_HARDENING and not slope.max() < np.inf:  # inf, or NaN from inf / inf
+        slope = np.where(np.isfinite(slope), slope, H / (1.0 + H / E))
+    return [E, np.where(E == 0.0, np.inf, sy / E), sy, slope]
 
 
 def _lenh_columns(values: np.ndarray) -> np.ndarray:
@@ -229,14 +231,18 @@ def _plastic_groups(values: np.ndarray, plastic: np.ndarray):
             yield r, points[group], list(values.T[:, r]), flag
 
 
-def _lenh_response(strain: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stress and log d(strain)/d(plastic strain) of LE-NH parameter rows at
-    the 1-D ``strain``, each (m, strain.size), 0 on the elastic branch; both
-    from the plastic coordinate t. In the plastic strain the derivative is
-    the path's slope; in the stress excess v it is
+def _response(kind: ModelKind, strain: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """Stress and log d(strain)/d(plastic strain) of ``kind``'s parameter
+    rows at the 1-D ``strain``, the stress (m, strain.size); the log is 0.0
+    for an affine model and else (m, strain.size), 0 on the elastic branch,
+    both from the plastic coordinate t. In the plastic strain the derivative
+    is the path's slope; in the stress excess v it is
     1 + n H / (E (v/H)**(1/n - 1)), taken in log form because for n << 1
     the power underflows long before the plastic strain is resolved.
     Extreme rows make infs and NaNs: callers run this under ``np.errstate``."""
+    if kind is not ModelKind.NONLINEAR_HARDENING:
+        E, ey, sy, slope = _affine_columns(kind, values)
+        return np.where(strain > ey, sy + slope * (strain - ey), E * strain), 0.0
     E, sy, _, _ = _lenh_columns(values)
     stress = E * strain
     log_slope = np.zeros(stress.shape)
@@ -328,36 +334,35 @@ def _plastic_coordinate(strain: np.ndarray, x, excess: bool) -> np.ndarray:
     the slope is infinite, so is that tolerance, and no residual is
     accepted against it: such an element converges to a finite tolerance
     or fails. The path is looked up in this module at each step, so a
-    patched ``_plastic_path`` is the one solved.
+    patched ``_plastic_path`` is the one solved. A NaN (n H underflowing)
+    never counts as converged: callers run this under ``np.errstate``.
 
     Raises:
         NumericalError: if some element has not converged after 60 steps.
     """
     E, sy, H, n = x
     excess_strain = np.maximum(strain - sy / E, 0.0)
-    # n H underflowing makes infs and NaNs; a NaN never counts as converged.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # The roots of the linear and of the power term alone, and the power.
-        if excess:
-            linear, power, p = E * excess_strain, H * _power(excess_strain, n), 1.0 / n
-        else:
-            linear, power, p = excess_strain, _power(excess_strain * E / H, 1.0 / n), n
-        t = np.fmin(linear, power / (1.0 + power / (p * linear)))
-        # eps (4 strain + t slope) split at a power of two, which changes no bit.
-        floor = (4.0 * _EPS) * strain
-        for step in range(60):  # a handful suffice; the cap only turns a stall into an error
-            _, reached, slope = _plastic_path(t, x, excess)
-            resid = reached - strain
-            if step < _UNCHECKED_STEPS:
-                t = np.maximum(t - resid / slope, 0.0)
-                continue
-            tol = floor + _EPS * (t * slope)
-            done = abs(resid) <= tol
+    # The roots of the linear and of the power term alone, and the power.
+    if excess:
+        linear, power, p = E * excess_strain, H * _power(excess_strain, n), 1.0 / n
+    else:
+        linear, power, p = excess_strain, _power(excess_strain * E / H, 1.0 / n), n
+    t = np.fmin(linear, power / (1.0 + power / (p * linear)))
+    # eps (4 strain + t slope) split at a power of two, which changes no bit.
+    floor = (4.0 * _EPS) * strain
+    for step in range(60):  # a handful suffice; the cap only turns a stall into an error
+        _, reached, slope = _plastic_path(t, x, excess)
+        resid = reached - strain
+        if step < _UNCHECKED_STEPS:
+            t = np.maximum(t - resid / slope, 0.0)
+            continue
+        tol = floor + _EPS * (t * slope)
+        done = abs(resid) <= tol
+        if done.all():
+            done = np.isfinite(tol)  # an infinite tolerance meets any residual
             if done.all():
-                done = np.isfinite(tol)  # an infinite tolerance meets any residual
-                if done.all():
-                    return t
-            t = np.where(done, t, np.maximum(t - resid / slope, 0.0))
+                return t
+        t = np.where(done, t, np.maximum(t - resid / slope, 0.0))
     i = np.unravel_index(np.argmin(done), done.shape)
     strain, resid, tol = (np.broadcast_to(a, done.shape)[i] for a in (strain, resid, tol))
     raise NumericalError(

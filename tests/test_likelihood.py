@@ -45,7 +45,7 @@ from plastinfer import (
 )
 from plastinfer import likelihood
 from plastinfer.likelihood import _log_gauss_mass, _log_window_sums, likelihood_kernel
-from plastinfer.models import _lenh_response, _plastic_coordinate, _plastic_path, stress_rows
+from plastinfer.models import _plastic_coordinate, _plastic_path, _response, stress_rows
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -698,7 +698,7 @@ class TestGuards:
 
     @pytest.mark.parametrize(
         "double, patched",
-        [(False, "stress_rows"), (True, "_log_affine_branch")],
+        [(False, "_response"), (True, "_log_affine_branch")],
         ids=["stress-only", "stress-and-strain"],
     )
     def test_nonfinite_point_is_reported_in_every_regime(self, monkeypatch, double, patched):
@@ -715,7 +715,7 @@ class TestGuards:
 
         def with_nan(*args):
             out = original(*args)
-            out[..., 3] = np.nan
+            (out[0] if isinstance(out, tuple) else out)[..., 3] = np.nan  # _response's stress
             return out
 
         monkeypatch.setattr(likelihood, patched, with_nan)
@@ -824,6 +824,43 @@ class TestFailureContract:
         assert np.array_equal(kernel(rows).view(np.uint64), np.array(ones).view(np.uint64))
 
 
+class TestOneFloatingPointState:
+    """An evaluation enters ``np.errstate`` once: ``likelihood_kernel`` per
+    ``log_density`` call and ``stress_rows`` per call, and nothing they
+    call enters it again."""
+
+    @pytest.mark.parametrize("spec", ["stress-only", "stress-and-strain"])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_one_errstate_entry_per_call(self, monkeypatch, kind, spec):
+        """Two rows past yield on the grid, for LE-NH one in each plastic
+        coordinate. With blocks of their own in ``_plastic_coordinate`` and
+        ``_log_gauss_mass``, these ``log_density`` calls entered two to four
+        blocks, and an LE-NH ``stress_rows`` three."""
+        entered = []
+
+        class Counting(np.errstate):
+            __slots__ = ()
+
+            def __enter__(self):
+                entered.append(self)
+                return super().__enter__()
+
+        rows = np.array([[210.0, 0.25, 2.0, 0.57], [200.0, 0.3, 5.0, 1.5]])[:, : kind.dimension]
+        x = ParameterVector(*rows[0])
+        if CONTRACT_NOISE[spec].double:
+            mset = generate_double_noise(x, kind, GRID_12, 0.01, 1e-4, seed=3)
+        else:
+            mset = generate_single_noise(x, kind, GRID_12, 0.01, seed=3)
+        prior = TruncatedNormalPrior(rows[0], np.diag(0.1 * rows[0]) ** 2)
+        target = LogPosterior(kind, prior, mset)
+        monkeypatch.setattr(np, "errstate", Counting)
+        assert np.all(np.isfinite(target.log_density(rows)))
+        assert len(entered) == 1
+        past_yield = stress_rows(kind, GRID_12, rows) < rows[:, :1] * GRID_12
+        assert len(entered) == 2
+        assert kind is ModelKind.LINEAR_ELASTIC or past_yield.any(axis=1).all()
+
+
 def _two_form_log_gauss_mass(lo_z, hi_z):
     """The two-form expression ``_log_gauss_mass`` replaced, kept as its
     reference: the lower-tail form for an interval on one side of zero (an
@@ -856,9 +893,10 @@ class TestGaussMass:
         below): the two-form reference cancels on a narrower one."""
         pairs = [(lo, hi) for lo in self.ENDS for hi in self.ENDS]
         kept = [(lo, hi) for lo, hi in pairs if lo < hi and not (lo <= 0.0 <= hi and hi - lo < 0.3)]
-        self._assert_close(*np.array(kept).T)
-        empty = [(lo, hi) for lo, hi in pairs if lo >= hi]
-        assert np.all(_log_gauss_mass(*np.array(empty).T) == -np.inf)
+        with np.errstate(all="ignore"):  # as under ``likelihood_kernel``
+            self._assert_close(*np.array(kept).T)
+            empty = [(lo, hi) for lo, hi in pairs if lo >= hi]
+            assert np.all(_log_gauss_mass(*np.array(empty).T) == -np.inf)
 
     def test_intervals_1e_9_wide_across_the_line(self):
         centers = np.concatenate([-np.logspace(-8, 1.5, 40), np.logspace(-8, 1.5, 40)])
@@ -938,7 +976,8 @@ class TestExtremeParameters:
     def test_intervals_far_in_one_tail_have_zero_mass(self):
         lo = np.array([-2e200, 1e200, 1e160])
         hi = np.array([-1e200, 2e200, np.inf])
-        assert np.all(_log_gauss_mass(lo, hi) == -np.inf)
+        with np.errstate(all="ignore"):  # as under ``likelihood_kernel``
+            assert np.all(_log_gauss_mass(lo, hi) == -np.inf)
 
     @pytest.mark.parametrize("kind", [ModelKind.PERFECT_PLASTICITY, ModelKind.LINEAR_HARDENING])
     @pytest.mark.parametrize("E", [1e-201, 1e-250, 1e-300])
@@ -1058,7 +1097,7 @@ def test_stress_only_nonlinear_log_factor_matches_long_double(n_range):
     sy = E * rng.uniform(GRID_12[0], GRID_12[-1], m)
     H = rng.uniform(1.0, 100.0, m)
     n = rng.uniform(*n_range, m)
-    _, log_jac = _lenh_response(GRID_12, np.column_stack([E, sy, H, n]))
+    _, log_jac = _response(ModelKind.NONLINEAR_HARDENING, GRID_12, np.column_stack([E, sy, H, n]))
     plastic = GRID_12 > (sy / E)[:, None]
     assert np.all(log_jac[~plastic] == 0.0)
     assert np.all(np.isfinite(log_jac))
@@ -1303,7 +1342,8 @@ class TestYieldWindow:
             at_yield = rng.random(m) < 0.5
             past = ey + rng.uniform(1e-6, 2e-3, m)
             strain = np.array([np.where(at_yield, ey, past), past + 8e-4])
-            t = _plastic_coordinate(strain, x, excess)
+            with np.errstate(all="ignore"):  # as under ``likelihood_kernel``
+                t = _plastic_coordinate(strain, x, excess)
             assert np.all(t[0][at_yield] == 0.0)
             assert np.all(t[0][~at_yield] > 0.0) and np.all(t[1] > 0.0)
 

